@@ -522,6 +522,17 @@ def _build_config(args, problem: Problem) -> CheckConfig:
     )
 
 
+def _flag_error(args) -> str | None:
+    """Why a numeric flag is meaningless, or None when all are usable."""
+    if args.max_power is not None and args.max_power < 1:
+        return f"--max-power must be >= 1, got {args.max_power}"
+    if args.pair_limit < 1:
+        return f"--pair-limit must be >= 1, got {args.pair_limit}"
+    if args.timeout_seconds is not None and not args.timeout_seconds > 0:
+        return f"--timeout-seconds must be > 0, got {args.timeout_seconds:g}"
+    return None
+
+
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fibrecheck",
@@ -537,6 +548,10 @@ def run(argv=None) -> int:
     parser.add_argument("--timeout-seconds", type=float, default=None)
     parser.add_argument("--trace", action="store_true", help="per-power statistics incl. timing")
     args = parser.parse_args(argv)
+    flag_error = _flag_error(args)
+    if flag_error:
+        print(f"fibrecheck: {flag_error}", file=sys.stderr)
+        return 1
 
     try:
         if args.input == "-":

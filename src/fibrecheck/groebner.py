@@ -4,10 +4,17 @@ Produces canonical reduced bases (monic, interreduced, sorted by the order),
 so recomputation from any permutation of the generators yields an identical
 basis.  Pair selection follows the normal strategy with the coprimality and
 chain criteria; resource use is metered by a :class:`ComputeBudget`.
+
+Pending S-pairs wait in a binary heap.  Each pair's rank
+``(deg lcm, order key of lcm, i, j)`` is computed once, when the pair is
+created, and the heap pops the least rank next.  Ranks are unique by
+``(i, j)``, so pairs are processed in exactly the order of a linear scan for
+the minimum: pair counts and bases do not depend on the queue.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -125,13 +132,12 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 # Buchberger for ideals
 
 
-def _select_pair(pairs, lead, order):
-    def rank(p):
-        i, j = p
-        lcm = mono_lcm(lead[i][1], lead[j][1])
-        return (sum(lcm), order.key(lcm), i, j)
-
-    return min(pairs, key=rank)
+def _pair_rank(mi, mj, i, j, order: MonomialOrder):
+    """Heap entry of the pair (i, j) with leading monomials mi, mj: the normal
+    strategy (least lcm degree, then least lcm under the order), indices last
+    so that no two entries tie."""
+    lcm = mono_lcm(mi, mj)
+    return (sum(lcm), order.key(lcm), i, j)
 
 
 def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None, trace: bool = False):
@@ -156,9 +162,13 @@ def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None, 
             cofs.append(row)
 
     lead = [g.leading_term(order) for g in G]
+    # ``pairs`` mirrors the heap as a set: the chain criterion asks whether a
+    # pair is still pending
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    while pairs:
-        i, j = _select_pair(pairs, lead, order)
+    queue = [_pair_rank(lead[i][1], lead[j][1], i, j, order) for i, j in pairs]
+    heapq.heapify(queue)
+    while queue:
+        *_, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
         budget.charge_pair()
         fm, gm = lead[i][1], lead[j][1]
@@ -195,7 +205,9 @@ def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None, 
         G.append(nf)
         lead.append(nf.leading_term(order))
         new = len(G) - 1
-        pairs.update((k, new) for k in range(new))
+        for k in range(new):
+            pairs.add((k, new))
+            heapq.heappush(queue, _pair_rank(lead[k][1], lead[new][1], k, new, order))
         budget.note_basis(len(G))
 
     basis, basis_cofs = _interreduce(G, cofs, order, budget)
@@ -404,20 +416,16 @@ def module_buchberger(vectors, morder: ModuleOrder, budget: ComputeBudget | None
     fld = G[0][0].field
     budget = budget or ComputeBudget()
     lead = [vector_leading(g, morder) for g in G]
-    pairs = {
-        (i, j)
+    ring_order = morder.ring_order
+    queue = [
+        _pair_rank(lead[i][2], lead[j][2], i, j, ring_order)
         for i in range(len(G))
         for j in range(i + 1, len(G))
         if lead[i][0] == lead[j][0]
-    }
-    while pairs:
-        def rank(p):
-            i, j = p
-            lcm = mono_lcm(lead[i][2], lead[j][2])
-            return (sum(lcm), morder.ring_order.key(lcm), i, j)
-
-        i, j = min(pairs, key=rank)
-        pairs.discard((i, j))
+    ]
+    heapq.heapify(queue)
+    while queue:
+        *_, i, j = heapq.heappop(queue)
         budget.charge_pair()
         _, ci, mi = lead[i]
         _, cj, mj = lead[j]
@@ -432,9 +440,11 @@ def module_buchberger(vectors, morder: ModuleOrder, budget: ComputeBudget | None
         G.append(nf)
         lead.append(vector_leading(nf, morder))
         new = len(G) - 1
-        pairs.update(
-            (k, new) for k in range(new) if lead[k][0] == lead[new][0]
-        )
+        for k in range(new):
+            if lead[k][0] == lead[new][0]:
+                heapq.heappush(
+                    queue, _pair_rank(lead[k][2], lead[new][2], k, new, ring_order)
+                )
         budget.note_basis(len(G))
     return _module_interreduce(G, morder)
 

@@ -345,10 +345,15 @@ class Polynomial:
     # leading data ---------------------------------------------------------
 
     def leading_term(self, order: MonomialOrder | None = None):
-        """(coefficient, monomial) maximal under the order."""
+        """(coefficient, monomial) maximal under the order.
+
+        Every constructor stores the terms in descending order under
+        ``default_order(self.layout)``, so for that order (the default) the
+        leading term is the first stored one; other orders scan the terms."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        order = order or default_order(self.layout)
+        if order is None or order == default_order(self.layout):
+            return self.terms[0]
         return max(self.terms, key=lambda t: order.key(t[1]))
 
     def leading_monomial(self, order: MonomialOrder | None = None) -> Exponents:

@@ -155,6 +155,34 @@ def test_exit_one_on_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_exit_one_on_max_power_below_one(capsys, value):
+    code, out, err = _run(
+        capsys, "--input", str(FIXTURES / "blowup.alg"), "--max-power", value
+    )
+    assert code == 1
+    assert not out
+    assert err == f"fibrecheck: --max-power must be >= 1, got {value}\n"
+
+
+def test_exit_one_on_pair_limit_below_one(capsys):
+    code, out, err = _run(
+        capsys, "--input", str(FIXTURES / "blowup.alg"), "--pair-limit", "-5"
+    )
+    assert code == 1
+    assert not out
+    assert err == "fibrecheck: --pair-limit must be >= 1, got -5\n"
+
+
+def test_exit_one_on_nonpositive_timeout(capsys):
+    code, out, err = _run(
+        capsys, "--input", str(FIXTURES / "blowup.alg"), "--timeout-seconds", "-1"
+    )
+    assert code == 1
+    assert not out
+    assert err == "fibrecheck: --timeout-seconds must be > 0, got -1\n"
+
+
 def test_exit_two_on_charp_flatness_without_flag(capsys):
     text = "field F 5\nbase y\nvars x\nideal: x^2 - y\ncheck flat\n"
     path = FIXTURES.parent / "test_output_charp_tmp.alg"
@@ -228,6 +256,20 @@ def test_json_byte_identical_across_runs(capsys):
     code, out_cusp, _ = _run(capsys, "--input", str(FIXTURES / "cusp.alg"), "--json")
     code2, out_cusp2, _ = _run(capsys, "--input", str(FIXTURES / "cusp.alg"), "--json")
     assert out_cusp == out_cusp2
+
+
+def test_blowup_a3_pair_counts_pinned(capsys, monkeypatch):
+    # Pins the S-pair selection order: any change to pair handling moves
+    # these per-power counts and must update them deliberately.
+    text = "base y1 y2 y3\nvars x1 x2\nideal: y1*x1 - y2, y1*x2 - y3\ncheck both\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = _run(capsys, "--json")
+    assert code == 0
+    stats = {
+        c["kind"]: [(p["basis_size"], p["pairs"]) for p in c["powers"]]
+        for c in json.loads(out)["checks"]
+    }
+    assert stats == {"open": [(8, 61), (22, 727)], "flat": [(8, 31), (22, 367)]}
 
 
 def test_trace_adds_millis(capsys):

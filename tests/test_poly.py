@@ -15,6 +15,7 @@ from fibrecheck import (
     RingLayout,
     base_leading_coefficient,
     default_order,
+    elimination_order,
     integer_normalized,
     relabel,
     substitute_base_point,
@@ -165,6 +166,36 @@ def test_leading_term_constant():
 def test_leading_term_of_zero_raises():
     with pytest.raises(ValueError):
         Polynomial.zero(XY, QQ).leading_term()
+
+
+POW2 = RingLayout(("y1", "y2"), ("x1", "x2"), copies=2)
+TAGGED = POW2.with_tag()
+
+
+@pytest.mark.parametrize(
+    "layout,order",
+    [
+        (POW2, None),
+        (POW2, default_order(POW2)),
+        (POW2, default_order(POW2, "lex")),
+        (POW2, elimination_order(POW2, POW2.base_indices)),
+        (TAGGED, default_order(TAGGED)),
+    ],
+    ids=["none", "default", "lex", "elimination", "tagged"],
+)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_leading_term_matches_full_scan(layout, order, data):
+    # leading_term reads the first stored term for the stored order; it must
+    # agree with a scan of all terms for every order and every constructor
+    f = data.draw(poly_strategy(layout))
+    g = data.draw(poly_strategy(layout))
+    scan_order = order or default_order(layout)
+    for h in (f, -f, f * g, f - g):
+        if h.is_zero:
+            continue
+        expected = max(h.terms, key=lambda t: scan_order.key(t[1]))
+        assert h.leading_term(order) == expected
 
 
 def test_base_leading_coefficient_examples():
