@@ -11,7 +11,7 @@ The input is line-oriented ('#' starts a comment):
     power <k>                      (optional max-power override)
 
 Polynomials are +/- sums of products of rational coefficients ("3", "3/2"),
-declared variables, "^" integer powers and parentheses.
+declared variables, "^" integer powers (at most MAX_EXPONENT) and parentheses.
 
 Exit codes: 0 verdicts computed, 1 parse/semantic error, 2 unsupported input,
 3 resource limit or timeout.
@@ -36,6 +36,13 @@ from .verticality import (
     check_flatness,
     check_openness,
 )
+
+
+# Largest exponent accepted after "^".  A policy limit on the degree one power
+# may produce, not a bound on parsing cost: Polynomial.__pow__ squares, so even
+# x^3000000 would expand at once, while a power of a many-term base can cost
+# seconds well below the limit.  Powers expand before any budget of the run.
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -141,8 +148,12 @@ def _parse_power(tokens, layout, fld):
         kind, text, _ = tokens.peek()
         if kind != "INT":
             tokens.error("exponent must be an integer", "integer")
+        digits = text.lstrip("0") or "0"
+        # lengths first: int() refuses strings of more than 4300 digits
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            tokens.error(f"exponent {text} exceeds the maximum {MAX_EXPONENT}")
         tokens.next()
-        base = base ** int(text)
+        base = base ** int(digits)
     return base
 
 

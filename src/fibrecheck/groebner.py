@@ -10,13 +10,24 @@ Pending S-pairs wait in a binary heap.  Each pair's rank
 created, and the heap pops the least rank next.  Ranks are unique by
 ``(i, j)``, so pairs are processed in exactly the order of a linear scan for
 the minimum: pair counts and bases do not depend on the queue.
+
+A budget may carry a basis memo, keyed by content: the nonzero generators in
+input order together with the monomial order.  A hit returns the stored
+reduced basis and charges the budget again with the pairs, reduction steps and
+basis high-water mark that the computation charged when it ran, so every
+count, every abort and every report is the same as if the basis had been
+recomputed.  A hit the budget cannot afford is recomputed, so it aborts at the
+same step with the same message.  Aborted and cofactor-tracing computations
+are never stored, and witness re-verification bypasses the memo.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field as dc_field
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poly import (
     MonomialOrder,
@@ -38,17 +49,34 @@ class ResourceLimitError(RuntimeError):
         self.pairs = pairs
 
 
+class BasisRecord(NamedTuple):
+    """A memoized reduced basis and what computing it charged."""
+
+    basis: tuple
+    pairs: int
+    work: int
+    peak: int  # largest basis size noted, 0 when no S-polynomial was kept
+
+
 @dataclass
 class ComputeBudget:
     """Cumulative pair/time limits shared by a sequence of computations.
     Reduction steps are metered too (at 200x the pair limit), so oversized
-    inputs abort deterministically even inside a single division."""
+    inputs abort deterministically even inside a single division.
+
+    ``memo`` (None: no memo) maps ``(nonzero generators in input order,
+    MonomialOrder)`` to a :class:`BasisRecord`.  :func:`buchberger` serves a
+    hit only when the recorded pairs and reduction steps still fit under the
+    limits, and charges them again, so counts and aborts never depend on
+    which computations ran before.  Re-verification runs inside
+    :meth:`memo_bypassed` and recomputes every basis it needs."""
 
     pair_limit: int = 100_000
     deadline: float | None = None  # absolute time.monotonic() deadline
     pairs: int = 0
     max_basis: int = 0
     work: int = 0
+    memo: dict | None = None
 
     def charge_pair(self):
         self.pairs += 1
@@ -75,6 +103,29 @@ class ComputeBudget:
     def note_basis(self, size: int):
         if size > self.max_basis:
             self.max_basis = size
+
+    def can_afford(self, record: BasisRecord) -> bool:
+        return (
+            self.pairs + record.pairs <= self.pair_limit
+            and self.work + record.work <= 200 * self.pair_limit
+        )
+
+    def charge_again(self, record: BasisRecord):
+        """Charge what computing the record's basis charged when it ran."""
+        self.pairs += record.pairs
+        self.work += record.work
+        self.note_basis(record.peak)
+        self._check_deadline()
+
+    @contextmanager
+    def memo_bypassed(self):
+        """Compute every basis inside the block, neither reading nor storing
+        the memo."""
+        saved, self.memo = self.memo, None
+        try:
+            yield self
+        finally:
+            self.memo = saved
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +196,33 @@ def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None, 
 
     With ``trace=True`` also returns, for each basis element, its cofactor
     vector over the original generators (basis[i] = sum cof[i][j] * gens[j]).
+    Without it, the budget's memo is consulted first (see :class:`ComputeBudget`).
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return ([], []) if trace else []
-    layout, fld = gens[0].layout, gens[0].field
     budget = budget or ComputeBudget()
+    if trace:
+        basis, cofs, _ = _buchberger(gens, order, budget, trace=True)
+        return basis, cofs
+    if budget.memo is None:
+        return _buchberger(gens, order, budget)[0]
+    key = (tuple(gens), order)
+    record = budget.memo.get(key)
+    if record is not None and budget.can_afford(record):
+        budget.charge_again(record)
+        return list(record.basis)
+    pairs, work = budget.pairs, budget.work
+    basis, _, peak = _buchberger(gens, order, budget)
+    budget.memo[key] = BasisRecord(
+        tuple(basis), budget.pairs - pairs, budget.work - work, peak
+    )
+    return basis
 
+
+def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget, trace: bool = False):
+    """(basis, cofactors or None, peak basis size noted) of nonzero ``gens``."""
+    layout, fld = gens[0].layout, gens[0].field
     G = list(gens)
     cofs = None
     if trace:
@@ -210,8 +281,9 @@ def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None, 
             heapq.heappush(queue, _pair_rank(lead[k][1], lead[new][1], k, new, order))
         budget.note_basis(len(G))
 
+    peak = len(G) if len(G) > len(gens) else 0
     basis, basis_cofs = _interreduce(G, cofs, order, budget)
-    return (basis, basis_cofs) if trace else basis
+    return basis, basis_cofs, peak
 
 
 def _interreduce(G, cofs, order: MonomialOrder, budget: "ComputeBudget | None" = None):

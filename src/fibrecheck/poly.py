@@ -321,8 +321,13 @@ class Polynomial:
         if n < 0:
             raise ValueError("negative exponent")
         result = Polynomial.constant(self.layout, self.field, 1)
-        for _ in range(n):
-            result = result * self
+        square = self
+        while n:
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def _coerce_operand(self, other):

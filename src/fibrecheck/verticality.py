@@ -44,11 +44,18 @@ class WitnessSoundnessError(RuntimeError):
 
 @dataclass
 class CheckConfig:
+    """Settings of a run.  Every budget it hands out carries the config's one
+    basis memo, so the checks of a run compute each basis once.  The memo is
+    owned state, not a setting: it lives as long as the config and keeps every
+    basis stored in it alive, so a caller checking many unrelated problems
+    should give each its own config."""
+
     within: str = "grevlex"
     max_power: int | None = None
     pair_limit: int = 100_000
     timeout_seconds: float | None = None
     allow_char_p_flatness: bool = False
+    memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def budget(self) -> ComputeBudget:
         deadline = (
@@ -56,7 +63,7 @@ class CheckConfig:
             if self.timeout_seconds is None
             else time.monotonic() + self.timeout_seconds
         )
-        return ComputeBudget(pair_limit=self.pair_limit, deadline=deadline)
+        return ComputeBudget(pair_limit=self.pair_limit, deadline=deadline, memo=self.memo)
 
 
 @dataclass
@@ -226,11 +233,8 @@ def vertical_witness(J: Ideal, g: Polynomial, within: str = "grevlex", budget=No
 
 def has_torsion_ideal(J: Ideal, within: str = "grevlex", budget=None):
     """R-torsion in the cyclic module k[y, x]/J: the h-saturation grows."""
-    layout, fld = J.layout, J.field
-    order = default_order(layout, within)
-    gb = J.groebner_basis(order, budget)
-    h = generic_denominator(gb, layout, fld, order)
-    S = saturate(J, h, within, budget)
+    order = default_order(J.layout, within)
+    S = dominant_part(J, within, budget)
     for v in S.gens:
         if J.contains(v, order, budget):
             continue
@@ -358,24 +362,31 @@ def _is_pure_base(f: Polynomial) -> bool:
     return not f.is_zero and all(i < nb for i in f.support_indices())
 
 
+# The ideal re-checks bypass the basis memo: a witness is never confirmed by
+# looking up a basis computed while finding it.  Module bases have no memo.
+
+
 def _verify_open_witness(Jk, g, r, within, budget):
-    ok = (
-        not r.is_zero
-        and _is_pure_base(r)
-        and radical_member(r * g, Jk, within, budget)
-        and not radical_member(g, Jk, within, budget)
-    )
+    with budget.memo_bypassed():
+        ok = (
+            not r.is_zero
+            and _is_pure_base(r)
+            and radical_member(r * g, Jk, within, budget)
+            and not radical_member(g, Jk, within, budget)
+        )
     if not ok:
         raise WitnessSoundnessError("openness witness failed its re-check")
 
 
 def _verify_flat_ideal_certificate(Jk, r, v, within, budget):
-    ok = (
-        not r.is_zero
-        and _is_pure_base(r)
-        and Jk.contains(r * v, default_order(Jk.layout, within), budget)
-        and not Jk.contains(v, default_order(Jk.layout, within), budget)
-    )
+    order = default_order(Jk.layout, within)
+    with budget.memo_bypassed():
+        ok = (
+            not r.is_zero
+            and _is_pure_base(r)
+            and Jk.contains(r * v, order, budget)
+            and not Jk.contains(v, order, budget)
+        )
     if not ok:
         raise WitnessSoundnessError("flatness certificate failed its re-check")
 

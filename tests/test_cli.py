@@ -3,11 +3,12 @@
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
-from fibrecheck import QQ, PrimeField
-from fibrecheck.cli import ParseError, parse_problem, render_problem, run
+from fibrecheck import QQ, ComputeBudget, PrimeField
+from fibrecheck.cli import MAX_EXPONENT, ParseError, parse_problem, render_problem, run
 
 from corpus import named_fixtures
 
@@ -149,6 +150,26 @@ def test_exit_one_on_parse_error(capsys):
     assert "undeclared variable" in err
 
 
+def test_exit_one_on_exponent_above_maximum(capsys, monkeypatch):
+    # MAX_EXPONENT is a policy limit: the power is refused at its location
+    # before anything is expanded, whatever the base.
+    text = "base y\nvars x\nideal: x^3000000 - y\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "--timeout-seconds", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert not out
+    assert err == (
+        f"fibrecheck: line 3, col 10: exponent 3000000 exceeds the maximum {MAX_EXPONENT}\n"
+    )
+
+
+def test_exponent_at_maximum_parses():
+    problem = parse_problem(f"base y\nvars x\nideal: x^{MAX_EXPONENT} - y, x^0{MAX_EXPONENT}\n")
+    assert problem.ideal_gens[1].total_degree() == MAX_EXPONENT
+
+
 def test_exit_one_on_missing_file(capsys):
     code, _, err = _run(capsys, "--input", str(FIXTURES / "does_not_exist.alg"))
     assert code == 1
@@ -270,6 +291,45 @@ def test_blowup_a3_pair_counts_pinned(capsys, monkeypatch):
         for c in json.loads(out)["checks"]
     }
     assert stats == {"open": [(8, 61), (22, 727)], "flat": [(8, 31), (22, 367)]}
+
+
+A3_CHART = "base y1 y2 y3\nvars x1 x2\nideal: y1*x1 - y2, y1*x2 - y3\n"
+
+
+@pytest.mark.parametrize(
+    "limit, aborted_at, unaffordable",
+    [
+        (30, {"open": 1, "flat": 1}, False),
+        (40, {"open": 1, "flat": 2}, False),
+        (200, {"open": 2, "flat": 2}, False),
+        # a memoized saturation costs more than the open check has left
+        (500, {"open": 2}, True),
+        (100_000, {}, False),
+    ],
+)
+def test_check_both_equals_open_then_flat(capsys, monkeypatch, limit, aborted_at, unaffordable):
+    # The checks of one run share a basis memo; it must not show in any
+    # report, so each check reads exactly as if it had run alone.
+    afforded = []
+    can_afford = ComputeBudget.can_afford
+
+    def spy(budget, record):
+        afforded.append(can_afford(budget, record))
+        return afforded[-1]
+
+    monkeypatch.setattr(ComputeBudget, "can_afford", spy)
+    runs = {}
+    for check in ("both", "open", "flat"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(A3_CHART + f"check {check}\n"))
+        code, out, _ = _run(capsys, "--json", "--pair-limit", str(limit))
+        runs[check] = code, json.loads(out)["checks"]
+    both_code, both = runs["both"]
+    assert both == runs["open"][1] + runs["flat"][1]
+    assert both_code == max(runs["open"][0], runs["flat"][0])
+    assert {
+        c["kind"]: c["powers"][-1]["k"] for c in both if c["outcome"] == "aborted"
+    } == aborted_at
+    assert (False in afforded) == unaffordable
 
 
 def test_trace_adds_millis(capsys):

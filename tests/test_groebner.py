@@ -26,7 +26,7 @@ from fibrecheck.groebner import vec_is_zero, vector_leading
 
 from oracles import macaulay_member
 from test_poly import poly_strategy
-from util import BLOWUP_LAYOUT, P, PW, ideal_equal, ideal_of
+from util import BLOWUP_LAYOUT, P, PW, count_computations, ideal_equal, ideal_of
 
 XY2 = RingLayout((), ("x", "y"))  # plain bivariate ring, grevlex x > y
 POW2 = BLOWUP_LAYOUT.powered(2)
@@ -136,6 +136,71 @@ def test_pair_limit_raises_resource_error():
     gens = (P(XY2, "x^3 - 2*x*y"), P(XY2, "x^2*y - 2*y^2 + x"))
     with pytest.raises(ResourceLimitError):
         buchberger(gens, default_order(XY2), ComputeBudget(pair_limit=1))
+
+
+GROWING = (P(XY2, "x^3 - 2*x*y"), P(XY2, "x^2*y - 2*y^2 + x"))
+
+
+def test_basis_memo_hit_charges_like_a_computation(monkeypatch):
+    order = default_order(XY2)
+    plain = ComputeBudget()
+    expected = buchberger(GROWING, order, plain)
+    assert plain.max_basis > len(GROWING)  # S-polynomials were kept
+    memo = {}
+    buchberger(GROWING, order, ComputeBudget(memo=memo))
+    computed = count_computations(monkeypatch)
+    again = ComputeBudget(memo=memo)
+    assert buchberger(GROWING, order, again) == expected
+    assert not computed
+    assert (again.pairs, again.work, again.max_basis) == (
+        plain.pairs,
+        plain.work,
+        plain.max_basis,
+    )
+
+
+def test_basis_memo_misses_on_other_order_or_generators(monkeypatch):
+    memo = {}
+    buchberger(GROWING, default_order(XY2), ComputeBudget(memo=memo))
+    computed = count_computations(monkeypatch)
+    buchberger(GROWING, default_order(XY2, "lex"), ComputeBudget(memo=memo))
+    buchberger(GROWING[::-1], default_order(XY2), ComputeBudget(memo=memo))
+    assert len(computed) == 2
+
+
+@pytest.mark.parametrize("over", ["pairs", "work"])
+def test_basis_memo_unaffordable_hit_aborts_like_a_computation(monkeypatch, over):
+    order = default_order(XY2)
+    plain = ComputeBudget()
+    buchberger(GROWING, order, plain)
+    memo = {}
+    buchberger(GROWING, order, ComputeBudget(memo=memo))
+
+    def starved(memo):
+        """A budget one pair or one reduction step short of the basis."""
+        budget = ComputeBudget(memo=memo)
+        if over == "pairs":
+            budget.pairs = budget.pair_limit - plain.pairs + 1
+        else:
+            budget.work = 200 * budget.pair_limit - plain.work + 1
+        return budget
+
+    with pytest.raises(ResourceLimitError) as direct:
+        buchberger(GROWING, order, starved(None))
+    computed = count_computations(monkeypatch)
+    with pytest.raises(ResourceLimitError) as replayed:
+        buchberger(GROWING, order, starved(memo))
+    assert len(computed) == 1
+    assert str(replayed.value) == str(direct.value)
+    assert replayed.value.pairs == direct.value.pairs
+
+
+def test_basis_memo_skips_cofactor_tracing(monkeypatch):
+    memo = {}
+    buchberger(GROWING, default_order(XY2), ComputeBudget(memo=memo))
+    computed = count_computations(monkeypatch)
+    basis, cofs = buchberger(GROWING, default_order(XY2), ComputeBudget(memo=memo), trace=True)
+    assert len(computed) == 1 and len(cofs) == len(basis)
 
 
 # ---------------------------------------------------------------------------

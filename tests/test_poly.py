@@ -93,6 +93,20 @@ def test_rational_coefficients_stay_canonical(f, g):
         assert c != 0
 
 
+@settings(max_examples=40)
+@given(
+    st.sampled_from([QQ, F5]).flatmap(
+        lambda fld: st.tuples(poly_strategy(XY, fld, max_terms=3), st.integers(0, 9))
+    )
+)
+def test_power_equals_repeated_multiplication(case):
+    f, n = case
+    product = Polynomial.constant(XY, f.field, 1)
+    for _ in range(n):
+        product = product * f
+    assert f**n == product
+
+
 # ---------------------------------------------------------------------------
 # orders
 

@@ -24,14 +24,25 @@ from fibrecheck import (
     has_torsion_module,
     has_vertical_component,
     ideal_member,
+    integer_normalized,
     radical_member,
     saturate,
     squarefree_part,
     vertical_witness,
 )
 
+from fibrecheck.verticality import _verify_flat_ideal_certificate, _verify_open_witness
+
 from corpus import full_corpus, named_fixtures
-from util import BLOWUP_LAYOUT, CUSP_LAYOUT, P, PW, ideal_equal, ideal_of
+from util import (
+    BLOWUP_LAYOUT,
+    CUSP_LAYOUT,
+    P,
+    PW,
+    count_computations,
+    ideal_equal,
+    ideal_of,
+)
 
 BLOWUP_IDEAL = ideal_of(BLOWUP_LAYOUT, "y1*x - y2")
 BLOWUP2 = fibred_power_ideal(BLOWUP_IDEAL, 2)
@@ -271,3 +282,44 @@ def test_resource_abort_is_reported_not_raised():
     assert v.outcome == "aborted"
     assert not v.conclusive
     assert v.abort_reason
+
+
+# ---------------------------------------------------------------------------
+# re-verification and the basis memo
+
+
+def test_basis_memo_is_owned_by_the_config():
+    with pytest.raises(TypeError):
+        CheckConfig(memo={})
+    config = CheckConfig()
+    assert config.budget().memo is config.budget().memo is config.memo
+    assert CheckConfig().memo is not config.memo
+
+
+def test_open_witness_recheck_recomputes_memoized_bases(monkeypatch):
+    J = fibred_power_ideal(BLOWUP_IDEAL, 2)  # no basis cached on the object
+    budget = CheckConfig().budget()
+    found, g = has_vertical_component(J, "grevlex", budget)
+    assert found
+    r = vertical_witness(J, g, "grevlex", budget)
+    g = integer_normalized(g)  # as the power loop hands it to the re-check
+    assert radical_member(r * g, J, "grevlex", budget)
+    assert not radical_member(g, J, "grevlex", budget)
+    computed = count_computations(monkeypatch)
+    radical_member(r * g, J, "grevlex", budget)
+    radical_member(g, J, "grevlex", budget)
+    assert not computed  # both bases of the re-check are in the memo
+    _verify_open_witness(J, g, r, "grevlex", budget)
+    assert len(computed) == 2
+    assert budget.memo  # bypassed during the re-check, not dropped
+
+
+def test_flat_certificate_recheck_recomputes_memoized_basis(monkeypatch):
+    budget = CheckConfig().budget()
+    found, (r, v) = has_torsion_ideal(fibred_power_ideal(BLOWUP_IDEAL, 2), "grevlex", budget)
+    assert found
+    fresh = fibred_power_ideal(BLOWUP_IDEAL, 2)  # no basis cached on the object
+    assert (fresh.gens, default_order(fresh.layout)) in budget.memo
+    computed = count_computations(monkeypatch)
+    _verify_flat_ideal_certificate(fresh, r, integer_normalized(v), "grevlex", budget)
+    assert computed == [fresh.gens]

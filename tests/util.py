@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from fibrecheck import QQ, Ideal, Polynomial, RingLayout
+from fibrecheck import QQ, Ideal, Polynomial, RingLayout, groebner
 from fibrecheck.cli import _parse_polyexpr, _Tokens
 
 
@@ -31,6 +31,20 @@ def PW(powered: RingLayout, text: str, field=QQ) -> Polynomial:
 
 def ideal_of(layout: RingLayout, *exprs: str, field=QQ) -> Ideal:
     return Ideal(layout, field, tuple(P(layout, e, field) for e in exprs))
+
+
+def count_computations(monkeypatch) -> list:
+    """A list that gains the generators of every ideal basis computed from
+    here on; bases served by a memo are not computed and not listed."""
+    computed = []
+    real = groebner._buchberger
+
+    def spy(gens, *args, **kwargs):
+        computed.append(tuple(gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", spy)
+    return computed
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
