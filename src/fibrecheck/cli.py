@@ -57,6 +57,20 @@ class ParseError(ValueError):
         self.expected = expected
 
 
+def _parse_int(text: str, what: str, line: int, col: int) -> int:
+    """The integer ``text`` spells, or a ParseError at (line, col).  int()
+    also refuses digit strings longer than the interpreter's conversion limit
+    (4300 digits by default); that is reported as a located error too."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    digits = text.strip().lstrip("+-").replace("_", "")
+    if digits.isdecimal():
+        raise ParseError(f"{what} has too many digits ({len(digits)})", line, col)
+    raise ParseError(f"{what} must be an integer", line, col)
+
+
 # ---------------------------------------------------------------------------
 # polynomial expressions
 
@@ -111,6 +125,10 @@ class _Tokens:
         _, _, start = self.peek()
         raise ParseError(message, self.line, self.offset + start + 1, expected)
 
+    def int_at(self, text: str, start: int, what: str) -> int:
+        """The integer of the token text starting at ``start``."""
+        return _parse_int(text, what, self.line, self.offset + start + 1)
+
 
 def _parse_polyexpr(tokens: _Tokens, layout: RingLayout, fld) -> Polynomial:
     expr = _parse_sum(tokens, layout, fld)
@@ -145,32 +163,37 @@ def _parse_power(tokens, layout, fld):
     base = _parse_atom(tokens, layout, fld)
     if tokens.peek()[0] == "^":
         tokens.next()
-        kind, text, _ = tokens.peek()
+        kind, text, start = tokens.peek()
         if kind != "INT":
             tokens.error("exponent must be an integer", "integer")
         digits = text.lstrip("0") or "0"
-        # lengths first: int() refuses strings of more than 4300 digits
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        # longer than the maximum is larger, however long it is to convert
+        if len(digits) > len(str(MAX_EXPONENT)):
+            exponent = MAX_EXPONENT + 1
+        else:
+            exponent = tokens.int_at(digits, start, "exponent")
+        if exponent > MAX_EXPONENT:
             tokens.error(f"exponent {text} exceeds the maximum {MAX_EXPONENT}")
         tokens.next()
-        base = base ** int(digits)
+        base = base ** exponent
     return base
 
 
 def _parse_atom(tokens, layout, fld):
-    kind, text, _ = tokens.peek()
+    kind, text, start = tokens.peek()
     if kind == "INT":
+        num = tokens.int_at(text, start, "coefficient")
         tokens.next()
-        num = int(text)
         if tokens.peek()[0] == "/":
             tokens.next()
-            k2, t2, _ = tokens.peek()
+            k2, t2, start2 = tokens.peek()
             if k2 != "INT":
                 tokens.error("denominator must be an integer", "integer")
+            den = tokens.int_at(t2, start2, "denominator")
             tokens.next()
-            if int(t2) == 0:
+            if den == 0:
                 tokens.error("zero denominator")
-            return Polynomial.constant(layout, fld, Fraction(num, int(t2)))
+            return Polynomial.constant(layout, fld, Fraction(num, den))
         return Polynomial.constant(layout, fld, num)
     if kind == "IDENT":
         tokens.next()
@@ -233,10 +256,7 @@ def parse_problem(text: str) -> Problem:
             if len(words) == 2 and words[1] == "Q":
                 field = QQ
             elif len(words) == 3 and words[1] == "F":
-                try:
-                    p = int(words[2])
-                except ValueError:
-                    raise ParseError("modulus must be an integer", lineno, indent + 1)
+                p = _parse_int(words[2], "modulus", lineno, indent + 1)
                 try:
                     field = PrimeField(p)
                 except ValueError:
@@ -273,10 +293,7 @@ def parse_problem(text: str) -> Problem:
             head_part, _, payload = rest.partition(":")
             if not _:
                 raise ParseError("missing ':' after module rank", lineno, indent + 1, "':'")
-            try:
-                rank = int(head_part.strip())
-            except ValueError:
-                raise ParseError("module rank must be an integer", lineno, indent + 1)
+            rank = _parse_int(head_part.strip(), "module rank", lineno, indent + 1)
             if rank < 1:
                 raise ParseError("module rank must be >= 1", lineno, indent + 1)
             if module_rank is not None and module_rank != rank:
@@ -291,10 +308,7 @@ def parse_problem(text: str) -> Problem:
         elif head == "power":
             if len(words) != 2:
                 raise ParseError("malformed power statement", lineno, indent + 1, "'power <k>'")
-            try:
-                max_power = int(words[1])
-            except ValueError:
-                raise ParseError("power must be an integer", lineno, indent + 1)
+            max_power = _parse_int(words[1], "power", lineno, indent + 1)
             if max_power < 1:
                 raise ParseError("power must be >= 1", lineno, indent + 1)
         else:

@@ -11,6 +11,17 @@ created, and the heap pops the least rank next.  Ranks are unique by
 ``(i, j)``, so pairs are processed in exactly the order of a linear scan for
 the minimum: pair counts and bases do not depend on the queue.
 
+Division (:func:`normal_form`) never rebuilds the dividend.  The part still to
+divide lives in a ``{monomial: coefficient}`` accumulator, and a binary heap
+holds the negated order key of every monomial that entered it, each key
+computed once.  Each step pops the largest pending monomial (one whose
+coefficient cancelled to zero is skipped), divides by the first basis element
+whose leading monomial divides it, and subtracts that element's other terms,
+scaled, into the accumulator.  The steps are exactly those of textbook
+division, so remainders, quotients and reduction-step charges are unchanged.
+Buchberger and interreduction pass the divisors' leading terms in, so they are
+computed once per run rather than on every division.
+
 A budget may carry a basis memo, keyed by content: the nonzero generators in
 input order together with the monomial order.  A hit returns the stored
 reduced basis and charges the budget again with the pairs, reduction steps and
@@ -27,6 +38,7 @@ import heapq
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import add, neg
 from typing import NamedTuple
 
 from .poly import (
@@ -138,32 +150,56 @@ def normal_form(
     order: MonomialOrder,
     with_quotients: bool = False,
     budget: "ComputeBudget | None" = None,
+    leads=None,
 ):
     """Remainder of multivariate division of f by the basis; no remainder term
-    is divisible by any basis leading monomial."""
+    is divisible by any basis leading monomial.
+
+    ``leads``, when given, holds the leading terms of the basis under the
+    order, so that a caller dividing by the same basis many times computes
+    them once."""
     fld = f.field
-    lead = [g.leading_term(order) for g in basis]
+    if leads is None:
+        leads = [g.leading_term(order) for g in basis]
+    key, mul, sub, is_zero = order.key, fld.mul, fld.sub, fld.is_zero
+    # the part of f still to divide; a cancelled monomial keeps a zero entry,
+    # so each monomial's key is computed once, when it enters the heap
+    pending = {e: c for c, e in f.terms}
+    heap = [(tuple(map(neg, key(e))), e) for e in pending]
+    heapq.heapify(heap)
     rem = {}
-    p = f
-    quots = [Polynomial.zero(f.layout, fld) for _ in basis] if with_quotients else None
-    while not p.is_zero:
+    quots = [{} for _ in basis] if with_quotients else None
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = pending.pop(m)
+        if is_zero(c):
+            continue
         if budget is not None:
             budget.charge_work()
-        c, m = p.leading_term(order)
-        for i, (gc, gm) in enumerate(lead):
+        for i, (gc, gm) in enumerate(leads):
             if mono_divides(gm, m):
                 factor_c = fld.div(c, gc)
                 factor_m = mono_div(m, gm)
-                p = p - basis[i].mul_term(factor_c, factor_m)
+                # the product's term at m cancels c exactly and is skipped
+                for tc, te in basis[i].terms:
+                    e = tuple(map(add, te, factor_m))
+                    if e == m:
+                        continue
+                    old = pending.get(e)
+                    if old is None:
+                        pending[e] = fld.neg(mul(factor_c, tc))
+                        heapq.heappush(heap, (tuple(map(neg, key(e))), e))
+                    else:
+                        pending[e] = sub(old, mul(factor_c, tc))
                 if with_quotients:
-                    one = Polynomial.from_dict(f.layout, fld, {factor_m: factor_c})
-                    quots[i] = quots[i] + one
+                    quots[i][factor_m] = factor_c
                 break
         else:
             rem[m] = c
-            p = p - Polynomial.from_dict(f.layout, fld, {m: c})
     r = Polynomial.from_dict(f.layout, fld, rem)
-    return (r, quots) if with_quotients else r
+    if with_quotients:
+        return r, [Polynomial.from_dict(f.layout, fld, q) for q in quots]
+    return r
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -256,9 +292,11 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget, trace: bool =
             continue  # chain criterion
         s = s_polynomial(G[i], G[j], order)
         if trace:
-            nf, quots = normal_form(s, G, order, with_quotients=True, budget=budget)
+            nf, quots = normal_form(
+                s, G, order, with_quotients=True, budget=budget, leads=lead
+            )
         else:
-            nf = normal_form(s, G, order, budget=budget)
+            nf = normal_form(s, G, order, budget=budget, leads=lead)
         if nf.is_zero:
             continue
         if trace:
@@ -288,14 +326,16 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget, trace: bool =
 
 def _interreduce(G, cofs, order: MonomialOrder, budget: "ComputeBudget | None" = None):
     """Minimalize and fully reduce; monic-normalize; sort descending."""
-    items = list(range(len(G)))
+    leads = [g.leading_term(order) for g in G]
+    keys = [order.key(m) for _, m in leads]
     # drop elements whose leading monomial is divisible by another's
     kept = []
-    for i in sorted(items, key=lambda i: order.key(G[i].leading_monomial(order))):
-        lm = G[i].leading_monomial(order)
-        if not any(mono_divides(G[j].leading_monomial(order), lm) for j in kept):
+    for i in sorted(range(len(G)), key=keys.__getitem__):
+        if not any(mono_divides(leads[j][1], leads[i][1]) for j in kept):
             kept.append(i)
     polys = [G[i] for i in kept]
+    leads = [leads[i] for i in kept]
+    keys = [keys[i] for i in kept]
     rows = [cofs[i] for i in kept] if cofs is not None else None
 
     changed = True
@@ -305,12 +345,14 @@ def _interreduce(G, cofs, order: MonomialOrder, budget: "ComputeBudget | None" =
             others = polys[:i] + polys[i + 1 :]
             if not others:
                 continue
+            other_leads = leads[:i] + leads[i + 1 :]
             if rows is not None:
                 nf, quots = normal_form(
-                    polys[i], others, order, with_quotients=True, budget=budget
+                    polys[i], others, order, with_quotients=True, budget=budget,
+                    leads=other_leads,
                 )
             else:
-                nf = normal_form(polys[i], others, order, budget=budget)
+                nf = normal_form(polys[i], others, order, budget=budget, leads=other_leads)
             if nf != polys[i]:
                 changed = True
                 if rows is not None:
@@ -321,24 +363,21 @@ def _interreduce(G, cofs, order: MonomialOrder, budget: "ComputeBudget | None" =
                             new_row = [a - q * b for a, b in zip(new_row, orow)]
                     rows[i] = new_row
                 polys[i] = nf
-            if polys[i].is_zero:
-                del polys[i]
-                if rows is not None:
-                    del rows[i]
-                break
+                if nf.is_zero:
+                    del polys[i], leads[i], keys[i]
+                    if rows is not None:
+                        del rows[i]
+                    break
+                leads[i] = nf.leading_term(order)
+                keys[i] = order.key(leads[i][1])
 
     fld = polys[0].field if polys else None
     for i in range(len(polys)):
-        lc = polys[i].leading_coefficient(order)
-        inv = fld.inv(lc)
+        inv = fld.inv(leads[i][0])
         polys[i] = polys[i].scale(inv)
         if rows is not None:
             rows[i] = [c.scale(inv) for c in rows[i]]
-    idx = sorted(
-        range(len(polys)),
-        key=lambda i: order.key(polys[i].leading_monomial(order)),
-        reverse=True,
-    )
+    idx = sorted(range(len(polys)), key=keys.__getitem__, reverse=True)
     polys = [polys[i] for i in idx]
     rows = [rows[i] for i in idx] if rows is not None else None
     return polys, rows

@@ -6,6 +6,17 @@ variables, and an optional auxiliary tag variable used by saturation and
 radical-membership constructions.  Monomials are exponent tuples indexed by
 the layout; polynomials are immutable sorted term sequences over an exact
 coefficient field.
+
+A :class:`MonomialOrder` compares monomials through a flat key: one tuple of
+ints per monomial, so that the order is plain tuple comparison.  Every block
+contributes a fixed number of entries (a grevlex block its degree and then its
+negated exponents in reverse, a lex block its exponents), which makes the flat
+key compare exactly like the tuple of per-block keys.
+
+Terms are stored descending under ``default_order(layout)``.  Multiplying by a
+single term keeps that order and every term (a monomial order is
+multiplicative and a field has no zero divisors), so :meth:`Polynomial.mul_term`
+and :meth:`Polynomial.scale` never sort.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, itemgetter, le, neg, sub
 
 from .fields import QQ, RationalField
 
@@ -132,17 +144,27 @@ class MonomialOrder:
     def __post_init__(self):
         if self.within not in ("lex", "grevlex"):
             raise ValueError(f"unknown within-block order {self.within!r}")
+        if self.within == "lex":
+            picks = (_picker(tuple(i for blk in self.blocks for i in blk)),)
+        else:
+            picks = tuple(_picker(tuple(reversed(blk))) for blk in self.blocks)
+        object.__setattr__(self, "_picks", picks)
 
-    def key(self, exps: Exponents):
-        parts = []
-        for blk in self.blocks:
-            if self.within == "grevlex":
-                parts.append(
-                    (sum(exps[i] for i in blk), tuple(-exps[i] for i in reversed(blk)))
-                )
-            else:
-                parts.append(tuple(exps[i] for i in blk))
-        return tuple(parts)
+    def key(self, exps: Exponents) -> tuple:
+        """Flat tuple of ints; a monomial is greater exactly when its key is.
+
+        A grevlex block gives its degree, then its exponents negated from the
+        last variable to the first; a lex block gives its exponents.  Blocks
+        have fixed lengths, so the keys of consecutive blocks never overlap
+        in a comparison."""
+        if self.within == "lex":
+            return self._picks[0](exps)
+        out = []
+        for pick in self._picks:
+            vals = pick(exps)
+            out.append(sum(vals))
+            out += map(neg, vals)
+        return tuple(out)
 
     def greater(self, a: Exponents, b: Exponents) -> bool:
         return self.key(a) > self.key(b)
@@ -163,6 +185,15 @@ class MonomialOrder:
             elif seen_base and blk:
                 return False
         return True
+
+
+def _picker(indices: tuple):
+    """Function taking an exponent tuple to the tuple of its entries at the
+    indices (``itemgetter`` returns a bare entry for a single index)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda exps: (exps[i],)
+    return itemgetter(*indices) if indices else lambda exps: ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,19 +224,19 @@ def elimination_order(layout: RingLayout, drop, within: str = "grevlex") -> Mono
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +369,20 @@ class Polynomial:
         return NotImplemented
 
     def mul_term(self, coeff, exps: Exponents) -> "Polynomial":
+        """coeff * monomial * self, built term by term in the stored order.
+
+        No sort is needed: a monomial order is multiplicative, so the products
+        keep the stored order, and a field has no zero divisors, so no
+        product coefficient vanishes."""
         f = self.field
         if f.is_zero(coeff):
             return Polynomial.zero(self.layout, f)
-        acc = {mono_mul(e, exps): f.mul(c, coeff) for c, e in self.terms}
-        return Polynomial.from_dict(self.layout, f, acc)
+        mul = f.mul
+        return Polynomial(
+            self.layout,
+            f,
+            tuple((mul(c, coeff), tuple(map(add, e, exps))) for c, e in self.terms),
+        )
 
     def scale(self, coeff) -> "Polynomial":
         return self.mul_term(self.field.coerce(coeff), (0,) * self.layout.nvars)

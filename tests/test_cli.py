@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+import sys
 import time
 
 import pytest
@@ -168,6 +169,40 @@ def test_exit_one_on_exponent_above_maximum(capsys, monkeypatch):
 def test_exponent_at_maximum_parses():
     problem = parse_problem(f"base y\nvars x\nideal: x^{MAX_EXPONENT} - y, x^0{MAX_EXPONENT}\n")
     assert problem.ideal_gens[1].total_degree() == MAX_EXPONENT
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Lower the interpreter's int-conversion limit to its minimum, 640 digits,
+    so the test does not depend on the default (4300)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "template, location, what",
+    [
+        ("base y\nvars x\nideal: {n}*x - y\n", "line 3, col 8", "coefficient"),
+        ("base y\nvars x\nideal: 1/{n}*x - y\n", "line 3, col 10", "denominator"),
+        ("field F {n}\nbase y\n", "line 1, col 1", "modulus"),
+        ("base y\nmodule {n}: (y)\n", "line 2, col 1", "module rank"),
+        ("base y\nvars x\nideal: x - y\npower {n}\n", "line 4, col 1", "power"),
+    ],
+    ids=["coefficient", "denominator", "modulus", "module-rank", "power"],
+)
+def test_exit_one_on_integer_too_long_to_convert(
+    capsys, monkeypatch, int_digit_limit, template, location, what
+):
+    digits = int_digit_limit + 60
+    monkeypatch.setattr("sys.stdin", io.StringIO(template.format(n="7" * digits)))
+    code, out, err = _run(capsys)
+    assert code == 1
+    assert not out
+    assert err == f"fibrecheck: {location}: {what} has too many digits ({digits})\n"
 
 
 def test_exit_one_on_missing_file(capsys):

@@ -12,10 +12,12 @@ from fibrecheck import (
     ModuleOrder,
     ModulePresentation,
     Polynomial,
+    PrimeField,
     ResourceLimitError,
     RingLayout,
     buchberger,
     default_order,
+    elimination_order,
     ideal_member,
     module_buchberger,
     module_normal_form,
@@ -26,7 +28,15 @@ from fibrecheck.groebner import vec_is_zero, vector_leading
 
 from oracles import macaulay_member
 from test_poly import poly_strategy
-from util import BLOWUP_LAYOUT, P, PW, count_computations, ideal_equal, ideal_of
+from util import (
+    BLOWUP_LAYOUT,
+    P,
+    PW,
+    count_computations,
+    ideal_equal,
+    ideal_of,
+    reference_normal_form,
+)
 
 XY2 = RingLayout((), ("x", "y"))  # plain bivariate ring, grevlex x > y
 POW2 = BLOWUP_LAYOUT.powered(2)
@@ -226,6 +236,41 @@ def test_normal_form_difference_lies_in_ideal():
     basis = list(BLOWUP2.groebner_basis(order))
     f = _pow2("y1*x1 - y1*x2")
     assert normal_form(f, basis, order).is_zero
+
+
+TAGGED2 = POW2.with_tag()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize(
+    "layout,order",
+    [
+        (POW2, default_order(POW2)),
+        (POW2, default_order(POW2, "lex")),
+        (POW2, elimination_order(POW2, POW2.base_indices)),
+        (TAGGED2, default_order(TAGGED2)),
+    ],
+    ids=["default", "lex", "elimination", "tagged"],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_normal_form_equals_reference_division(field, layout, order, data):
+    # the heap-driven division must take exactly the reference's steps
+    f = data.draw(poly_strategy(layout, field, max_terms=6))
+    basis = [
+        g
+        for g in data.draw(st.lists(poly_strategy(layout, field), min_size=1, max_size=3))
+        if not g.is_zero
+    ]
+    want_budget, got_budget = ComputeBudget(), ComputeBudget()
+    want_r, want_q = reference_normal_form(
+        f, basis, order, with_quotients=True, budget=want_budget
+    )
+    got_r, got_q = normal_form(f, basis, order, with_quotients=True, budget=got_budget)
+    assert (got_r, got_q) == (want_r, want_q)
+    assert got_budget.work == want_budget.work
+    leads = [g.leading_term(order) for g in basis]
+    assert normal_form(f, basis, order, leads=leads) == want_r
 
 
 def test_ideal_member_examples():

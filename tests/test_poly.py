@@ -21,7 +21,7 @@ from fibrecheck import (
     substitute_base_point,
 )
 
-from util import BLOWUP_LAYOUT, P
+from util import BLOWUP_LAYOUT, P, reference_order_key
 
 XY = RingLayout(("y",), ("x",))
 F5 = PrimeField(5)
@@ -133,6 +133,17 @@ def test_order_total_and_one_minimal():
             assert k >= order.key(one)
 
 
+def test_flat_key_compares_like_block_keys():
+    # exhaustive on exponent vectors with entries <= 3 in 4 variables
+    vectors = list(itertools.product(range(4), repeat=4))
+    for order in _orders_for(4):
+        flat = [order.key(v) for v in vectors]
+        nested = [reference_order_key(order, v) for v in vectors]
+        assert all(isinstance(k, int) for key in flat for k in key)
+        for a, b in itertools.product(range(len(vectors)), repeat=2):
+            assert (flat[a] < flat[b]) == (nested[a] < nested[b])
+
+
 def test_order_multiplicative():
     # exhaustive triples on entries <= 2 in 3 variables
     vectors = list(itertools.product(range(3), repeat=3))
@@ -210,6 +221,31 @@ def test_leading_term_matches_full_scan(layout, order, data):
             continue
         expected = max(h.terms, key=lambda t: scan_order.key(t[1]))
         assert h.leading_term(order) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_mul_term_keeps_stored_order(field, data):
+    # mul_term builds its product in the stored order without sorting; it
+    # must equal the product built and sorted by from_dict
+    layout = TAGGED
+    f = data.draw(poly_strategy(layout, field))
+    coeff = field.coerce(data.draw(st.integers(-7, 7)))
+    exps = tuple(data.draw(st.integers(0, 2)) for _ in range(layout.nvars))
+    acc = {}
+    if not field.is_zero(coeff):
+        acc = {tuple(a + b for a, b in zip(e, exps)): field.mul(c, coeff) for c, e in f.terms}
+    expected = Polynomial.from_dict(layout, field, acc)
+    order = default_order(layout)
+    for got, want in (
+        (f.mul_term(coeff, exps), expected),
+        (f.scale(coeff), f * Polynomial.constant(layout, field, coeff)),
+    ):
+        assert got == want
+        keys = [order.key(e) for _, e in got.terms]
+        assert keys == sorted(keys, reverse=True)
+        assert len(set(keys)) == len(keys)
 
 
 def test_base_leading_coefficient_examples():
