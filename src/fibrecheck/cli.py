@@ -11,7 +11,8 @@ The input is line-oriented ('#' starts a comment):
     power <k>                      (optional max-power override)
 
 Polynomials are +/- sums of products of rational coefficients ("3", "3/2"),
-declared variables, "^" integer powers (at most MAX_EXPONENT) and parentheses.
+declared variables, "^" integer powers (at most MAX_EXPONENT) and parentheses;
+an expression may form at most MAX_EXPANSION term products while it expands.
 
 Exit codes: 0 verdicts computed, 1 parse/semantic error, 2 unsupported input,
 3 resource limit or timeout.
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .fields import QQ, PrimeField
-from .poly import Polynomial, RingLayout, integer_normalized, render_poly
+from .fields import PRIME_LIMIT, QQ, PrimeField
+from .poly import Polynomial, RingLayout, integer_normalized, power_products, render_poly
 from .power import ModuleSpec, Problem
 from .verticality import (
     CharacteristicGuardError,
@@ -40,9 +41,15 @@ from .verticality import (
 
 # Largest exponent accepted after "^".  A policy limit on the degree one power
 # may produce, not a bound on parsing cost: Polynomial.__pow__ squares, so even
-# x^3000000 would expand at once, while a power of a many-term base can cost
-# seconds well below the limit.  Powers expand before any budget of the run.
+# x^3000000 would expand at once.  Parsing cost is bounded by MAX_EXPANSION.
 MAX_EXPONENT = 1000
+
+# Most term products one expression may form while it is parsed, which runs
+# before any budget of the run exists.  A product a*b forms |a|*|b|; a power
+# b^e is charged the products of its squaring schedule, each b^k counted at
+# its most terms, C(t+k-1, t-1) for a t-term base (poly.power_products).  At
+# 10^5 an expression parses in under a second on a 2-core x86 host.
+MAX_EXPANSION = 100_000
 
 
 class ParseError(ValueError):
@@ -81,6 +88,7 @@ class _Tokens:
         self.line = line
         self.offset = col_offset
         self.pos = 0
+        self.work = 0  # term products formed so far, at most MAX_EXPANSION
         self.toks = []
         self._lex()
         self.i = 0
@@ -125,6 +133,17 @@ class _Tokens:
         _, _, start = self.peek()
         raise ParseError(message, self.line, self.offset + start + 1, expected)
 
+    def charge(self, products: int, start: int):
+        """Count ``products`` term products against MAX_EXPANSION before they
+        are formed; an excess is a ParseError at the token at ``start``."""
+        self.work += products
+        if self.work > MAX_EXPANSION:
+            raise ParseError(
+                f"expression expands to more than {MAX_EXPANSION} term products",
+                self.line,
+                self.offset + start + 1,
+            )
+
     def int_at(self, text: str, start: int, what: str) -> int:
         """The integer of the token text starting at ``start``."""
         return _parse_int(text, what, self.line, self.offset + start + 1)
@@ -154,8 +173,10 @@ def _parse_sum(tokens, layout, fld):
 def _parse_product(tokens, layout, fld):
     acc = _parse_power(tokens, layout, fld)
     while tokens.peek()[0] == "*":
-        tokens.next()
-        acc = acc * _parse_power(tokens, layout, fld)
+        start = tokens.next()[2]
+        factor = _parse_power(tokens, layout, fld)
+        tokens.charge(len(acc.terms) * len(factor.terms), start)
+        acc = acc * factor
     return acc
 
 
@@ -175,6 +196,7 @@ def _parse_power(tokens, layout, fld):
         if exponent > MAX_EXPONENT:
             tokens.error(f"exponent {text} exceeds the maximum {MAX_EXPONENT}")
         tokens.next()
+        tokens.charge(power_products(len(base.terms), exponent), start)
         base = base ** exponent
     return base
 
@@ -257,6 +279,8 @@ def parse_problem(text: str) -> Problem:
                 field = QQ
             elif len(words) == 3 and words[1] == "F":
                 p = _parse_int(words[2], "modulus", lineno, indent + 1)
+                if p >= PRIME_LIMIT:
+                    raise ParseError(f"modulus must be below {PRIME_LIMIT}", lineno, indent + 1)
                 try:
                     field = PrimeField(p)
                 except ValueError:

@@ -10,16 +10,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# PRIME_LIMIT (Sorenson & Webster 2015, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86).  PRIME_LIMIT itself is a strong pseudoprime to all
+# 13 bases, so no larger modulus can be decided this way.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Exact primality of p < PRIME_LIMIT; ValueError at or above it."""
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"primality of {p} is decided only below {PRIME_LIMIT}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -19,8 +19,18 @@ coefficient cancelled to zero is skipped), divides by the first basis element
 whose leading monomial divides it, and subtracts that element's other terms,
 scaled, into the accumulator.  The steps are exactly those of textbook
 division, so remainders, quotients and reduction-step charges are unchanged.
-Buchberger and interreduction pass the divisors' leading terms in, so they are
-computed once per run rather than on every division.
+The monomials pop in descending order, so under the stored order the
+remainder is built from them as they come, with no sort.  Buchberger and
+interreduction pass the divisors' leading terms in, so they are computed once
+per run rather than on every division.
+
+Buchberger never builds an S-polynomial.  :func:`_reduce_spair` writes the
+terms of (lcm/LT(g_i))*g_i - (lcm/LT(g_j))*g_j, less the two leading terms
+that cancel, straight into the division's accumulator, and divides from
+there.  The inverse of each basis element's leading coefficient is computed
+once, when the element joins the basis, and serves both the S-pair scaling
+and every division step by that element.  :func:`s_polynomial` builds the
+same terms into a polynomial.
 
 A budget may carry a basis memo, keyed by content: the nonzero generators in
 input order together with the monomial order.  A hit returns the stored
@@ -158,19 +168,29 @@ def normal_form(
     ``leads``, when given, holds the leading terms of the basis under the
     order, so that a caller dividing by the same basis many times computes
     them once."""
-    fld = f.field
     if leads is None:
         leads = [g.leading_term(order) for g in basis]
-    key, mul, sub, is_zero = order.key, fld.mul, fld.sub, fld.is_zero
-    # the part of f still to divide; a cancelled monomial keeps a zero entry,
-    # so each monomial's key is computed once, when it enters the heap
     pending = {e: c for c, e in f.terms}
+    return _reduce(
+        pending, basis, leads, None, order, f.layout, f.field, budget, with_quotients
+    )
+
+
+def _reduce(pending, basis, leads, invs, order, layout, fld, budget, with_quotients):
+    """:func:`normal_form` of the polynomial whose terms are the
+    ``{monomial: coefficient}`` accumulator ``pending``, which is consumed;
+    zero entries are allowed.  ``invs`` (None: divide at each step) holds the
+    inverses of the basis leading coefficients."""
+    key, mul, sub, fneg, is_zero = order.key, fld.mul, fld.sub, fld.neg, fld.is_zero
+    # a cancelled monomial keeps a zero entry, so each monomial's key is
+    # computed once, when it enters the heap
     heap = [(tuple(map(neg, key(e))), e) for e in pending]
     heapq.heapify(heap)
-    rem = {}
+    pop, push = heapq.heappop, heapq.heappush
+    rem = []  # popped in descending order
     quots = [{} for _ in basis] if with_quotients else None
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = pop(heap)[1]
         c = pending.pop(m)
         if is_zero(c):
             continue
@@ -178,7 +198,7 @@ def normal_form(
             budget.charge_work()
         for i, (gc, gm) in enumerate(leads):
             if mono_divides(gm, m):
-                factor_c = fld.div(c, gc)
+                factor_c = fld.div(c, gc) if invs is None else mul(c, invs[i])
                 factor_m = mono_div(m, gm)
                 # the product's term at m cancels c exactly and is skipped
                 for tc, te in basis[i].terms:
@@ -187,32 +207,66 @@ def normal_form(
                         continue
                     old = pending.get(e)
                     if old is None:
-                        pending[e] = fld.neg(mul(factor_c, tc))
-                        heapq.heappush(heap, (tuple(map(neg, key(e))), e))
+                        pending[e] = fneg(mul(factor_c, tc))
+                        push(heap, (tuple(map(neg, key(e))), e))
                     else:
                         pending[e] = sub(old, mul(factor_c, tc))
                 if with_quotients:
                     quots[i][factor_m] = factor_c
                 break
         else:
-            rem[m] = c
-    r = Polynomial.from_dict(f.layout, fld, rem)
+            rem.append((c, m))
+    if order == default_order(layout):
+        r = Polynomial(layout, fld, tuple(rem))
+    else:
+        r = Polynomial.from_dict(layout, fld, {m: c for c, m in rem})
     if with_quotients:
-        return r, [Polynomial.from_dict(f.layout, fld, q) for q in quots]
+        return r, [Polynomial.from_dict(layout, fld, q) for q in quots]
     return r
+
+
+def _spair_terms(f, f_inv, fm, g, g_inv, gm, lcm):
+    """``{monomial: coefficient}`` of (lcm/fm)*f_inv*f - (lcm/gm)*g_inv*g,
+    where fm, gm are the leading monomials of f, g and f_inv, g_inv the
+    inverses of their leading coefficients.  The leading terms cancel, so no
+    entry is made at lcm; other cancelled entries stay as zeros."""
+    fld = f.field
+    mul, sub, fneg = fld.mul, fld.sub, fld.neg
+    acc = {}
+    shift = mono_div(lcm, fm)
+    for c, e in f.terms:
+        e = tuple(map(add, e, shift))
+        if e != lcm:
+            acc[e] = mul(c, f_inv)
+    shift = mono_div(lcm, gm)
+    for c, e in g.terms:
+        e = tuple(map(add, e, shift))
+        if e != lcm:
+            old = acc.get(e)
+            acc[e] = fneg(mul(c, g_inv)) if old is None else sub(old, mul(c, g_inv))
+    return acc
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """(lcm/LT(f))*f - (lcm/LT(g))*g; the leading terms cancel."""
     if f.is_zero or g.is_zero:
         raise ValueError("s_polynomial of the zero polynomial")
+    f._check(g)
     fld = f.field
     fc, fm = f.leading_term(order)
     gc, gm = g.leading_term(order)
-    lcm = mono_lcm(fm, gm)
-    return f.mul_term(fld.inv(fc), mono_div(lcm, fm)) - g.mul_term(
-        fld.inv(gc), mono_div(lcm, gm)
-    )
+    acc = _spair_terms(f, fld.inv(fc), fm, g, fld.inv(gc), gm, mono_lcm(fm, gm))
+    return Polynomial.from_dict(f.layout, fld, acc)
+
+
+def _reduce_spair(G, lead, invs, i, j, lcm, order, budget, with_quotients=False):
+    """Remainder of the S-polynomial of G[i] and G[j] (leading monomial lcm)
+    on division by G, and with ``with_quotients`` the quotient per element of
+    G.  The difference goes straight into the division's accumulator: no
+    S-polynomial is built."""
+    f, g = G[i], G[j]
+    acc = _spair_terms(f, invs[i], lead[i][1], g, invs[j], lead[j][1], lcm)
+    return _reduce(acc, G, lead, invs, order, f.layout, f.field, budget, with_quotients)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +323,7 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget, trace: bool =
             cofs.append(row)
 
     lead = [g.leading_term(order) for g in G]
+    invs = [fld.inv(c) for c, _ in lead]
     # ``pairs`` mirrors the heap as a set: the chain criterion asks whether a
     # pair is still pending
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
@@ -290,20 +345,17 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget, trace: bool =
             for k in range(len(G))
         ):
             continue  # chain criterion
-        s = s_polynomial(G[i], G[j], order)
         if trace:
-            nf, quots = normal_form(
-                s, G, order, with_quotients=True, budget=budget, leads=lead
+            nf, quots = _reduce_spair(
+                G, lead, invs, i, j, lcm, order, budget, with_quotients=True
             )
         else:
-            nf = normal_form(s, G, order, budget=budget, leads=lead)
+            nf = _reduce_spair(G, lead, invs, i, j, lcm, order, budget)
         if nf.is_zero:
             continue
         if trace:
-            fc = fld.inv(lead[i][0])
-            gc = fld.inv(lead[j][0])
-            ti = Polynomial.from_dict(layout, fld, {mono_div(lcm, fm): fc})
-            tj = Polynomial.from_dict(layout, fld, {mono_div(lcm, gm): gc})
+            ti = Polynomial.from_dict(layout, fld, {mono_div(lcm, fm): invs[i]})
+            tj = Polynomial.from_dict(layout, fld, {mono_div(lcm, gm): invs[j]})
             row = [
                 ti * cofs[i][t] - tj * cofs[j][t] for t in range(len(gens))
             ]
@@ -313,6 +365,7 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget, trace: bool =
             cofs.append(row)
         G.append(nf)
         lead.append(nf.leading_term(order))
+        invs.append(fld.inv(lead[-1][0]))
         new = len(G) - 1
         for k in range(new):
             pairs.add((k, new))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from operator import add, itemgetter, le, neg, sub
 
 from .fields import QQ, RationalField
@@ -349,6 +349,7 @@ class Polynomial:
         return self * other
 
     def __pow__(self, n: int):
+        # power_products counts the term products of this schedule
         if n < 0:
             raise ValueError("negative exponent")
         result = Polynomial.constant(self.layout, self.field, 1)
@@ -425,6 +426,25 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({render_poly(self)!r})"
+
+
+def power_products(t: int, n: int) -> int:
+    """Most term products ``f ** n`` forms for a t-term f: the products of
+    its squaring schedule, each power f^k having at most C(t+k-1, t-1)
+    terms."""
+    if not t:
+        return 0
+    size = lambda k: comb(t + k - 1, t - 1)
+    products, result, square = 0, 0, 1
+    while n:
+        if n & 1:
+            products += size(result) * size(square)
+            result += square
+        n >>= 1
+        if n:
+            products += size(square) ** 2
+            square *= 2
+    return products
 
 
 def render_poly(f: Polynomial) -> str:

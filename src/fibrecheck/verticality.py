@@ -5,7 +5,8 @@ of base variables) acquires a vertical irreducible component; flatness fails
 iff some tensor power acquires R-torsion.  Vertical parts are separated from
 dominant ones by saturating at the generic denominator h (the product of the
 base-variable leading coefficients of a fibre-over-base Groebner basis);
-witnesses are re-verified independently before a verdict is emitted.
+witnesses are re-checked before a verdict is emitted (see the re-checks for
+which bases they recompute).
 """
 
 from __future__ import annotations
@@ -362,8 +363,12 @@ def _is_pure_base(f: Polynomial) -> bool:
     return not f.is_zero and all(i < nb for i in f.support_indices())
 
 
-# The ideal re-checks bypass the basis memo: a witness is never confirmed by
-# looking up a basis computed while finding it.  Module bases have no memo.
+# The ideal re-checks bypass the run's basis memo (module bases have none),
+# but no re-check bypasses the per-object cache of groebner_basis.
+# _verify_open_witness builds new ideals in radical_member and recomputes
+# their bases; the flat re-checks read Jk._gb_cache and pres._gb_cache, which
+# the torsion search filled, so they reuse the basis that found the
+# certificate.
 
 
 def _verify_open_witness(Jk, g, r, within, budget):

@@ -9,7 +9,16 @@ import time
 import pytest
 
 from fibrecheck import QQ, ComputeBudget, PrimeField
-from fibrecheck.cli import MAX_EXPONENT, ParseError, parse_problem, render_problem, run
+from fibrecheck import cli
+from fibrecheck.cli import (
+    MAX_EXPANSION,
+    MAX_EXPONENT,
+    ParseError,
+    parse_problem,
+    render_problem,
+    run,
+)
+from fibrecheck.fields import PRIME_LIMIT
 
 from corpus import named_fixtures
 
@@ -64,6 +73,25 @@ def test_parse_power_override():
 def test_parse_error_non_prime_modulus():
     with pytest.raises(ParseError, match="non-prime"):
         parse_problem("field F 4\nbase y\n")
+
+
+def test_large_prime_modulus_parses_fast(capsys, monkeypatch):
+    # a 19-digit prime: trial division would take ~10^9 steps
+    text = "field F 1000000000000000003\nbase y\nvars x\nideal: x^2 - y\ncheck open\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "--timeout-seconds", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, err) == (0, "")
+    assert "field: F1000000000000000003" in out
+
+
+@pytest.mark.parametrize("modulus", [PRIME_LIMIT, 2**89 - 1])
+def test_exit_one_on_modulus_at_or_above_prime_limit(capsys, monkeypatch, modulus):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"field F {modulus}\nbase y\n"))
+    code, out, err = _run(capsys)
+    assert (code, out) == (1, "")
+    assert err == f"fibrecheck: line 1, col 1: modulus must be below {PRIME_LIMIT}\n"
 
 
 def test_parse_error_undeclared_variable():
@@ -169,6 +197,40 @@ def test_exit_one_on_exponent_above_maximum(capsys, monkeypatch):
 def test_exponent_at_maximum_parses():
     problem = parse_problem(f"base y\nvars x\nideal: x^{MAX_EXPONENT} - y, x^0{MAX_EXPONENT}\n")
     assert problem.ideal_gens[1].total_degree() == MAX_EXPONENT
+
+
+@pytest.mark.parametrize(
+    "expr,col",
+    [
+        ("(x1 + x2 + y1 + y2)^60 - y1", 28),
+        ("(x1 + x2 + y1 + y2)^12 * (x1 - x2 + 2*y1 - y2)^12", 31),
+    ],
+    ids=["power", "product"],
+)
+def test_exit_one_on_expansion_above_maximum(capsys, monkeypatch, expr, col):
+    # an expansion is refused before it is formed, at the exponent or the
+    # "*" that would exceed MAX_EXPANSION; parsing runs before any budget
+    text = f"base y1 y2\nvars x1 x2\nideal: {expr}\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "--timeout-seconds", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        f"fibrecheck: line 3, col {col}: expression expands to more than"
+        f" {MAX_EXPANSION} term products\n"
+    )
+
+
+def test_expansion_bound_is_per_expression_and_inclusive(monkeypatch):
+    # each power charged half the maximum: two fit in one expression exactly,
+    # one more product does not, and the next generator starts afresh
+    monkeypatch.setattr(cli, "power_products", lambda t, e: MAX_EXPANSION // 2)
+    twice = "(x + y)^3 + (x - y)^2"
+    problem = parse_problem(f"base y\nvars x\nideal: {twice}, {twice}\n")
+    assert len(problem.ideal_gens) == 2
+    with pytest.raises(ParseError, match="col 30: expression expands to more than"):
+        parse_problem(f"base y\nvars x\nideal: {twice} * x\n")
 
 
 @pytest.fixture

@@ -24,7 +24,8 @@ from fibrecheck import (
     normal_form,
     s_polynomial,
 )
-from fibrecheck.groebner import vec_is_zero, vector_leading
+from fibrecheck.groebner import _reduce_spair, vec_is_zero, vector_leading
+from fibrecheck.poly import mono_lcm
 
 from oracles import macaulay_member
 from test_poly import poly_strategy
@@ -271,6 +272,70 @@ def test_normal_form_equals_reference_division(field, layout, order, data):
     assert got_budget.work == want_budget.work
     leads = [g.leading_term(order) for g in basis]
     assert normal_form(f, basis, order, leads=leads) == want_r
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize(
+    "layout,order",
+    [
+        (POW2, default_order(POW2)),
+        (POW2, default_order(POW2, "lex")),
+        (POW2, elimination_order(POW2, POW2.base_indices)),
+        (TAGGED2, default_order(TAGGED2)),
+    ],
+    ids=["default", "lex", "elimination", "tagged"],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_spair_reduction_equals_reference_division(field, layout, order, data):
+    # reducing an S-pair straight from the accumulator must take exactly the
+    # steps of dividing the S-polynomial itself
+    gens = data.draw(
+        st.lists(poly_strategy(layout, field, max_terms=5), min_size=2, max_size=4)
+    )
+    G = [g for g in gens if not g.is_zero]
+    if len(G) < 2:
+        return
+    i, j = data.draw(st.sampled_from(list(itertools.combinations(range(len(G)), 2))))
+    lead = [g.leading_term(order) for g in G]
+    invs = [field.inv(c) for c, _ in lead]
+    lcm = mono_lcm(lead[i][1], lead[j][1])
+    want_budget, got_budget = ComputeBudget(), ComputeBudget()
+    spoly = s_polynomial(G[i], G[j], order)
+    want_r, want_q = reference_normal_form(
+        spoly, G, order, with_quotients=True, budget=want_budget
+    )
+    got_r, got_q = _reduce_spair(
+        G, lead, invs, i, j, lcm, order, got_budget, with_quotients=True
+    )
+    assert (got_r, got_q) == (want_r, want_q)
+    assert got_budget.work == want_budget.work
+    assert _reduce_spair(G, lead, invs, i, j, lcm, order, None) == want_r
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize(
+    "order",
+    [default_order(POW2, "lex"), elimination_order(POW2, POW2.base_indices)],
+    ids=["lex", "elimination"],
+)
+def test_remainder_under_other_order_is_stored_in_default_order(field, order):
+    # the remainder pops in descending ``order`` but must be stored
+    # descending under default_order, where its leading term is read
+    f = _pow2("x1^2 + y1^3 + y2*x2 + y1^2*y2^2 + x2 + 1")
+    basis = [_pow2("x1 - y2"), _pow2("y2^3 - 3")]
+    f, *basis = (
+        Polynomial.from_dict(POW2, field, {e: field.coerce(c) for c, e in g.terms})
+        for g in [f, *basis]
+    )
+    r = normal_form(f, basis, order)
+    stored = default_order(POW2)
+    keys = [stored.key(e) for _, e in r.terms]
+    assert len(keys) > 2 and keys == sorted(keys, reverse=True)
+    assert [order.key(e) for _, e in r.terms] != sorted(
+        (order.key(e) for _, e in r.terms), reverse=True
+    )
+    assert r == reference_normal_form(f, basis, order)
 
 
 def test_ideal_member_examples():

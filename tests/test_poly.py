@@ -20,6 +20,7 @@ from fibrecheck import (
     relabel,
     substitute_base_point,
 )
+from fibrecheck.poly import power_products
 
 from util import BLOWUP_LAYOUT, P, reference_order_key
 
@@ -105,6 +106,22 @@ def test_power_equals_repeated_multiplication(case):
     for _ in range(n):
         product = product * f
     assert f**n == product
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("text", ["x", "x + 2*y", "x + y - 1"])
+def test_power_products_counts_the_squaring_schedule(monkeypatch, text, n):
+    # power_products must count exactly the term products ** forms when the
+    # powers of the base have the most terms possible, as these bases' do
+    f = P(XY, text)
+    counted = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(
+        Polynomial, "__mul__", lambda a, b: counted.append(len(a.terms) * len(b.terms)) or mul(a, b)
+    )
+    f**n
+    assert sum(counted) == power_products(len(f.terms), n)
+    assert power_products(0, n) == 0
 
 
 # ---------------------------------------------------------------------------
