@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import __version__
 from .fields import PRIME_LIMIT, QQ, PrimeField
-from .poly import Polynomial, RingLayout, integer_normalized, power_products, render_poly
+from .poly import Polynomial, RingLayout, integer_normalized, power_products, render_poly, transport
 from .power import ModuleSpec, Problem
 from .verticality import (
     CharacteristicGuardError,
@@ -287,7 +287,8 @@ def parse_problem(text: str) -> Problem:
                     raise ParseError("non-prime modulus", lineno, indent + 1)
             else:
                 raise ParseError("malformed field statement", lineno, indent + 1, "'Q' or 'F <p>'")
-        elif head == "base":
+        elif head in ("base", "vars"):
+            declared = base if head == "base" else fibre
             for name in words[1:]:
                 if not (name[0].isalpha() or name[0] == "_") or not all(
                     c.isalnum() or c == "_" for c in name
@@ -295,16 +296,7 @@ def parse_problem(text: str) -> Problem:
                     raise ParseError(f"bad variable name {name!r}", lineno, indent + 1)
                 if name in base or name in fibre:
                     raise ParseError(f"duplicate variable {name!r}", lineno, indent + 1)
-                base.append(name)
-        elif head == "vars":
-            for name in words[1:]:
-                if not (name[0].isalpha() or name[0] == "_") or not all(
-                    c.isalnum() or c == "_" for c in name
-                ):
-                    raise ParseError(f"bad variable name {name!r}", lineno, indent + 1)
-                if name in base or name in fibre:
-                    raise ParseError(f"duplicate variable {name!r}", lineno, indent + 1)
-                fibre.append(name)
+                declared.append(name)
         elif head.startswith("ideal"):
             body = stripped[len("ideal"):].lstrip()
             if not body.startswith(":"):
@@ -367,7 +359,7 @@ def parse_problem(text: str) -> Problem:
                 inner = s[1:-1]
                 inner_off = offset + chunk_off + chunk.index("(") + 1
                 comps = []
-                for comp_text, comp_off in _split_components(inner):
+                for comp_text, comp_off in _split_top_level(inner, ";"):
                     tokens = _Tokens(comp_text, lineno, inner_off + comp_off)
                     comps.append(_lift(_parse_polyexpr(tokens, scope, fld_then), layout, field))
                 if len(comps) != module_rank:
@@ -390,24 +382,8 @@ def parse_problem(text: str) -> Problem:
     )
 
 
-def _split_components(text: str):
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        elif ch == ";" and depth == 0:
-            yield text[start:i], start
-            start = i + 1
-    yield text[start:], start
-
-
 def _lift(g: Polynomial, layout: RingLayout, field) -> Polynomial:
     """Re-embed a polynomial parsed in a prefix scope into the full layout."""
-    from .poly import transport
-
     return transport(g, layout, field)
 
 
@@ -614,10 +590,7 @@ def run(argv=None) -> int:
 
     try:
         problem = parse_problem(text)
-    except ParseError as exc:
-        print(f"fibrecheck: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # a ParseError, or a problem the model refuses
         print(f"fibrecheck: {exc}", file=sys.stderr)
         return 1
 

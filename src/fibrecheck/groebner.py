@@ -1,9 +1,24 @@
-"""Buchberger's algorithm for ideals and for submodules of free modules.
+"""Buchberger's algorithm: one engine for ideals and for submodules of free
+modules.
 
 Produces canonical reduced bases (monic, interreduced, sorted by the order),
 so recomputation from any permutation of the generators yields an identical
 basis.  Pair selection follows the normal strategy with the coprimality and
 chain criteria; resource use is metered by a :class:`ComputeBudget`.
+
+A submodule of a free module of rank r runs through the same code as an
+ideal.  Its vectors (p_1, ..., p_r) are encoded as polynomials
+p_1*e_1 + ... + p_r*e_r in a layout with r position variables (see
+:mod:`fibrecheck.poly`), so each term carries exactly one position at
+exponent 1.  ``default_order`` puts the position block last, which is the
+term-over-position order of :class:`ModuleOrder`.  Buchberger queues a pair
+only when both leading monomials have the same position; an ideal has no
+positions, so every pair qualifies.  Division needs nothing extra: a leading
+monomial divides only monomials in its own position, and every quotient is
+free of positions.  Both criteria stay valid: two leads in one position share
+e_i, so the coprime test never fires on them, and a lead dividing their lcm
+lies in that position too.  :func:`module_buchberger` and
+:func:`module_normal_form` encode, run the ideal path and decode.
 
 Pending S-pairs wait in a binary heap.  Each pair's rank
 ``(deg lcm, order key of lcm, i, j)`` is computed once, when the pair is
@@ -38,8 +53,9 @@ reduced basis and charges the budget again with the pairs, reduction steps and
 basis high-water mark that the computation charged when it ran, so every
 count, every abort and every report is the same as if the basis had been
 recomputed.  A hit the budget cannot afford is recomputed, so it aborts at the
-same step with the same message.  Aborted and cofactor-tracing computations
-are never stored, and witness re-verification bypasses the memo.
+same step with the same message.  Aborted computations are never stored, and
+witness re-verification bypasses the memo.  Module bases are encoded
+polynomials, so they share the memo.
 """
 
 from __future__ import annotations
@@ -270,7 +286,7 @@ def _reduce_spair(G, lead, invs, i, j, lcm, order, budget, with_quotients=False)
 
 
 # ---------------------------------------------------------------------------
-# Buchberger for ideals
+# Buchberger
 
 
 def _pair_rank(mi, mj, i, j, order: MonomialOrder):
@@ -281,20 +297,14 @@ def _pair_rank(mi, mj, i, j, order: MonomialOrder):
     return (sum(lcm), order.key(lcm), i, j)
 
 
-def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None, trace: bool = False):
-    """Reduced Groebner basis of the ideal generated by ``gens``.
-
-    With ``trace=True`` also returns, for each basis element, its cofactor
-    vector over the original generators (basis[i] = sum cof[i][j] * gens[j]).
-    Without it, the budget's memo is consulted first (see :class:`ComputeBudget`).
-    """
+def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None):
+    """Reduced Groebner basis of the ideal generated by ``gens``, or of the
+    submodule when they are encoded vectors.  The budget's memo is consulted
+    first (see :class:`ComputeBudget`)."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
-        return ([], []) if trace else []
+        return []
     budget = budget or ComputeBudget()
-    if trace:
-        basis, cofs, _ = _buchberger(gens, order, budget, trace=True)
-        return basis, cofs
     if budget.memo is None:
         return _buchberger(gens, order, budget)[0]
     key = (tuple(gens), order)
@@ -303,30 +313,30 @@ def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None, 
         budget.charge_again(record)
         return list(record.basis)
     pairs, work = budget.pairs, budget.work
-    basis, _, peak = _buchberger(gens, order, budget)
+    basis, peak = _buchberger(gens, order, budget)
     budget.memo[key] = BasisRecord(
         tuple(basis), budget.pairs - pairs, budget.work - work, peak
     )
     return basis
 
 
-def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget, trace: bool = False):
-    """(basis, cofactors or None, peak basis size noted) of nonzero ``gens``."""
+def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
+    """(basis, peak basis size noted) of nonzero ``gens``."""
     layout, fld = gens[0].layout, gens[0].field
     G = list(gens)
-    cofs = None
-    if trace:
-        cofs = []
-        for i in range(len(gens)):
-            row = [Polynomial.zero(layout, fld) for _ in gens]
-            row[i] = Polynomial.constant(layout, fld, 1)
-            cofs.append(row)
-
     lead = [g.leading_term(order) for g in G]
     invs = [fld.inv(c) for c, _ in lead]
+    # the position part of each leading monomial; () for an ideal
+    first_pos = layout.nvars - layout.positions
+    where = [m[first_pos:] for _, m in lead]
     # ``pairs`` mirrors the heap as a set: the chain criterion asks whether a
     # pair is still pending
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    pairs = {
+        (i, j)
+        for i in range(len(G))
+        for j in range(i + 1, len(G))
+        if where[i] == where[j]
+    }
     queue = [_pair_rank(lead[i][1], lead[j][1], i, j, order) for i, j in pairs]
     heapq.heapify(queue)
     while queue:
@@ -345,39 +355,25 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget, trace: bool =
             for k in range(len(G))
         ):
             continue  # chain criterion
-        if trace:
-            nf, quots = _reduce_spair(
-                G, lead, invs, i, j, lcm, order, budget, with_quotients=True
-            )
-        else:
-            nf = _reduce_spair(G, lead, invs, i, j, lcm, order, budget)
+        nf = _reduce_spair(G, lead, invs, i, j, lcm, order, budget)
         if nf.is_zero:
             continue
-        if trace:
-            ti = Polynomial.from_dict(layout, fld, {mono_div(lcm, fm): invs[i]})
-            tj = Polynomial.from_dict(layout, fld, {mono_div(lcm, gm): invs[j]})
-            row = [
-                ti * cofs[i][t] - tj * cofs[j][t] for t in range(len(gens))
-            ]
-            for g_idx, q in enumerate(quots):
-                if not q.is_zero:
-                    row = [row[t] - q * cofs[g_idx][t] for t in range(len(gens))]
-            cofs.append(row)
         G.append(nf)
         lead.append(nf.leading_term(order))
         invs.append(fld.inv(lead[-1][0]))
+        where.append(lead[-1][1][first_pos:])
         new = len(G) - 1
         for k in range(new):
-            pairs.add((k, new))
-            heapq.heappush(queue, _pair_rank(lead[k][1], lead[new][1], k, new, order))
+            if where[k] == where[new]:
+                pairs.add((k, new))
+                heapq.heappush(queue, _pair_rank(lead[k][1], lead[new][1], k, new, order))
         budget.note_basis(len(G))
 
     peak = len(G) if len(G) > len(gens) else 0
-    basis, basis_cofs = _interreduce(G, cofs, order, budget)
-    return basis, basis_cofs, peak
+    return _interreduce(G, order, budget), peak
 
 
-def _interreduce(G, cofs, order: MonomialOrder, budget: "ComputeBudget | None" = None):
+def _interreduce(G, order: MonomialOrder, budget: "ComputeBudget | None" = None):
     """Minimalize and fully reduce; monic-normalize; sort descending."""
     leads = [g.leading_term(order) for g in G]
     keys = [order.key(m) for _, m in leads]
@@ -389,7 +385,6 @@ def _interreduce(G, cofs, order: MonomialOrder, budget: "ComputeBudget | None" =
     polys = [G[i] for i in kept]
     leads = [leads[i] for i in kept]
     keys = [keys[i] for i in kept]
-    rows = [cofs[i] for i in kept] if cofs is not None else None
 
     changed = True
     while changed:
@@ -399,41 +394,21 @@ def _interreduce(G, cofs, order: MonomialOrder, budget: "ComputeBudget | None" =
             if not others:
                 continue
             other_leads = leads[:i] + leads[i + 1 :]
-            if rows is not None:
-                nf, quots = normal_form(
-                    polys[i], others, order, with_quotients=True, budget=budget,
-                    leads=other_leads,
-                )
-            else:
-                nf = normal_form(polys[i], others, order, budget=budget, leads=other_leads)
+            nf = normal_form(polys[i], others, order, budget=budget, leads=other_leads)
             if nf != polys[i]:
                 changed = True
-                if rows is not None:
-                    other_rows = rows[:i] + rows[i + 1 :]
-                    new_row = rows[i]
-                    for q, orow in zip(quots, other_rows):
-                        if not q.is_zero:
-                            new_row = [a - q * b for a, b in zip(new_row, orow)]
-                    rows[i] = new_row
                 polys[i] = nf
                 if nf.is_zero:
                     del polys[i], leads[i], keys[i]
-                    if rows is not None:
-                        del rows[i]
                     break
                 leads[i] = nf.leading_term(order)
                 keys[i] = order.key(leads[i][1])
 
     fld = polys[0].field if polys else None
     for i in range(len(polys)):
-        inv = fld.inv(leads[i][0])
-        polys[i] = polys[i].scale(inv)
-        if rows is not None:
-            rows[i] = [c.scale(inv) for c in rows[i]]
+        polys[i] = polys[i].scale(fld.inv(leads[i][0]))
     idx = sorted(range(len(polys)), key=keys.__getitem__, reverse=True)
-    polys = [polys[i] for i in idx]
-    rows = [rows[i] for i in idx] if rows is not None else None
-    return polys, rows
+    return [polys[i] for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -487,169 +462,72 @@ def ideal_member(f: Polynomial, I: Ideal, order=None, budget=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# free-module machinery (vectors are tuples of polynomials)
+# submodules of free modules, encoded with position variables
 
 
 @dataclass(frozen=True)
 class ModuleOrder:
     """Term-over-position: compare monomials by the ring order, tie-break by
-    position ascending (lower position wins)."""
+    position ascending (lower position wins).  On encoded vectors it is the
+    ring order with the position block appended last."""
 
     ring_order: MonomialOrder
 
-    def term_key(self, pos: int, exps):
-        return (self.ring_order.key(exps), -pos)
+    def on(self, layout: RingLayout) -> MonomialOrder:
+        """The order on the monomials of ``layout``, a layout with positions."""
+        blocks = tuple(blk for blk in self.ring_order.blocks if blk)
+        return MonomialOrder(blocks + (layout.position_indices,), self.ring_order.within)
 
 
-def vec_zero(layout, fld, rank):
-    return tuple(Polynomial.zero(layout, fld) for _ in range(rank))
-
-
-def vec_is_zero(v) -> bool:
-    return all(c.is_zero for c in v)
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_mul_term(v, coeff, exps):
-    return tuple(c.mul_term(coeff, exps) for c in v)
-
-
-def vec_scale(v, coeff):
-    return tuple(c.scale(coeff) for c in v)
-
-
-def vector_leading(v, morder: ModuleOrder):
-    """(position, coefficient, monomial) of the leading module term."""
-    best = None
-    for pos, comp in enumerate(v):
-        if comp.is_zero:
-            continue
-        c, m = comp.leading_term(morder.ring_order)
-        key = morder.term_key(pos, m)
-        if best is None or key > best[0]:
-            best = (key, pos, c, m)
-    if best is None:
-        raise ValueError("zero vector has no leading term")
-    return best[1], best[2], best[3]
-
-
-def module_normal_form(
-    v, basis, morder: ModuleOrder, with_quotients: bool = False, budget=None
-):
-    if not basis:
-        return (v, []) if with_quotients else v
-    layout = basis[0][0].layout
-    fld = basis[0][0].field
-    lead = [vector_leading(g, morder) for g in basis]
-    rank = len(basis[0])
-    rem = [dict() for _ in range(rank)]
-    p = v
-    quots = [Polynomial.zero(layout, fld) for _ in basis] if with_quotients else None
-    while not vec_is_zero(p):
-        if budget is not None:
-            budget.charge_work()
-        pos, c, m = vector_leading(p, morder)
-        for i, (gpos, gc, gm) in enumerate(lead):
-            if gpos == pos and mono_divides(gm, m):
-                fc = fld.div(c, gc)
-                fm = mono_div(m, gm)
-                p = vec_sub(p, vec_mul_term(basis[i], fc, fm))
-                if with_quotients:
-                    quots[i] = quots[i] + Polynomial.from_dict(layout, fld, {fm: fc})
-                break
-        else:
-            rem[pos][m] = c
-            t = Polynomial.from_dict(layout, fld, {m: c})
-            p = tuple(
-                comp - t if k == pos else comp for k, comp in enumerate(p)
-            )
-    r = tuple(Polynomial.from_dict(layout, fld, d) for d in rem)
-    return (r, quots) if with_quotients else r
-
-
-def module_buchberger(vectors, morder: ModuleOrder, budget: ComputeBudget | None = None):
-    """Reduced Groebner basis of the submodule generated by ``vectors``.
-    S-vectors are formed only between vectors leading in the same position."""
-    G = [v for v in vectors if not vec_is_zero(v)]
-    if not G:
-        return []
-    layout = G[0][0].layout
-    fld = G[0][0].field
-    budget = budget or ComputeBudget()
-    lead = [vector_leading(g, morder) for g in G]
-    ring_order = morder.ring_order
-    queue = [
-        _pair_rank(lead[i][2], lead[j][2], i, j, ring_order)
-        for i in range(len(G))
-        for j in range(i + 1, len(G))
-        if lead[i][0] == lead[j][0]
-    ]
-    heapq.heapify(queue)
-    while queue:
-        *_, i, j = heapq.heappop(queue)
-        budget.charge_pair()
-        _, ci, mi = lead[i]
-        _, cj, mj = lead[j]
-        lcm = mono_lcm(mi, mj)
-        s = vec_sub(
-            vec_mul_term(G[i], fld.inv(ci), mono_div(lcm, mi)),
-            vec_mul_term(G[j], fld.inv(cj), mono_div(lcm, mj)),
-        )
-        nf = module_normal_form(s, G, morder, budget=budget)
-        if vec_is_zero(nf):
-            continue
-        G.append(nf)
-        lead.append(vector_leading(nf, morder))
-        new = len(G) - 1
-        for k in range(new):
-            if lead[k][0] == lead[new][0]:
-                heapq.heappush(
-                    queue, _pair_rank(lead[k][2], lead[new][2], k, new, ring_order)
-                )
-        budget.note_basis(len(G))
-    return _module_interreduce(G, morder)
-
-
-def _module_interreduce(G, morder: ModuleOrder):
-    kept = []
-    order_key = lambda v: morder.term_key(*_lead_pm(v, morder))
-    for i in sorted(range(len(G)), key=lambda i: order_key(G[i])):
-        pos, _, m = vector_leading(G[i], morder)
-        if not any(
-            vector_leading(G[j], morder)[0] == pos
-            and mono_divides(vector_leading(G[j], morder)[2], m)
-            for j in kept
-        ):
-            kept.append(i)
-    vecs = [G[i] for i in kept]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vecs)):
-            others = vecs[:i] + vecs[i + 1 :]
-            if not others:
-                continue
-            nf = module_normal_form(vecs[i], others, morder)
-            if nf != vecs[i]:
-                vecs[i] = nf
-                changed = True
-            if vec_is_zero(vecs[i]):
-                del vecs[i]
-                break
+def encode_vectors(vectors, layout: RingLayout, rank: int) -> list:
+    """Each vector (p_1, ..., p_r) of polynomials in ``layout`` as the
+    polynomial p_1*e_1 + ... + p_r*e_r in ``layout.with_positions(rank)``."""
+    target = layout.with_positions(rank)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     out = []
-    for v in vecs:
-        _, c, _ = vector_leading(v, morder)
-        out.append(vec_scale(v, v[0].field.inv(c)))
-    out.sort(key=order_key, reverse=True)
+    for v in vectors:
+        acc = {e + unit: c for comp, unit in zip(v, units) for c, e in comp.terms}
+        out.append(Polynomial.from_dict(target, v[0].field, acc))
     return out
 
 
-def _lead_pm(v, morder):
-    pos, _, m = vector_leading(v, morder)
-    return pos, m
+def decode_vectors(polys) -> list:
+    """The vectors that :func:`encode_vectors` encoded as ``polys``."""
+    out = []
+    for f in polys:
+        layout = f.layout
+        ring = layout.with_positions(0)
+        first_pos = layout.nvars - layout.positions
+        comps = [[] for _ in range(layout.positions)]
+        for c, e in f.terms:
+            comps[e.index(1, first_pos) - first_pos].append((c, e[:first_pos]))
+        # within one position the stored order is the ring's default order
+        out.append(tuple(Polynomial(ring, f.field, tuple(terms)) for terms in comps))
+    return out
+
+
+def _is_zero_vector(v) -> bool:
+    return all(c.is_zero for c in v)
+
+
+def module_normal_form(v, basis, morder: ModuleOrder, budget=None):
+    """Remainder of the vector ``v`` on division by the basis vectors."""
+    if not basis:
+        return v
+    layout, rank = v[0].layout, len(v)
+    f, *encoded = encode_vectors([v, *basis], layout, rank)
+    r = normal_form(f, encoded, morder.on(f.layout), budget=budget)
+    return decode_vectors([r])[0]
+
+
+def module_buchberger(vectors, morder: ModuleOrder, budget: ComputeBudget | None = None):
+    """Reduced Groebner basis of the submodule generated by ``vectors``."""
+    if not vectors:
+        return []
+    layout, rank = vectors[0][0].layout, len(vectors[0])
+    encoded = encode_vectors(vectors, layout, rank)
+    order = morder.on(layout.with_positions(rank))
+    return decode_vectors(buchberger(encoded, order, budget))
 
 
 @dataclass
@@ -667,9 +545,7 @@ class ModulePresentation:
         for v in self.relations:
             if len(v) != self.rank:
                 raise ValueError("relation vector length differs from rank")
-        self.relations = tuple(
-            v for v in self.relations if not vec_is_zero(v)
-        )
+        self.relations = tuple(v for v in self.relations if not _is_zero_vector(v))
         if self.morder is None:
             self.morder = ModuleOrder(default_order(self.layout))
         self._gb_cache = {}
@@ -685,5 +561,5 @@ class ModulePresentation:
     def contains(self, v, morder=None, budget=None) -> bool:
         gb = self.groebner_basis(morder, budget)
         if not gb:
-            return vec_is_zero(v)
-        return vec_is_zero(module_normal_form(v, list(gb), morder or self.morder))
+            return _is_zero_vector(v)
+        return _is_zero_vector(module_normal_form(v, list(gb), morder or self.morder))

@@ -4,6 +4,10 @@ radical membership, contraction to the base, and dimension diagnostics.
 Saturation and radical membership use the tag-variable constructions
 (single elimination basis and the Rabinowitsch trick); Krull dimension is
 computed combinatorially from independent sets of the leading-term ideal.
+A submodule is saturated as the ideal of its vectors encoded with position
+variables (see :mod:`fibrecheck.groebner`): :func:`saturate` multiplies
+1 - t*f by each position, and :func:`module_saturate` encodes, saturates and
+decodes.
 """
 
 from __future__ import annotations
@@ -14,19 +18,16 @@ from dataclasses import dataclass
 from .groebner import (
     ComputeBudget,
     Ideal,
-    ModuleOrder,
     ModulePresentation,
     buchberger,
-    module_buchberger,
+    decode_vectors,
+    encode_vectors,
     normal_form,
-    vec_is_zero,
 )
 from .poly import (
     Polynomial,
     default_order,
     elimination_order,
-    mono_div,
-    mono_divides,
     substitute_base_point,
     transport,
 )
@@ -119,11 +120,7 @@ def saturate(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> I
     fld = I.field
     if f.is_constant:
         return Ideal(layout, fld, I.gens)
-    ext = layout.with_tag()
-    t = Polynomial.variable(ext, fld, ext.tag_var)
-    one = Polynomial.constant(ext, fld, 1)
-    gens = [transport(g, ext) for g in I.gens]
-    gens.append(one - t * transport(f, ext))
+    ext, gens = _with_inverse(I, f)
     ext_ideal = Ideal(ext, fld, tuple(gens))
     gb = ext_ideal.groebner_basis(default_order(ext, within), budget)
     tag_idx = ext.tag_index
@@ -135,34 +132,31 @@ def saturate(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> I
     return Ideal(layout, fld, tuple(kept))
 
 
+def _with_inverse(I: Ideal, f: Polynomial):
+    """(layout with a tag t, the generators of I + (1 - t*f) there).  When
+    I's layout has positions, I is an encoded submodule, and 1 - t*f is added
+    at every position: (1 - t*f)*e_i."""
+    ext = I.layout.with_tag()
+    fld = I.field
+    t = Polynomial.variable(ext, fld, ext.tag_var)
+    unit = Polynomial.constant(ext, fld, 1) - t * transport(f, ext)
+    gens = [transport(g, ext) for g in I.gens]
+    if ext.positions:
+        gens += [unit * Polynomial.variable(ext, fld, e) for e in ext.position_vars]
+    else:
+        gens.append(unit)
+    return ext, gens
+
+
 def module_saturate(
     pres: ModulePresentation, f: Polynomial, within: str = "grevlex", budget=None
 ) -> ModulePresentation:
-    """N : f^infinity inside the ambient free module, via the componentwise
-    tag construction with relations (1 - t*f)*e_i."""
-    if f.is_zero:
-        raise ValueError("saturation by the zero polynomial")
-    layout = pres.layout
-    fld = pres.field
-    if f.is_constant:
-        return ModulePresentation(layout, fld, pres.rank, pres.relations)
-    ext = layout.with_tag()
-    t = Polynomial.variable(ext, fld, ext.tag_var)
-    one = Polynomial.constant(ext, fld, 1)
-    zero = Polynomial.zero(ext, fld)
-    gens = [tuple(transport(c, ext) for c in v) for v in pres.relations]
-    unit = one - t * transport(f, ext)
-    for i in range(pres.rank):
-        gens.append(tuple(unit if j == i else zero for j in range(pres.rank)))
-    morder = ModuleOrder(default_order(ext, within))
-    gb = module_buchberger(gens, morder, budget)
-    tag_idx = ext.tag_index
-    kept = []
-    for v in gb:
-        if any(tag_idx in c.support_indices() for c in v):
-            continue
-        kept.append(tuple(transport(c, layout) for c in v))
-    return ModulePresentation(layout, fld, pres.rank, tuple(kept))
+    """N : f^infinity inside the ambient free module: :func:`saturate` on the
+    encoded relations."""
+    layout, fld, rank = pres.layout, pres.field, pres.rank
+    N = Ideal(layout.with_positions(rank), fld, tuple(encode_vectors(pres.relations, layout, rank)))
+    S = saturate(N, f, within, budget)
+    return ModulePresentation(layout, fld, rank, tuple(decode_vectors(S.gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +167,7 @@ def radical_member(f: Polynomial, I: Ideal, within: str = "grevlex", budget=None
     """True iff f lies in the radical of I: 1 in I + (1 - t*f)."""
     if f.is_zero:
         return True
-    layout = I.layout
-    fld = I.field
-    ext = layout.with_tag()
-    t = Polynomial.variable(ext, fld, ext.tag_var)
-    one = Polynomial.constant(ext, fld, 1)
-    gens = [transport(g, ext) for g in I.gens]
-    gens.append(one - t * transport(f, ext))
+    ext, gens = _with_inverse(I, f)
     gb = buchberger(tuple(gens), default_order(ext, within), budget)
     return bool(gb) and gb[0].is_constant
 

@@ -2,10 +2,13 @@
 
 A :class:`RingLayout` names the variables of the ambient polynomial ring:
 a block of base variables y_1..y_n, ``copies`` relabelled blocks of fibre
-variables, and an optional auxiliary tag variable used by saturation and
-radical-membership constructions.  Monomials are exponent tuples indexed by
-the layout; polynomials are immutable sorted term sequences over an exact
-coefficient field.
+variables, an optional auxiliary tag variable used by saturation and
+radical-membership constructions, and an optional block of position variables
+e_1..e_r.  A vector (p_1, ..., p_r) of a free module of rank r is encoded as
+the polynomial p_1*e_1 + ... + p_r*e_r, so that each of its terms carries
+exactly one position variable, at exponent 1.  Monomials are exponent tuples
+indexed by the layout; polynomials are immutable sorted term sequences over
+an exact coefficient field.
 
 A :class:`MonomialOrder` compares monomials through a flat key: one tuple of
 ints per monomial, so that the order is plain tuple comparison.  Every block
@@ -42,17 +45,20 @@ class LayoutMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class RingLayout:
-    """Named variable blocks: base y-block, ``copies`` fibre x-blocks, tag.
+    """Named variable blocks: base y-block, ``copies`` fibre x-blocks, tag,
+    ``positions`` position variables.
 
     Variable index order is base variables, then fibre copies 1..k, then the
-    tag variable when present.  With copies > 1 the fibre variable ``x`` of
-    copy i displays as ``x(i)``.
+    tag variable when present, then the positions.  With copies > 1 the fibre
+    variable ``x`` of copy i displays as ``x(i)``; position i displays as
+    ``[i]``, a name no input can declare.
     """
 
     base_vars: tuple = ()
     fibre_vars: tuple = ()
     copies: int = 1
     tag_var: str | None = None
+    positions: int = 0
 
     def __post_init__(self):
         if self.copies < 1:
@@ -68,13 +74,18 @@ class RingLayout:
                 names.append(v if self.copies == 1 else f"{v}({i})")
         if self.tag_var is not None:
             names.append(self.tag_var)
+        names += self.position_vars
         return tuple(names)
+
+    @property
+    def position_vars(self) -> tuple:
+        return tuple(f"[{i}]" for i in range(1, self.positions + 1))
 
     @property
     def nvars(self) -> int:
         return len(self.base_vars) + self.copies * len(self.fibre_vars) + (
             1 if self.tag_var is not None else 0
-        )
+        ) + self.positions
 
     @property
     def base_indices(self) -> tuple:
@@ -95,7 +106,11 @@ class RingLayout:
 
     @property
     def tag_index(self) -> int | None:
-        return None if self.tag_var is None else self.nvars - 1
+        return None if self.tag_var is None else self.nvars - self.positions - 1
+
+    @property
+    def position_indices(self) -> tuple:
+        return tuple(range(self.nvars - self.positions, self.nvars))
 
     def index_of(self, name: str) -> int:
         try:
@@ -106,7 +121,7 @@ class RingLayout:
     # derived layouts ------------------------------------------------------
 
     def powered(self, k: int) -> "RingLayout":
-        return RingLayout(self.base_vars, self.fibre_vars, k, self.tag_var)
+        return RingLayout(self.base_vars, self.fibre_vars, k, self.tag_var, self.positions)
 
     def with_tag(self) -> "RingLayout":
         if self.tag_var is not None:
@@ -115,10 +130,13 @@ class RingLayout:
         taken = set(self.var_names())
         while tag in taken:
             tag += "_"
-        return RingLayout(self.base_vars, self.fibre_vars, self.copies, tag)
+        return RingLayout(self.base_vars, self.fibre_vars, self.copies, tag, self.positions)
 
     def without_tag(self) -> "RingLayout":
-        return RingLayout(self.base_vars, self.fibre_vars, self.copies, None)
+        return RingLayout(self.base_vars, self.fibre_vars, self.copies, None, self.positions)
+
+    def with_positions(self, rank: int) -> "RingLayout":
+        return RingLayout(self.base_vars, self.fibre_vars, self.copies, self.tag_var, rank)
 
     def base_only(self) -> "RingLayout":
         return RingLayout(self.base_vars, (), 1, None)
@@ -174,10 +192,13 @@ class MonomialOrder:
         return seen == list(range(layout.nvars))
 
     def base_is_last(self, layout: RingLayout) -> bool:
-        """True when every non-base variable outranks every base variable."""
+        """True when every fibre and tag variable outranks every base
+        variable; position variables are skipped."""
         base = set(layout.base_indices)
+        positions = set(layout.position_indices)
         seen_base = False
         for blk in self.blocks:
+            blk = [i for i in blk if i not in positions]
             if any(i in base for i in blk):
                 if not all(i in base for i in blk):
                     return False
@@ -198,7 +219,11 @@ def _picker(indices: tuple):
 
 @functools.lru_cache(maxsize=None)
 def default_order(layout: RingLayout, within: str = "grevlex") -> MonomialOrder:
-    """Tag >> all fibre blocks jointly >> base block."""
+    """Tag >> all fibre blocks jointly >> base block >> positions.
+
+    The position block comes last, so on encoded vectors this is the
+    term-over-position order: the ring order decides, and between equal ring
+    monomials the lower position is greater (under lex and grevlex alike)."""
     blocks = []
     if layout.tag_index is not None:
         blocks.append((layout.tag_index,))
@@ -206,6 +231,8 @@ def default_order(layout: RingLayout, within: str = "grevlex") -> MonomialOrder:
         blocks.append(layout.fibre_indices)
     if layout.base_indices:
         blocks.append(layout.base_indices)
+    if layout.positions:
+        blocks.append(layout.position_indices)
     if not blocks:
         blocks.append(())
     return MonomialOrder(tuple(blocks), within)
@@ -570,7 +597,9 @@ def substitute_base_point(f: Polynomial, point) -> Polynomial:
 
 def base_leading_coefficient(f: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
     """The pure-base coefficient of the leading fibre monomial of f, under an
-    order that places the fibre blocks jointly above the base block."""
+    order that places the fibre blocks jointly above the base block.  For an
+    encoded vector, the leading fibre monomial is taken in its leading
+    position."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     layout = f.layout

@@ -18,9 +18,10 @@ from .fields import RationalField
 from .groebner import (
     ComputeBudget,
     Ideal,
+    ModuleOrder,
     ModulePresentation,
     ResourceLimitError,
-    vector_leading,
+    encode_vectors,
 )
 from .idealops import contract_to_base, module_saturate, quotient, radical_member, saturate
 from .poly import (
@@ -113,32 +114,26 @@ def _univariate_squarefree(f: Polynomial, var_index: int) -> Polynomial:
             p.pop()
         return p
 
-    def mod(a, b):
-        a = list(a)
-        while len(a) >= len(b) and a:
-            q = fld.div(a[-1], b[-1])
-            shift = len(a) - len(b)
+    def divide(a, b):
+        """Quotient and remainder of coefficient lists, lowest degree first."""
+        quo = [fld.zero] * max(len(a) - len(b) + 1, 0)
+        rem = list(a)
+        while len(rem) >= len(b) and rem:
+            q = fld.div(rem[-1], b[-1])
+            shift = len(rem) - len(b)
+            quo[shift] = q
             for i, bc in enumerate(b):
-                a[shift + i] = fld.sub(a[shift + i], fld.mul(q, bc))
-            trim(a)
-        return a
+                rem[shift + i] = fld.sub(rem[shift + i], fld.mul(q, bc))
+            trim(rem)
+        return quo, rem
 
     a, b = trim(list(coeffs)), trim(list(deriv))
     while b:
-        a, b = b, mod(a, b)
+        a, b = b, divide(a, b)[1]
     g = a  # gcd(f, f')
     if len(g) <= 1:
         return f
-    # exact univariate division f / g
-    quo = [fld.zero] * (len(coeffs) - len(g) + 1)
-    rem = list(coeffs)
-    while len(rem) >= len(g) and rem:
-        q = fld.div(rem[-1], g[-1])
-        quo[len(rem) - len(g)] = q
-        shift = len(rem) - len(g)
-        for i, gc in enumerate(g):
-            rem[shift + i] = fld.sub(rem[shift + i], fld.mul(q, gc))
-        trim(rem)
+    quo = divide(coeffs, g)[0]  # exact
     acc = {}
     for i, c in enumerate(quo):
         if not fld.is_zero(c):
@@ -167,28 +162,14 @@ def squarefree_part(f: Polynomial) -> Polynomial:
 
 def generic_denominator(basis, layout, fld, order=None) -> Polynomial:
     """Squarefree-reduced product of the distinct base leading coefficients of
-    the basis elements; saturation by it contracts from K(R)[x] back to R[x]."""
+    the basis elements; saturation by it contracts from K(R)[x] back to R[x].
+    The basis may be of encoded vectors (``layout`` then has positions); the
+    product has no position variables either way."""
     order = order or default_order(layout)
     h = Polynomial.constant(layout, fld, 1)
     seen = set()
     for g in basis:
         c = base_leading_coefficient(g, order)
-        if c.is_constant:
-            continue
-        c = integer_normalized(squarefree_part(c))
-        if c.terms in seen:
-            continue
-        seen.add(c.terms)
-        h = h * c
-    return h
-
-
-def module_generic_denominator(gb, layout, fld, morder) -> Polynomial:
-    h = Polynomial.constant(layout, fld, 1)
-    seen = set()
-    for v in gb:
-        pos, _, _ = vector_leading(v, morder)
-        c = base_leading_coefficient(v[pos], morder.ring_order)
         if c.is_constant:
             continue
         c = integer_normalized(squarefree_part(c))
@@ -222,10 +203,15 @@ def vertical_witness(J: Ideal, g: Polynomial, within: str = "grevlex", budget=No
     """A nonzero pure-base r with r*g in sqrt(J) while g is not: the first
     generator of the contraction of J : g^infinity to the base ring."""
     S = saturate(J, g, within, budget)
-    contraction = contract_to_base(S, within, budget)
+    return _first_base_generator(S, within, budget, "vertical witness")
+
+
+def _first_base_generator(I: Ideal, within, budget, what: str) -> Polynomial:
+    """The first generator of I ∩ k[y], integer-normalized, in I's layout."""
+    contraction = contract_to_base(I, within, budget)
     if not contraction.gens:
-        raise WitnessSoundnessError("vertical witness contraction is zero")
-    return integer_normalized(transport(contraction.gens[0], J.layout))
+        raise WitnessSoundnessError(f"{what} contraction is zero")
+    return integer_normalized(transport(contraction.gens[0], I.layout))
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +233,20 @@ def has_torsion_ideal(J: Ideal, within: str = "grevlex", budget=None):
 def _annihilator_witness(J: Ideal, v: Polynomial, within, budget) -> Polynomial:
     """Nonzero pure-base r with r*v in J, from contract_to_base(J : v)."""
     Q = quotient(J, v, within, budget)
-    contraction = contract_to_base(Q, within, budget)
-    if not contraction.gens:
-        raise WitnessSoundnessError("torsion annihilator contraction is zero")
-    return integer_normalized(transport(contraction.gens[0], J.layout))
+    return _first_base_generator(Q, within, budget, "torsion annihilator")
 
 
 def has_torsion_module(pres: ModulePresentation, within: str = "grevlex", budget=None):
     """R-torsion in the cokernel of the presentation: a saturation generator v
     outside N, with r = h^k the smallest power pushing it back in."""
     layout, fld = pres.layout, pres.field
-    morder = pres.morder
+    morder = ModuleOrder(default_order(layout, within))
     gb = pres.groebner_basis(morder, budget)
-    h = module_generic_denominator(gb, layout, fld, morder)
+    positioned = layout.with_positions(pres.rank)
+    h = generic_denominator(
+        encode_vectors(gb, layout, pres.rank), positioned, fld, morder.on(positioned)
+    )
+    h = transport(h, layout)
     S = module_saturate(pres, h, within, budget)
     for v in S.relations:
         if pres.contains(v, morder, budget):
@@ -292,6 +279,8 @@ def _run_power_loop(problem: Problem, config: CheckConfig, kind: str) -> Verdict
             verdict.outcome = "aborted"
             verdict.abort_reason = f"{exc} at power {k}"
             verdict.conclusive = False
+            return verdict
+        finally:
             verdict.powers.append(
                 PowerStats(
                     k,
@@ -300,15 +289,6 @@ def _run_power_loop(problem: Problem, config: CheckConfig, kind: str) -> Verdict
                     int((time.perf_counter() - t0) * 1000),
                 )
             )
-            return verdict
-        verdict.powers.append(
-            PowerStats(
-                k,
-                budget.max_basis,
-                budget.pairs - pairs_before,
-                int((time.perf_counter() - t0) * 1000),
-            )
-        )
         if found:
             verdict.outcome = "fail"
             verdict.failing_power = k
@@ -354,7 +334,7 @@ def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, budge
     if not found:
         return False, None
     r, v = cert
-    _verify_flat_module_certificate(pres, r, v, budget)
+    _verify_flat_module_certificate(pres, r, v, within, budget)
     return True, (r, v)
 
 
@@ -363,12 +343,11 @@ def _is_pure_base(f: Polynomial) -> bool:
     return not f.is_zero and all(i < nb for i in f.support_indices())
 
 
-# The ideal re-checks bypass the run's basis memo (module bases have none),
-# but no re-check bypasses the per-object cache of groebner_basis.
-# _verify_open_witness builds new ideals in radical_member and recomputes
-# their bases; the flat re-checks read Jk._gb_cache and pres._gb_cache, which
-# the torsion search filled, so they reuse the basis that found the
-# certificate.
+# The ideal re-checks bypass the run's basis memo, but no re-check bypasses
+# the per-object cache of groebner_basis.  _verify_open_witness builds new
+# ideals in radical_member and recomputes their bases; the flat re-checks read
+# Jk._gb_cache and pres._gb_cache, which the torsion search filled, so they
+# reuse the basis that found the certificate.
 
 
 def _verify_open_witness(Jk, g, r, within, budget):
@@ -396,13 +375,14 @@ def _verify_flat_ideal_certificate(Jk, r, v, within, budget):
         raise WitnessSoundnessError("flatness certificate failed its re-check")
 
 
-def _verify_flat_module_certificate(pres, r, v, budget):
+def _verify_flat_module_certificate(pres, r, v, within, budget):
+    morder = ModuleOrder(default_order(pres.layout, within))
     scaled = tuple(r * c for c in v)
     ok = (
         not r.is_zero
         and _is_pure_base(r)
-        and pres.contains(scaled, pres.morder, budget)
-        and not pres.contains(v, pres.morder, budget)
+        and pres.contains(scaled, morder, budget)
+        and not pres.contains(v, morder, budget)
     )
     if not ok:
         raise WitnessSoundnessError("flatness certificate failed its re-check")

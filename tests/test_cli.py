@@ -23,6 +23,7 @@ from fibrecheck.fields import PRIME_LIMIT
 from corpus import named_fixtures
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def _run(capsys, *argv):
@@ -107,6 +108,25 @@ def test_parse_error_zero_generator():
 def test_parse_error_duplicate_variable():
     with pytest.raises(ParseError, match="duplicate"):
         parse_problem("base y\nvars y\n")
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("base y 2x\n", (1, 1), "bad variable name '2x'"),
+        ("base y\n  vars x x-1\n", (2, 3), "bad variable name 'x-1'"),
+        ("base y y\n", (1, 1), "duplicate variable 'y'"),
+        ("vars x\nbase y x\n", (2, 1), "duplicate variable 'x'"),
+        ("base y\nvars x\n vars x\n", (3, 2), "duplicate variable 'x'"),
+    ],
+    ids=["base-name", "vars-name", "base-dup", "base-after-vars", "vars-dup"],
+)
+def test_parse_error_variable_declarations(text, where, message):
+    # base and vars lines share one parser: same messages, same columns
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.col) == where
+    assert message in str(exc.value)
 
 
 def test_parse_error_missing_base():
@@ -388,6 +408,15 @@ def test_blowup_a3_pair_counts_pinned(capsys, monkeypatch):
         for c in json.loads(out)["checks"]
     }
     assert stats == {"open": [(8, 61), (22, 727)], "flat": [(8, 31), (22, 367)]}
+
+
+def test_rank2_module_pair_counts_pinned(capsys):
+    # Pins the module path's S-pair selection order the same way: the
+    # benchmark gallery's rank-2 module with fixed coefficients.
+    code, out, _ = _run(capsys, "--input", str(GOLDEN / "rank2_module.alg"), "--json")
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert [(p["basis_size"], p["pairs"]) for p in check["powers"]] == [(7, 11), (25, 96)]
 
 
 A3_CHART = "base y1 y2 y3\nvars x1 x2\nideal: y1*x1 - y2, y1*x2 - y3\n"

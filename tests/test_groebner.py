@@ -1,4 +1,5 @@
-"""Groebner engine: S-polynomials, Buchberger, normal forms, module bases."""
+"""Groebner engine: S-polynomials, Buchberger, normal forms, module bases
+(vectors encoded with position variables)."""
 
 import itertools
 
@@ -24,7 +25,7 @@ from fibrecheck import (
     normal_form,
     s_polynomial,
 )
-from fibrecheck.groebner import _reduce_spair, vec_is_zero, vector_leading
+from fibrecheck.groebner import _reduce_spair, decode_vectors, encode_vectors
 from fibrecheck.poly import mono_lcm
 
 from oracles import macaulay_member
@@ -36,7 +37,11 @@ from util import (
     count_computations,
     ideal_equal,
     ideal_of,
+    reference_module_buchberger,
+    reference_module_normal_form,
     reference_normal_form,
+    reference_s_vector,
+    reference_vector_leading,
 )
 
 XY2 = RingLayout((), ("x", "y"))  # plain bivariate ring, grevlex x > y
@@ -131,18 +136,6 @@ def test_basis_canonical_under_generator_permutation():
         assert buchberger(perm, order) == reference
 
 
-def test_tracing_re_expands_exactly():
-    gens = (P(XY2, "x^2 - y"), P(XY2, "x*y - 1"))
-    order = default_order(XY2)
-    basis, cofs = buchberger(gens, order, trace=True)
-    assert len(basis) == len(cofs)
-    for b, row in zip(basis, cofs):
-        acc = Polynomial.zero(XY2, QQ)
-        for c, g in zip(row, gens):
-            acc = acc + c * g
-        assert acc == b
-
-
 def test_pair_limit_raises_resource_error():
     gens = (P(XY2, "x^3 - 2*x*y"), P(XY2, "x^2*y - 2*y^2 + x"))
     with pytest.raises(ResourceLimitError):
@@ -204,14 +197,6 @@ def test_basis_memo_unaffordable_hit_aborts_like_a_computation(monkeypatch, over
     assert len(computed) == 1
     assert str(replayed.value) == str(direct.value)
     assert replayed.value.pairs == direct.value.pairs
-
-
-def test_basis_memo_skips_cofactor_tracing(monkeypatch):
-    memo = {}
-    buchberger(GROWING, default_order(XY2), ComputeBudget(memo=memo))
-    computed = count_computations(monkeypatch)
-    basis, cofs = buchberger(GROWING, default_order(XY2), ComputeBudget(memo=memo), trace=True)
-    assert len(computed) == 1 and len(cofs) == len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +369,69 @@ def test_module_buchberger_s_vectors_reduce_to_zero():
     y1x = P(BLOWUP_LAYOUT, "y1*x - y2")
     y1 = P(BLOWUP_LAYOUT, "y1")
     zero = Polynomial.zero(BLOWUP_LAYOUT, QQ)
-    pres = ModulePresentation(BLOWUP_LAYOUT, QQ, 2, ((y1x, zero), (y1, y1)))
+    x2 = P(BLOWUP_LAYOUT, "x^2")
+    y2x = P(BLOWUP_LAYOUT, "y2*x")
+    pres = ModulePresentation(BLOWUP_LAYOUT, QQ, 2, ((y1x, zero), (y1, y1), (x2, y2x)))
     morder = pres.morder
     basis = pres.groebner_basis()
-    fld = QQ
-    from fibrecheck.poly import mono_div, mono_lcm
-    from fibrecheck.groebner import vec_mul_term, vec_sub
-
-    for u, v in itertools.combinations(basis, 2):
-        pu, cu, mu = vector_leading(u, morder)
-        pv, cv, mv = vector_leading(v, morder)
-        if pu != pv:
-            continue
-        lcm = mono_lcm(mu, mv)
-        s = vec_sub(
-            vec_mul_term(u, fld.inv(cu), mono_div(lcm, mu)),
-            vec_mul_term(v, fld.inv(cv), mono_div(lcm, mv)),
-        )
-        assert vec_is_zero(module_normal_form(s, list(basis), morder))
+    same_position = [
+        (u, v)
+        for u, v in itertools.combinations(basis, 2)
+        if reference_vector_leading(u, morder)[0] == reference_vector_leading(v, morder)[0]
+    ]
+    assert len(same_position) >= 4
+    for u, v in same_position:
+        s = reference_s_vector(u, v, morder)
+        assert all(c.is_zero for c in module_normal_form(s, list(basis), morder))
     for rel in pres.relations:
-        assert vec_is_zero(module_normal_form(rel, list(basis), morder))
+        assert all(c.is_zero for c in module_normal_form(rel, list(basis), morder))
+
+
+def test_vector_encoding_round_trips():
+    layout = BLOWUP_LAYOUT.powered(2).with_tag()
+    v = (PW(layout, "y1*x1 - 3*x2^2 + 1"), Polynomial.zero(layout, QQ), PW(layout, "x2*_t - y2"))
+    (f,) = encode_vectors([v], layout, 3)
+    assert f.layout == layout.with_positions(3)
+    assert {sum(e[i] for i in f.layout.position_indices) for _, e in f.terms} == {1}
+    assert decode_vectors([f]) == [v]
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+def test_positioned_default_order_is_term_over_position(within):
+    # the ring order decides; between equal ring monomials the lower position wins
+    lay = XY2.with_positions(3)
+    order = default_order(lay, within)
+    ring = ModuleOrder(default_order(XY2, within))
+    assert order == ring.on(lay)
+    monomials = [(a, b) for a in range(3) for b in range(3)]
+    terms = [(pos, m) for pos in range(3) for m in monomials]
+    by_engine = sorted(terms, key=lambda t: order.key(t[1] + tuple(int(i == t[0]) for i in range(3))))
+    by_reference = sorted(terms, key=lambda t: (ring.ring_order.key(t[1]), -t[0]))
+    assert by_engine == by_reference
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_module_engine_equals_reference(field, within, rank, data):
+    # the encoded ideal path must give the reduced basis and the remainders
+    # of the vector-by-vector module algorithms
+    vec = st.tuples(*[poly_strategy(XY2, field, max_terms=3)] * rank)
+    vectors = data.draw(st.lists(vec, min_size=1, max_size=3))
+    v = data.draw(vec)
+    morder = ModuleOrder(default_order(XY2, within))
+    try:
+        want = reference_module_buchberger(vectors, morder, ComputeBudget(pair_limit=300))
+    except ResourceLimitError:
+        return
+    assert module_buchberger(vectors, morder) == want
+    want_budget, got_budget = ComputeBudget(), ComputeBudget()
+    want_r = reference_module_normal_form(v, want, morder, want_budget)
+    assert module_normal_form(v, want, morder, got_budget) == want_r
+    assert got_budget.work == want_budget.work
+    if want:
+        assert all(c.is_zero for c in module_normal_form(want_r, want, morder)) == all(
+            c.is_zero for c in want_r
+        )

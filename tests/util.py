@@ -3,9 +3,11 @@ reference implementations."""
 
 from __future__ import annotations
 
-from fibrecheck import QQ, Ideal, Polynomial, RingLayout, groebner
+import heapq
+
+from fibrecheck import QQ, ComputeBudget, Ideal, Polynomial, RingLayout, groebner
 from fibrecheck.cli import _parse_polyexpr, _Tokens
-from fibrecheck.poly import mono_div, mono_divides
+from fibrecheck.poly import mono_div, mono_divides, mono_lcm
 
 
 def P(layout: RingLayout, text: str, field=QQ) -> Polynomial:
@@ -36,8 +38,9 @@ def ideal_of(layout: RingLayout, *exprs: str, field=QQ) -> Ideal:
 
 
 def count_computations(monkeypatch) -> list:
-    """A list that gains the generators of every ideal basis computed from
-    here on; bases served by a memo are not computed and not listed."""
+    """A list that gains the generators of every basis computed from here on
+    (of an ideal, or of a submodule as encoded vectors); bases served by a
+    memo are not computed and not listed."""
     computed = []
     real = groebner._buchberger
 
@@ -89,6 +92,130 @@ def reference_normal_form(f, basis, order, with_quotients=False, budget=None):
             p = p - Polynomial.from_dict(f.layout, fld, {m: c})
     r = Polynomial.from_dict(f.layout, fld, rem)
     return (r, quots) if with_quotients else r
+
+
+def reference_vector_leading(v, morder):
+    """(position, coefficient, monomial) of a vector's leading term under the
+    term-over-position order: the ring order first, then the lower position."""
+    best = None
+    for pos, comp in enumerate(v):
+        if comp.is_zero:
+            continue
+        c, m = comp.leading_term(morder.ring_order)
+        key = (morder.ring_order.key(m), -pos)
+        if best is None or key > best[0]:
+            best = (key, pos, c, m)
+    if best is None:
+        raise ValueError("zero vector has no leading term")
+    return best[1], best[2], best[3]
+
+
+def reference_s_vector(u, v, morder):
+    """S-vector of two vectors leading in the same position; the leading
+    terms cancel."""
+    pu, cu, mu = reference_vector_leading(u, morder)
+    pv, cv, mv = reference_vector_leading(v, morder)
+    assert pu == pv
+    fld = u[0].field
+    lcm = mono_lcm(mu, mv)
+    return tuple(
+        a.mul_term(fld.inv(cu), mono_div(lcm, mu)) - b.mul_term(fld.inv(cv), mono_div(lcm, mv))
+        for a, b in zip(u, v)
+    )
+
+
+def _is_zero_vector(v) -> bool:
+    return all(c.is_zero for c in v)
+
+
+def reference_module_normal_form(v, basis, morder, budget=None):
+    """Module division written vector by vector: rebuild the whole dividend
+    after every step.  ``module_normal_form`` must agree with it on the
+    remainder."""
+    if not basis:
+        return v
+    layout, fld = basis[0][0].layout, basis[0][0].field
+    lead = [reference_vector_leading(g, morder) for g in basis]
+    rem = [dict() for _ in v]
+    p = v
+    while not _is_zero_vector(p):
+        if budget is not None:
+            budget.charge_work()
+        pos, c, m = reference_vector_leading(p, morder)
+        for i, (gpos, gc, gm) in enumerate(lead):
+            if gpos == pos and mono_divides(gm, m):
+                fc, fm = fld.div(c, gc), mono_div(m, gm)
+                p = tuple(a - b.mul_term(fc, fm) for a, b in zip(p, basis[i]))
+                break
+        else:
+            rem[pos][m] = c
+            t = Polynomial.from_dict(layout, fld, {m: c})
+            p = tuple(comp - t if k == pos else comp for k, comp in enumerate(p))
+    return tuple(Polynomial.from_dict(layout, fld, d) for d in rem)
+
+
+def reference_module_buchberger(vectors, morder, budget=None):
+    """Reduced basis of a submodule by a Buchberger loop with no criterion:
+    every pair of vectors leading in the same position is reduced, then the
+    result is minimalized, interreduced, made monic and sorted descending.
+    ``module_buchberger`` must give the same basis."""
+    G = [v for v in vectors if not _is_zero_vector(v)]
+    if not G:
+        return []
+    budget = budget or ComputeBudget()
+    lead = [reference_vector_leading(g, morder) for g in G]
+    ring_order = morder.ring_order
+
+    def rank(i, j):
+        lcm = mono_lcm(lead[i][2], lead[j][2])
+        return (sum(lcm), ring_order.key(lcm), i, j)
+
+    queue = [rank(i, j) for i in range(len(G)) for j in range(i + 1, len(G)) if lead[i][0] == lead[j][0]]
+    heapq.heapify(queue)
+    while queue:
+        *_, i, j = heapq.heappop(queue)
+        budget.charge_pair()
+        nf = reference_module_normal_form(reference_s_vector(G[i], G[j], morder), G, morder, budget)
+        if _is_zero_vector(nf):
+            continue
+        G.append(nf)
+        lead.append(reference_vector_leading(nf, morder))
+        for k in range(len(G) - 1):
+            if lead[k][0] == lead[-1][0]:
+                heapq.heappush(queue, rank(k, len(G) - 1))
+
+    def key(v):
+        pos, _, m = reference_vector_leading(v, morder)
+        return (ring_order.key(m), -pos)
+
+    kept = []
+    for v in sorted(G, key=key):
+        pos, _, m = reference_vector_leading(v, morder)
+        if not any(
+            reference_vector_leading(w, morder)[0] == pos
+            and mono_divides(reference_vector_leading(w, morder)[2], m)
+            for w in kept
+        ):
+            kept.append(v)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(kept)):
+            others = kept[:i] + kept[i + 1 :]
+            if not others:
+                continue
+            nf = reference_module_normal_form(kept[i], others, morder)
+            if nf != kept[i]:
+                kept[i] = nf
+                changed = True
+            if _is_zero_vector(kept[i]):
+                del kept[i]
+                break
+    out = []
+    for v in kept:
+        inv = v[0].field.inv(reference_vector_leading(v, morder)[1])
+        out.append(tuple(c.scale(inv) for c in v))
+    return sorted(out, key=key, reverse=True)
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
