@@ -343,11 +343,11 @@ def _is_pure_base(f: Polynomial) -> bool:
     return not f.is_zero and all(i < nb for i in f.support_indices())
 
 
-# The ideal re-checks bypass the run's basis memo, but no re-check bypasses
-# the per-object cache of groebner_basis.  _verify_open_witness builds new
-# ideals in radical_member and recomputes their bases; the flat re-checks read
-# Jk._gb_cache and pres._gb_cache, which the torsion search filled, so they
-# reuse the basis that found the certificate.
+# Every re-check recomputes the bases it needs: it runs inside
+# budget.memo_bypassed(), and it asks a fresh object, whose per-object basis
+# cache is empty, rather than the Jk or pres that the search filled.
+# _verify_open_witness builds new ideals in radical_member; the flat re-checks
+# copy Jk and pres.
 
 
 def _verify_open_witness(Jk, g, r, within, budget):
@@ -364,12 +364,13 @@ def _verify_open_witness(Jk, g, r, within, budget):
 
 def _verify_flat_ideal_certificate(Jk, r, v, within, budget):
     order = default_order(Jk.layout, within)
+    fresh = Ideal(Jk.layout, Jk.field, Jk.gens)
     with budget.memo_bypassed():
         ok = (
             not r.is_zero
             and _is_pure_base(r)
-            and Jk.contains(r * v, order, budget)
-            and not Jk.contains(v, order, budget)
+            and fresh.contains(r * v, order, budget)
+            and not fresh.contains(v, order, budget)
         )
     if not ok:
         raise WitnessSoundnessError("flatness certificate failed its re-check")
@@ -377,13 +378,15 @@ def _verify_flat_ideal_certificate(Jk, r, v, within, budget):
 
 def _verify_flat_module_certificate(pres, r, v, within, budget):
     morder = ModuleOrder(default_order(pres.layout, within))
+    fresh = ModulePresentation(pres.layout, pres.field, pres.rank, pres.relations)
     scaled = tuple(r * c for c in v)
-    ok = (
-        not r.is_zero
-        and _is_pure_base(r)
-        and pres.contains(scaled, morder, budget)
-        and not pres.contains(v, morder, budget)
-    )
+    with budget.memo_bypassed():
+        ok = (
+            not r.is_zero
+            and _is_pure_base(r)
+            and fresh.contains(scaled, morder, budget)
+            and not fresh.contains(v, morder, budget)
+        )
     if not ok:
         raise WitnessSoundnessError("flatness certificate failed its re-check")
 

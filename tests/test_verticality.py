@@ -31,7 +31,12 @@ from fibrecheck import (
     vertical_witness,
 )
 
-from fibrecheck.verticality import _verify_flat_ideal_certificate, _verify_open_witness
+from fibrecheck.groebner import encode_vectors
+from fibrecheck.verticality import (
+    _verify_flat_ideal_certificate,
+    _verify_flat_module_certificate,
+    _verify_open_witness,
+)
 
 from corpus import full_corpus, named_fixtures
 from util import (
@@ -323,3 +328,30 @@ def test_flat_certificate_recheck_recomputes_memoized_basis(monkeypatch):
     computed = count_computations(monkeypatch)
     _verify_flat_ideal_certificate(fresh, r, integer_normalized(v), "grevlex", budget)
     assert computed == [fresh.gens]
+
+
+def test_flat_certificate_recheck_ignores_the_search_basis(monkeypatch):
+    # the re-check runs on the very Jk whose basis the torsion search cached,
+    # and must still compute that basis anew
+    budget = CheckConfig().budget()
+    Jk = fibred_power_ideal(BLOWUP_IDEAL, 2)
+    found, (r, v) = has_torsion_ideal(Jk, "grevlex", budget)
+    assert found and Jk._gb_cache
+    computed = count_computations(monkeypatch)
+    _verify_flat_ideal_certificate(Jk, r, integer_normalized(v), "grevlex", budget)
+    assert computed == [Jk.gens]
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+def test_flat_module_certificate_recheck_ignores_the_search_basis(monkeypatch, within):
+    lay = RingLayout(("y",), ("x",))
+    rel = (P(lay, "y"), Polynomial.zero(lay, QQ))
+    pres = ModulePresentation(lay, QQ, 2, (rel, (P(lay, "x"), P(lay, "x"))))
+    budget = CheckConfig().budget()
+    found, (r, v) = has_torsion_module(pres, within, budget)
+    assert found and pres._gb_cache
+    encoded = tuple(encode_vectors(pres.relations, lay, 2))
+    assert (encoded, default_order(lay.with_positions(2), within)) in budget.memo
+    computed = count_computations(monkeypatch)
+    _verify_flat_module_certificate(pres, r, v, within, budget)
+    assert computed == [encoded]
