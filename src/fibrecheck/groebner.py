@@ -93,7 +93,7 @@ class BasisRecord(NamedTuple):
     basis: tuple
     pairs: int
     work: int
-    peak: int  # largest basis size noted, 0 when no S-polynomial was kept
+    peak: int  # largest basis held: the input size when nothing was appended
 
 
 @dataclass
@@ -112,7 +112,7 @@ class ComputeBudget:
     pair_limit: int = 100_000
     deadline: float | None = None  # absolute time.monotonic() deadline
     pairs: int = 0
-    max_basis: int = 0
+    max_basis: int = 0  # largest basis held since the last reset
     work: int = 0
     memo: dict | None = None
 
@@ -321,9 +321,10 @@ def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None):
 
 
 def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
-    """(basis, peak basis size noted) of nonzero ``gens``."""
+    """(basis, largest basis held) of nonzero ``gens``."""
     layout, fld = gens[0].layout, gens[0].field
     G = list(gens)
+    budget.note_basis(len(G))
     lead = [g.leading_term(order) for g in G]
     invs = [fld.inv(c) for c, _ in lead]
     # the position part of each leading monomial; () for an ideal
@@ -369,8 +370,7 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
                 heapq.heappush(queue, _pair_rank(lead[k][1], lead[new][1], k, new, order))
         budget.note_basis(len(G))
 
-    peak = len(G) if len(G) > len(gens) else 0
-    return _interreduce(G, order, budget), peak
+    return _interreduce(G, order, budget), len(G)
 
 
 def _interreduce(G, order: MonomialOrder, budget: "ComputeBudget | None" = None):

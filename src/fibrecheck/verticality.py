@@ -273,6 +273,7 @@ def _run_power_loop(problem: Problem, config: CheckConfig, kind: str) -> Verdict
     for k in range(1, kmax + 1):
         t0 = time.perf_counter()
         pairs_before = budget.pairs
+        budget.max_basis = 0  # the power reports the largest basis it held
         try:
             found, payload = _probe_power(problem, config, kind, k, budget)
         except ResourceLimitError as exc:

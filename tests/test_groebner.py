@@ -163,6 +163,19 @@ def test_basis_memo_hit_charges_like_a_computation(monkeypatch):
     )
 
 
+def test_basis_size_noted_is_the_input_size_when_nothing_is_appended():
+    # coprime leading monomials: the generators are already a basis
+    gens = (P(XY2, "x^2 - 1"), P(XY2, "y^3 - y"))
+    order = default_order(XY2)
+    memo = {}
+    computed = ComputeBudget(memo=memo)
+    buchberger(gens, order, computed)
+    replayed = ComputeBudget(memo=memo)
+    buchberger(gens, order, replayed)
+    assert computed.max_basis == replayed.max_basis == len(gens)
+    assert memo[(gens, order)].peak == len(gens)
+
+
 def test_basis_memo_misses_on_other_order_or_generators(monkeypatch):
     memo = {}
     buchberger(GROWING, default_order(XY2), ComputeBudget(memo=memo))

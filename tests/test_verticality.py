@@ -266,6 +266,16 @@ def test_power_stats_recorded_per_power():
     assert all(s.basis_size >= 1 for s in v.powers)
 
 
+def test_power_stats_report_each_powers_own_largest_basis():
+    # J_k of a Noether cover is already a basis, so the flatness check
+    # appends nothing and each power reports its 2k generators
+    lay = RingLayout(("y1", "y2"), ("x1", "x2"))
+    problem = Problem(QQ, ("y1", "y2"), ("x1", "x2"), (P(lay, "x1^2 - y1"), P(lay, "x2^2 - y2")))
+    v = check_flatness(problem)
+    assert v.outcome == "pass"
+    assert [s.basis_size for s in v.powers] == [2, 4]
+
+
 def test_char_p_flatness_guard():
     lay = RingLayout(("y",), ("x",))
     F5 = PrimeField(5)
