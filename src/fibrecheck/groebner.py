@@ -3,28 +3,46 @@ modules.
 
 Produces canonical reduced bases (monic, interreduced, sorted by the order),
 so recomputation from any permutation of the generators yields an identical
-basis.  Pair selection follows the normal strategy with the coprimality and
-chain criteria; resource use is metered by a :class:`ComputeBudget`.
+basis.  Pairs are chosen by the sugar strategy and pruned by the
+Gebauer-Moeller update; resource use is metered by a :class:`ComputeBudget`.
 
 A submodule of a free module of rank r runs through the same code as an
 ideal.  Its vectors (p_1, ..., p_r) are encoded as polynomials
 p_1*e_1 + ... + p_r*e_r in a layout with r position variables (see
 :mod:`fibrecheck.poly`), so each term carries exactly one position at
 exponent 1.  ``default_order`` puts the position block last, which is the
-term-over-position order of :class:`ModuleOrder`.  Buchberger queues a pair
-only when both leading monomials have the same position; an ideal has no
-positions, so every pair qualifies.  Division needs nothing extra: a leading
-monomial divides only monomials in its own position, and every quotient is
-free of positions.  Both criteria stay valid: two leads in one position share
-e_i, so the coprime test never fires on them, and a lead dividing their lcm
-lies in that position too.  :func:`module_buchberger` and
-:func:`module_normal_form` encode, run the ideal path and decode.
+term-over-position order of :class:`ModuleOrder`.  Buchberger pairs two
+elements only when their leading monomials have the same position; an ideal
+has no positions, so every pair qualifies.  Division needs nothing extra: a
+leading monomial divides only monomials in its own position, and every
+quotient is free of positions.  The Gebauer-Moeller rules stay valid: two
+leads in one position share e_i, so they are never coprime, and a leading
+monomial that divides an lcm lies in the lcm's position.
+:func:`module_buchberger` and :func:`module_normal_form` encode, run the ideal
+path and decode.
 
-Pending S-pairs wait in a binary heap.  Each pair's rank
-``(deg lcm, order key of lcm, i, j)`` is computed once, when the pair is
-created, and the heap pops the least rank next.  Ranks are unique by
-``(i, j)``, so pairs are processed in exactly the order of a linear scan for
-the minimum: pair counts and bases do not depend on the queue.
+Every element joins the basis through the Gebauer-Moeller update (Gebauer &
+Moeller 1988, *On an installation of Buchberger's algorithm*), the input
+generators too, one at a time in input order.  When h with leading monomial
+t joins:
+
+- h pairs with every live element of its position, one pair per lcm (the
+  least sugar, then the least index); a pair whose lcm is that of a coprime
+  pair, or a proper multiple of another new pair's lcm, is dropped;
+- a pending pair (i, j) is deleted when t divides its lcm and the lcm differs
+  from both lcm(t, LM(g_i)) and lcm(t, LM(g_j));
+- an element whose leading monomial t divides retires: it stays in the basis
+  and still divides, but no later element pairs with it.
+
+Pending pairs wait in a binary heap ranked
+``(sugar, deg lcm, order key of lcm, i, j)``, the sugar strategy of Giovini et
+al. 1991 (*"One sugar cube, please"*).  An input generator's sugar is its
+total degree; a pair's is the larger of sugar(g) + deg(lcm/LM(g)) over its
+two elements; an S-polynomial remainder joins with its pair's sugar.  Ranks
+are unique by ``(i, j)``, so the order of reductions is deterministic.  The
+budget is charged one pair per S-polynomial actually reduced: a pair dropped
+or deleted by the update costs nothing, so a report's ``pairs`` counts
+reductions.
 
 Division (:func:`normal_form`) never rebuilds the dividend.  The part still to
 divide lives in a ``{monomial: coefficient}`` accumulator, and a binary heap
@@ -289,14 +307,6 @@ def _reduce_spair(G, lead, invs, i, j, lcm, order, budget, with_quotients=False)
 # Buchberger
 
 
-def _pair_rank(mi, mj, i, j, order: MonomialOrder):
-    """Heap entry of the pair (i, j) with leading monomials mi, mj: the normal
-    strategy (least lcm degree, then least lcm under the order), indices last
-    so that no two entries tie."""
-    lcm = mono_lcm(mi, mj)
-    return (sum(lcm), order.key(lcm), i, j)
-
-
 def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None):
     """Reduced Groebner basis of the ideal generated by ``gens``, or of the
     submodule when they are encoded vectors.  The budget's memo is consulted
@@ -323,53 +333,65 @@ def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None):
 def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
     """(basis, largest basis held) of nonzero ``gens``."""
     layout, fld = gens[0].layout, gens[0].field
-    G = list(gens)
-    budget.note_basis(len(G))
-    lead = [g.leading_term(order) for g in G]
-    invs = [fld.inv(c) for c, _ in lead]
-    # the position part of each leading monomial; () for an ideal
+    key = order.key
     first_pos = layout.nvars - layout.positions
-    where = [m[first_pos:] for _, m in lead]
-    # ``pairs`` mirrors the heap as a set: the chain criterion asks whether a
-    # pair is still pending
-    pairs = {
-        (i, j)
-        for i in range(len(G))
-        for j in range(i + 1, len(G))
-        if where[i] == where[j]
-    }
-    queue = [_pair_rank(lead[i][1], lead[j][1], i, j, order) for i, j in pairs]
-    heapq.heapify(queue)
-    while queue:
-        *_, i, j = heapq.heappop(queue)
-        pairs.discard((i, j))
-        budget.charge_pair()
-        fm, gm = lead[i][1], lead[j][1]
-        lcm = mono_lcm(fm, gm)
-        if lcm == mono_mul(fm, gm):  # coprime leading monomials
-            continue
-        if any(
-            k != i and k != j
-            and mono_divides(lead[k][1], lcm)
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(G))
-        ):
-            continue  # chain criterion
-        nf = _reduce_spair(G, lead, invs, i, j, lcm, order, budget)
-        if nf.is_zero:
-            continue
-        G.append(nf)
-        lead.append(nf.leading_term(order))
-        invs.append(fld.inv(lead[-1][0]))
-        where.append(lead[-1][1][first_pos:])
-        new = len(G) - 1
-        for k in range(new):
-            if where[k] == where[new]:
-                pairs.add((k, new))
-                heapq.heappush(queue, _pair_rank(lead[k][1], lead[new][1], k, new, order))
+    G, lead, invs, sugar = [], [], [], []
+    live = []  # the elements new ones pair with: no later leading monomial divides theirs
+    # pending pairs (sugar, deg lcm, order key of lcm, i, j, lcm), a heap
+    queue = []
+
+    def insert(f, f_sugar):
+        """Append f to the basis by the Gebauer-Moeller update."""
+        h = len(G)
+        c, hm = f.leading_term(order)
+        G.append(f)
+        lead.append((c, hm))
+        invs.append(fld.inv(c))
+        sugar.append(f_sugar)
+        # a pending pair whose lcm hm divides, and differs from the lcms of
+        # both its elements with h, reduces through those two pairs
+        kept = [
+            p for p in queue
+            if not mono_divides(hm, p[5])
+            or mono_lcm(lead[p[3]][1], hm) == p[5]
+            or mono_lcm(lead[p[4]][1], hm) == p[5]
+        ]
+        # the pairs (k, h), one per lcm: the least sugar, then the least k
+        where, excess = hm[first_pos:], f_sugar - sum(hm)
+        best, coprime = {}, set()
+        for k in live:
+            km = lead[k][1]
+            if km[first_pos:] != where:
+                continue
+            lcm = mono_lcm(km, hm)
+            if lcm == mono_mul(km, hm):
+                coprime.add(lcm)
+            over = max(sugar[k] - sum(km), excess)  # the pair's sugar less deg lcm
+            if lcm not in best or over < best[lcm][0]:
+                best[lcm] = (over, k)
+        # no pair whose lcm is that of a coprime pair, or a proper multiple of
+        # another new pair's lcm
+        for lcm, (over, k) in best.items():
+            if lcm in coprime or any(
+                other != lcm and mono_divides(other, lcm) for other in best
+            ):
+                continue
+            deg = sum(lcm)
+            kept.append((deg + over, deg, key(lcm), k, h, lcm))
+        heapq.heapify(kept)
+        queue[:] = kept
+        live[:] = [k for k in live if not mono_divides(hm, lead[k][1])]
+        live.append(h)
         budget.note_basis(len(G))
 
+    for g in gens:
+        insert(g, g.total_degree())
+    while queue:
+        pair_sugar, _, _, i, j, lcm = heapq.heappop(queue)
+        budget.charge_pair()
+        nf = _reduce_spair(G, lead, invs, i, j, lcm, order, budget)
+        if not nf.is_zero:
+            insert(nf, pair_sugar)
     return _interreduce(G, order, budget), len(G)
 
 
