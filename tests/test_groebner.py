@@ -37,6 +37,7 @@ from util import (
     count_computations,
     ideal_equal,
     ideal_of,
+    reference_buchberger,
     reference_module_buchberger,
     reference_module_normal_form,
     reference_normal_form,
@@ -444,3 +445,45 @@ def test_module_engine_equals_reference(field, within, rank, data):
     want_r = reference_module_normal_form(v, want, morder, want_budget)
     assert module_normal_form(v, want, morder, got_budget) == want_r
     assert got_budget.work == want_budget.work
+
+
+# ---------------------------------------------------------------------------
+# sugar and the Gebauer-Moeller update against a loop with no criterion
+
+L3 = RingLayout(("y",), ("x1", "x2"))
+GB_ORDERS = {
+    "default": (L3, default_order(L3)),
+    "lex": (L3, default_order(L3, "lex")),
+    "elimination": (L3, elimination_order(L3, L3.base_indices)),
+    "tagged": (L3.with_tag(), default_order(L3.with_tag())),
+}
+
+
+@st.composite
+def gens_sharing_leads(draw, layout, order, field):
+    """Generators whose leading monomials come from a pool of one to three,
+    so equal leading monomials, and pairs with equal lcms, are common."""
+    mono = st.tuples(*[st.integers(0, 2)] * layout.nvars)
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(field.coerce)
+    pool = draw(st.lists(mono, min_size=1, max_size=3))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        lead = draw(st.sampled_from(pool))
+        terms = {e: draw(coeff) for e in draw(st.lists(mono, max_size=3)) if order.key(e) < order.key(lead)}
+        terms[lead] = draw(coeff)
+        gens.append(Polynomial.from_dict(layout, field, terms))
+    return gens
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("name", sorted(GB_ORDERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_buchberger_equals_reference(field, name, data):
+    layout, order = GB_ORDERS[name]
+    gens = data.draw(gens_sharing_leads(layout, order, field))
+    try:
+        want = reference_buchberger(gens, order, ComputeBudget(pair_limit=200))
+    except ResourceLimitError:
+        return
+    assert buchberger(gens, order) == want

@@ -94,6 +94,43 @@ def reference_normal_form(f, basis, order, with_quotients=False, budget=None):
     return (r, quots) if with_quotients else r
 
 
+def reference_buchberger(gens, order, budget=None):
+    """Reduced basis by a Buchberger loop with no criterion: every pair is
+    reduced, first formed first, then the result is minimalized,
+    interreduced, made monic and sorted descending.  ``buchberger`` must give
+    the same basis."""
+    G = [g for g in gens if not g.is_zero]
+    if not G:
+        return []
+    budget = budget or ComputeBudget()
+    fld = G[0].field
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        budget.charge_pair()
+        (ci, mi), (cj, mj) = G[i].leading_term(order), G[j].leading_term(order)
+        lcm = mono_lcm(mi, mj)
+        s = G[i].mul_term(fld.inv(ci), mono_div(lcm, mi)) - G[j].mul_term(fld.inv(cj), mono_div(lcm, mj))
+        nf = reference_normal_form(s, G, order, budget=budget)
+        if not nf.is_zero:
+            pairs += [(k, len(G)) for k in range(len(G))]
+            G.append(nf)
+
+    def key(g):
+        return order.key(g.leading_term(order)[1])
+
+    kept = []
+    for g in sorted(G, key=key):
+        m = g.leading_term(order)[1]
+        if not any(mono_divides(h.leading_term(order)[1], m) for h in kept):
+            kept.append(g)
+    # no leading monomial of a minimal basis divides another, so dividing each
+    # element by the others keeps every lead and one pass reduces fully
+    for i in range(len(kept)):
+        kept[i] = reference_normal_form(kept[i], kept[:i] + kept[i + 1 :], order)
+    return sorted((g.scale(fld.inv(g.leading_term(order)[0])) for g in kept), key=key, reverse=True)
+
+
 def reference_vector_leading(v, morder):
     """(position, coefficient, monomial) of a vector's leading term under the
     term-over-position order: the ring order first, then the lower position."""
