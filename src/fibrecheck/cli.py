@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,12 @@ MAX_EXPONENT = 1000
 # its most terms, C(t+k-1, t-1) for a t-term base (poly.power_products).  At
 # 10^5 an expression parses in under a second on a 2-core x86 host.
 MAX_EXPANSION = 100_000
+
+# Coefficient size is charged too: a term product whose factors' widest
+# coefficients span a and b chunks of COEFF_CHUNK_BITS bits counts as a*b term
+# products.  Multiplying big integers costs about the product of their sizes,
+# and two one-chunk coefficients cost about as much as the term bookkeeping.
+COEFF_CHUNK_BITS = 1024
 
 
 class ParseError(ValueError):
@@ -88,7 +95,7 @@ class _Tokens:
         self.line = line
         self.offset = col_offset
         self.pos = 0
-        self.work = 0  # term products formed so far, at most MAX_EXPANSION
+        self.work = 0  # term products charged so far, at most MAX_EXPANSION
         self.toks = []
         self._lex()
         self.i = 0
@@ -134,8 +141,9 @@ class _Tokens:
         raise ParseError(message, self.line, self.offset + start + 1, expected)
 
     def charge(self, products: int, start: int):
-        """Count ``products`` term products against MAX_EXPANSION before they
-        are formed; an excess is a ParseError at the token at ``start``."""
+        """Count ``products`` term products, weighted by coefficient size,
+        against MAX_EXPANSION before they are formed; an excess is a
+        ParseError at the token at ``start``."""
         self.work += products
         if self.work > MAX_EXPANSION:
             raise ParseError(
@@ -170,12 +178,37 @@ def _parse_sum(tokens, layout, fld):
     return acc
 
 
+def _chunks(bits: int) -> int:
+    return max(1, -(-bits // COEFF_CHUNK_BITS))
+
+
+def _coeff_bits(f: Polynomial) -> int:
+    """Bit length of the widest numerator or denominator of f's coefficients."""
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c, _ in f.terms),
+        default=0,
+    )
+
+
+def _power_bits(f: Polynomial, e: int, fld) -> int:
+    """Bound on the bit length of the coefficients of f^e.  Over F_p they
+    stay below p.  Over Q, f = g/D with g integral and D the lcm of the
+    denominators, so f^e has numerators at most (sum of |coefficients of g|)^e
+    and denominators dividing D^e."""
+    if fld.characteristic:
+        return _coeff_bits(f)
+    den = math.lcm(*(c.denominator for c, _ in f.terms))
+    total = sum(abs(c.numerator) * (den // c.denominator) for c, _ in f.terms)
+    return e * max(total, den).bit_length()
+
+
 def _parse_product(tokens, layout, fld):
     acc = _parse_power(tokens, layout, fld)
     while tokens.peek()[0] == "*":
         start = tokens.next()[2]
         factor = _parse_power(tokens, layout, fld)
-        tokens.charge(len(acc.terms) * len(factor.terms), start)
+        width = _chunks(_coeff_bits(acc)) * _chunks(_coeff_bits(factor))
+        tokens.charge(len(acc.terms) * len(factor.terms) * width, start)
         acc = acc * factor
     return acc
 
@@ -196,7 +229,9 @@ def _parse_power(tokens, layout, fld):
         if exponent > MAX_EXPONENT:
             tokens.error(f"exponent {text} exceeds the maximum {MAX_EXPONENT}")
         tokens.next()
-        tokens.charge(power_products(len(base.terms), exponent), start)
+        # every power b^k of the schedule is at most as wide as b^e
+        width = _chunks(_power_bits(base, exponent, fld)) ** 2
+        tokens.charge(power_products(len(base.terms), exponent) * width, start)
         base = base ** exponent
     return base
 

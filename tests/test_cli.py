@@ -11,6 +11,7 @@ import pytest
 from fibrecheck import QQ, ComputeBudget, PrimeField
 from fibrecheck import cli
 from fibrecheck.cli import (
+    COEFF_CHUNK_BITS,
     MAX_EXPANSION,
     MAX_EXPONENT,
     ParseError,
@@ -251,6 +252,44 @@ def test_expansion_bound_is_per_expression_and_inclusive(monkeypatch):
     assert len(problem.ideal_gens) == 2
     with pytest.raises(ParseError, match="col 30: expression expands to more than"):
         parse_problem(f"base y\nvars x\nideal: {twice} * x\n")
+
+
+NINES = "9" * 4000  # 13,288 bits: 13 chunks of COEFF_CHUNK_BITS
+
+
+@pytest.mark.parametrize(
+    "expr,col",
+    [
+        (f"({NINES}*x + y)^200 - y", 4017),
+        # the "*" before the tenth factor, each factor 4,008 characters long
+        ("*".join([f"({NINES}*x + y)"] * 12), 8 + 9 * 4009 - 1),
+    ],
+    ids=["power", "product"],
+)
+def test_exit_one_on_coefficient_growth_above_maximum(capsys, monkeypatch, expr, col):
+    # few term products, but of ever wider integers: the coefficient size is
+    # charged as well, so the expansion is refused at once, not left to run
+    text = f"base y\nvars x\nideal: {expr}\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "--timeout-seconds", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        f"fibrecheck: line 3, col {col}: expression expands to more than"
+        f" {MAX_EXPANSION} term products\n"
+    )
+
+
+def test_coefficient_size_is_charged_in_chunks(monkeypatch):
+    # a = 2^1024 - 1 is one chunk, so a*a charges 1 and (a*a)*x, with a
+    # 2048-bit coefficient, charges 2: 3 in all.  b = 2^1024 is two chunks, so
+    # b*b alone charges 4 and is refused at its "*".
+    monkeypatch.setattr(cli, "MAX_EXPANSION", 3)
+    a, b = 2**COEFF_CHUNK_BITS - 1, 2**COEFF_CHUNK_BITS
+    parse_problem(f"base y\nvars x\nideal: {a}*{a}*x\n")
+    with pytest.raises(ParseError, match=f"col {8 + len(str(b))}: expression expands"):
+        parse_problem(f"base y\nvars x\nideal: {b}*{b}*x\n")
 
 
 @pytest.fixture
