@@ -12,7 +12,8 @@ The input is line-oriented ('#' starts a comment):
 
 Polynomials are +/- sums of products of rational coefficients ("3", "3/2"),
 declared variables, "^" integer powers (at most MAX_EXPONENT) and parentheses;
-an expression may form at most MAX_EXPANSION term products while it expands.
+an expression may form at most MAX_EXPANSION term products, weighted by
+coefficient size (COEFF_CHUNK_BITS), while it expands.
 
 Exit codes: 0 verdicts computed, 1 parse/semantic error, 2 unsupported input,
 3 resource limit or timeout.
@@ -196,7 +197,7 @@ def _power_bits(f: Polynomial, e: int, fld) -> int:
     denominators, so f^e has numerators at most (sum of |coefficients of g|)^e
     and denominators dividing D^e."""
     if fld.characteristic:
-        return _coeff_bits(f)
+        return fld.characteristic.bit_length()
     den = math.lcm(*(c.denominator for c, _ in f.terms))
     total = sum(abs(c.numerator) * (den // c.denominator) for c, _ in f.terms)
     return e * max(total, den).bit_length()

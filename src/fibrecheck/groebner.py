@@ -335,7 +335,9 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
     layout, fld = gens[0].layout, gens[0].field
     key = order.key
     first_pos = layout.nvars - layout.positions
-    G, lead, invs, sugar = [], [], [], []
+    G, lead, invs = [], [], []
+    # per element: the degree of its leading monomial, and its sugar less that
+    degs, surplus = [], []
     live = []  # the elements new ones pair with: no later leading monomial divides theirs
     # pending pairs (sugar, deg lcm, order key of lcm, i, j, lcm), a heap
     queue = []
@@ -344,39 +346,42 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
         """Append f to the basis by the Gebauer-Moeller update."""
         h = len(G)
         c, hm = f.leading_term(order)
+        hdeg = sum(hm)
         G.append(f)
         lead.append((c, hm))
         invs.append(fld.inv(c))
-        sugar.append(f_sugar)
+        degs.append(hdeg)
+        surplus.append(f_sugar - hdeg)
         # a pending pair whose lcm hm divides, and differs from the lcms of
         # both its elements with h, reduces through those two pairs
         kept = [
             p for p in queue
-            if not mono_divides(hm, p[5])
+            if p[1] < hdeg
+            or not mono_divides(hm, p[5])
             or mono_lcm(lead[p[3]][1], hm) == p[5]
             or mono_lcm(lead[p[4]][1], hm) == p[5]
         ]
         # the pairs (k, h), one per lcm: the least sugar, then the least k
-        where, excess = hm[first_pos:], f_sugar - sum(hm)
+        where = hm[first_pos:]  # () for an ideal
         best, coprime = {}, set()
         for k in live:
             km = lead[k][1]
-            if km[first_pos:] != where:
+            if where and km[first_pos:] != where:
                 continue
             lcm = mono_lcm(km, hm)
-            if lcm == mono_mul(km, hm):
+            deg = sum(lcm)
+            if deg == degs[k] + hdeg:
                 coprime.add(lcm)
-            over = max(sugar[k] - sum(km), excess)  # the pair's sugar less deg lcm
+            over = max(surplus[k], surplus[h])  # the pair's sugar less deg lcm
             if lcm not in best or over < best[lcm][0]:
-                best[lcm] = (over, k)
+                best[lcm] = (over, k, deg)
         # no pair whose lcm is that of a coprime pair, or a proper multiple of
         # another new pair's lcm
-        for lcm, (over, k) in best.items():
+        for lcm, (over, k, deg) in best.items():
             if lcm in coprime or any(
-                other != lcm and mono_divides(other, lcm) for other in best
+                d < deg and mono_divides(other, lcm) for other, (_, _, d) in best.items()
             ):
                 continue
-            deg = sum(lcm)
             kept.append((deg + over, deg, key(lcm), k, h, lcm))
         heapq.heapify(kept)
         queue[:] = kept
