@@ -93,7 +93,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
