@@ -379,7 +379,7 @@ def parse_problem(text: str) -> Problem:
             g = _parse_polyexpr(tokens, scope, fld_then)
             if g.is_zero:
                 raise ParseError("zero generator", lineno, offset + chunk_off + 1)
-            gens.append(_lift(g, layout, field))
+            gens.append(transport(g, layout, field))
 
     module = None
     if module_rank is not None:
@@ -397,7 +397,7 @@ def parse_problem(text: str) -> Problem:
                 comps = []
                 for comp_text, comp_off in _split_top_level(inner, ";"):
                     tokens = _Tokens(comp_text, lineno, inner_off + comp_off)
-                    comps.append(_lift(_parse_polyexpr(tokens, scope, fld_then), layout, field))
+                    comps.append(transport(_parse_polyexpr(tokens, scope, fld_then), layout, field))
                 if len(comps) != module_rank:
                     raise ParseError(
                         f"module vector has {len(comps)} components, rank is {module_rank}",
@@ -416,11 +416,6 @@ def parse_problem(text: str) -> Problem:
         checks=checks or ("open", "flat"),
         max_power=max_power,
     )
-
-
-def _lift(g: Polynomial, layout: RingLayout, field) -> Polynomial:
-    """Re-embed a polynomial parsed in a prefix scope into the full layout."""
-    return transport(g, layout, field)
 
 
 def render_problem(problem: Problem) -> str:

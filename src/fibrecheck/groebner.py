@@ -44,18 +44,20 @@ budget is charged one pair per S-polynomial actually reduced: a pair dropped
 or deleted by the update costs nothing, so a report's ``pairs`` counts
 reductions.
 
-Division (:func:`normal_form`) never rebuilds the dividend.  The part still to
-divide lives in a ``{monomial: coefficient}`` accumulator, and a binary heap
-holds the negated order key of every monomial that entered it, each key
-computed once.  Each step pops the largest pending monomial (one whose
-coefficient cancelled to zero is skipped), divides by the first basis element
-whose leading monomial divides it, and subtracts that element's other terms,
-scaled, into the accumulator.  The steps are exactly those of textbook
-division, so remainders, quotients and reduction-step charges are unchanged.
-The monomials pop in descending order, so under the stored order the
-remainder is built from them as they come, with no sort.  Buchberger and
-interreduction pass the divisors' leading terms in, so they are computed once
-per run rather than on every division.
+Division (:func:`_reduce`) is the package's one division kernel: normal
+forms, S-pair remainders, interreduction and exact division all run through
+it.  The part still to divide lives in a ``{monomial: coefficient}``
+accumulator, and a binary heap holds the negated order key of every monomial
+that entered it, each key computed once.  Each step pops the largest pending
+monomial (one whose coefficient cancelled to zero is skipped), divides by the
+first basis element whose leading monomial divides it, and subtracts that
+element's other terms, scaled by the coefficient times the stored inverse of
+the element's leading coefficient, into the accumulator.  The steps are
+exactly those of textbook division.  The monomials pop in descending order,
+so under the stored order the remainder is built from them as they come,
+with no sort.  :func:`normal_form` computes the divisors' leading terms and
+inverses once per call; Buchberger and interreduction pass in the tables
+they hold, computed once per element.
 
 Buchberger never builds an S-polynomial.  :func:`_reduce_spair` writes the
 terms of (lcm/LT(g_i))*g_i - (lcm/LT(g_j))*g_j, less the two leading terms
@@ -117,7 +119,8 @@ class BasisRecord(NamedTuple):
 class ComputeBudget:
     """Cumulative pair/time limits shared by a sequence of computations.
     Reduction steps are metered too (at 200x the pair limit), so oversized
-    inputs abort deterministically even inside a single division.
+    inputs abort deterministically even inside a single division; the
+    deadline is checked at every pair and every reduction step.
 
     ``memo`` (None: no memo) maps ``(nonzero generators in input order,
     MonomialOrder)`` to a :class:`BasisRecord`.  :func:`buchberger` serves a
@@ -148,8 +151,7 @@ class ComputeBudget:
                 f"reduction-step limit {200 * self.pair_limit} exceeded",
                 pairs=self.pairs,
             )
-        if self.work % 64 == 0:
-            self._check_deadline()
+        self._check_deadline()
 
     def _check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -193,27 +195,32 @@ def normal_form(
     order: MonomialOrder,
     with_quotients: bool = False,
     budget: "ComputeBudget | None" = None,
-    leads=None,
 ):
     """Remainder of multivariate division of f by the basis; no remainder term
-    is divisible by any basis leading monomial.
-
-    ``leads``, when given, holds the leading terms of the basis under the
-    order, so that a caller dividing by the same basis many times computes
-    them once."""
-    if leads is None:
-        leads = [g.leading_term(order) for g in basis]
+    is divisible by any basis leading monomial.  With ``with_quotients``,
+    also the quotient per basis element."""
+    leads = [g.leading_term(order) for g in basis]
+    invs = [f.field.inv(c) for c, _ in leads]
     pending = {e: c for c, e in f.terms}
     return _reduce(
-        pending, basis, leads, None, order, f.layout, f.field, budget, with_quotients
+        pending, basis, leads, invs, order, f.layout, f.field, budget, with_quotients
     )
+
+
+def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
+    """g / f; ArithmeticError when f does not divide g."""
+    r, quots = normal_form(g, [f], default_order(g.layout), with_quotients=True)
+    if not r.is_zero:
+        raise ArithmeticError("inexact division")
+    return quots[0]
 
 
 def _reduce(pending, basis, leads, invs, order, layout, fld, budget, with_quotients):
     """:func:`normal_form` of the polynomial whose terms are the
     ``{monomial: coefficient}`` accumulator ``pending``, which is consumed;
-    zero entries are allowed.  ``invs`` (None: divide at each step) holds the
-    inverses of the basis leading coefficients."""
+    zero entries are allowed.  ``leads`` holds the leading terms of the basis
+    under the order and ``invs`` the inverses of their coefficients; each
+    step's factor is the popped coefficient times that inverse."""
     key, mul, sub, fneg, is_zero = order.key, fld.mul, fld.sub, fld.neg, fld.is_zero
     # a cancelled monomial keeps a zero entry, so each monomial's key is
     # computed once, when it enters the heap
@@ -229,9 +236,9 @@ def _reduce(pending, basis, leads, invs, order, layout, fld, budget, with_quotie
             continue
         if budget is not None:
             budget.charge_work()
-        for i, (gc, gm) in enumerate(leads):
+        for i, (_, gm) in enumerate(leads):
             if mono_divides(gm, m):
-                factor_c = fld.div(c, gc) if invs is None else mul(c, invs[i])
+                factor_c = mul(c, invs[i])
                 factor_m = mono_div(m, gm)
                 # the product's term at m cancels c exactly and is skipped
                 for tc, te in basis[i].terms:
@@ -396,45 +403,35 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
         nf = _reduce_spair(G, lead, invs, i, j, lcm, order, budget)
         if not nf.is_zero:
             insert(nf, pair_sugar)
-    return _interreduce(G, order, budget), len(G)
+    return _interreduce(G, lead, invs, order, budget), len(G)
 
 
-def _interreduce(G, order: MonomialOrder, budget: "ComputeBudget | None" = None):
-    """Minimalize and fully reduce; monic-normalize; sort descending."""
-    leads = [g.leading_term(order) for g in G]
-    keys = [order.key(m) for _, m in leads]
+def _interreduce(G, lead, invs, order: MonomialOrder, budget: ComputeBudget):
+    """The reduced basis of the Groebner basis G, from Buchberger's tables of
+    its leading terms and their inverse coefficients: the minimal elements,
+    each divided once by the others, made monic, sorted descending.  The
+    minimal leading monomials are those of the reduced basis, and division by
+    a Groebner basis has a unique remainder, so one pass is enough."""
+    keys = [order.key(m) for _, m in lead]
     # drop elements whose leading monomial is divisible by another's
     kept = []
     for i in sorted(range(len(G)), key=keys.__getitem__):
-        if not any(mono_divides(leads[j][1], leads[i][1]) for j in kept):
+        if not any(mono_divides(lead[j][1], lead[i][1]) for j in kept):
             kept.append(i)
-    polys = [G[i] for i in kept]
-    leads = [leads[i] for i in kept]
-    keys = [keys[i] for i in kept]
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1 :]
-            if not others:
-                continue
-            other_leads = leads[:i] + leads[i + 1 :]
-            nf = normal_form(polys[i], others, order, budget=budget, leads=other_leads)
-            if nf != polys[i]:
-                changed = True
-                polys[i] = nf
-                if nf.is_zero:
-                    del polys[i], leads[i], keys[i]
-                    break
-                leads[i] = nf.leading_term(order)
-                keys[i] = order.key(leads[i][1])
-
-    fld = polys[0].field if polys else None
-    for i in range(len(polys)):
-        polys[i] = polys[i].scale(fld.inv(leads[i][0]))
-    idx = sorted(range(len(polys)), key=keys.__getitem__, reverse=True)
-    return [polys[i] for i in idx]
+    layout, fld = G[0].layout, G[0].field
+    out = []
+    for i in reversed(kept):
+        others = [j for j in kept if j != i]
+        pending = {e: c for c, e in G[i].terms}
+        r = _reduce(
+            pending,
+            [G[j] for j in others],
+            [lead[j] for j in others],
+            [invs[j] for j in others],
+            order, layout, fld, budget, False,
+        )
+        out.append(r.scale(invs[i]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +463,6 @@ class Ideal:
         if order not in self._gb_cache:
             self._gb_cache[order] = tuple(buchberger(self.gens, order, budget))
         return self._gb_cache[order]
-
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self.gens
-
-    def is_unit(self, order=None, budget=None) -> bool:
-        gb = self.groebner_basis(order, budget)
-        return bool(gb) and gb[0].is_constant
 
     def contains(self, f: Polynomial, order=None, budget=None) -> bool:
         gb = self.groebner_basis(order, budget)

@@ -22,7 +22,7 @@ from .groebner import (
     buchberger,
     decode_vectors,
     encode_vectors,
-    normal_form,
+    exact_divide,
 )
 from .poly import (
     Polynomial,
@@ -79,14 +79,6 @@ def contract_to_base(I: Ideal, within: str = "grevlex", budget: ComputeBudget | 
 # quotient and saturation
 
 
-def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
-    order = default_order(g.layout)
-    r, quots = normal_form(g, [f], order, with_quotients=True)
-    if not r.is_zero:
-        raise ArithmeticError("inexact division")
-    return quots[0]
-
-
 def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> Ideal:
     """The ideal quotient I : f = {g : g*f in I}, via (I intersect (f)) / f."""
     if f.is_zero:
@@ -104,11 +96,7 @@ def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> I
         within,
         budget,
     )
-    out = []
-    f_here = f
-    for g in inter.gens:
-        g_back = transport(g, layout)
-        out.append(_exact_divide(g_back, f_here))
+    out = [exact_divide(transport(g, layout), f) for g in inter.gens]
     return Ideal(layout, fld, tuple(out))
 
 

@@ -132,9 +132,6 @@ class RingLayout:
             tag += "_"
         return RingLayout(self.base_vars, self.fibre_vars, self.copies, tag, self.positions)
 
-    def without_tag(self) -> "RingLayout":
-        return RingLayout(self.base_vars, self.fibre_vars, self.copies, None, self.positions)
-
     def with_positions(self, rank: int) -> "RingLayout":
         return RingLayout(self.base_vars, self.fibre_vars, self.copies, self.tag_var, rank)
 
@@ -183,13 +180,6 @@ class MonomialOrder:
             out.append(sum(vals))
             out += map(neg, vals)
         return tuple(out)
-
-    def greater(self, a: Exponents, b: Exponents) -> bool:
-        return self.key(a) > self.key(b)
-
-    def covers(self, layout: RingLayout) -> bool:
-        seen = sorted(i for blk in self.blocks for i in blk)
-        return seen == list(range(layout.nvars))
 
     def base_is_last(self, layout: RingLayout) -> bool:
         """True when every fibre and tag variable outranks every base
@@ -439,12 +429,6 @@ class Polynomial:
         if self.is_zero:
             return self
         return self.scale(self.field.inv(self.leading_coefficient(order)))
-
-    def coefficient_of(self, exps: Exponents):
-        for c, e in self.terms:
-            if e == exps:
-                return c
-        return self.field.zero
 
     # rendering ------------------------------------------------------------
 

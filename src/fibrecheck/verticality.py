@@ -21,7 +21,9 @@ from .groebner import (
     ModuleOrder,
     ModulePresentation,
     ResourceLimitError,
+    buchberger,
     encode_vectors,
+    exact_divide,
 )
 from .idealops import contract_to_base, module_saturate, quotient, radical_member, saturate
 from .poly import (
@@ -29,6 +31,7 @@ from .poly import (
     base_leading_coefficient,
     default_order,
     integer_normalized,
+    mono_div,
     transport,
 )
 from .power import Problem, fibred_power_ideal, tensor_power_presentation
@@ -96,57 +99,28 @@ class Verdict:
 
 
 def _univariate_squarefree(f: Polynomial, var_index: int) -> Polynomial:
-    """Squarefree part of a polynomial supported in one variable, by gcd with
-    its derivative.  Falls back to f itself when the derivative vanishes
-    (inseparable case over F_p)."""
+    """f / gcd(f, f'), the gcd being the one element of the reduced basis of
+    (f, f').  Over F_p this is used only when deg f < p, so that every
+    multiplicity is below p and the quotient keeps each irreducible factor;
+    otherwise f itself is returned, which also covers a vanishing derivative."""
     fld = f.field
-    nv = f.layout.nvars
-    deg = max(e[var_index] for _, e in f.terms)
-    coeffs = [fld.zero] * (deg + 1)
-    for c, e in f.terms:
-        coeffs[e[var_index]] = c
-    deriv = [fld.mul(coeffs[i], fld.coerce(i)) for i in range(1, deg + 1)]
-    if all(fld.is_zero(c) for c in deriv):
+    if fld.characteristic and max(e[var_index] for _, e in f.terms) >= fld.characteristic:
         return f
-
-    def trim(p):
-        while p and fld.is_zero(p[-1]):
-            p.pop()
-        return p
-
-    def divide(a, b):
-        """Quotient and remainder of coefficient lists, lowest degree first."""
-        quo = [fld.zero] * max(len(a) - len(b) + 1, 0)
-        rem = list(a)
-        while len(rem) >= len(b) and rem:
-            q = fld.div(rem[-1], b[-1])
-            shift = len(rem) - len(b)
-            quo[shift] = q
-            for i, bc in enumerate(b):
-                rem[shift + i] = fld.sub(rem[shift + i], fld.mul(q, bc))
-            trim(rem)
-        return quo, rem
-
-    a, b = trim(list(coeffs)), trim(list(deriv))
-    while b:
-        a, b = b, divide(a, b)[1]
-    g = a  # gcd(f, f')
-    if len(g) <= 1:
-        return f
-    quo = divide(coeffs, g)[0]  # exact
-    acc = {}
-    for i, c in enumerate(quo):
-        if not fld.is_zero(c):
-            e = [0] * nv
-            e[var_index] = i
-            acc[tuple(e)] = c
-    return Polynomial.from_dict(f.layout, fld, acc)
+    unit = tuple(int(i == var_index) for i in range(f.layout.nvars))
+    deriv = {
+        mono_div(e, unit): fld.mul(c, fld.coerce(e[var_index]))
+        for c, e in f.terms
+        if e[var_index]
+    }
+    (g,) = buchberger([f, Polynomial.from_dict(f.layout, fld, deriv)], default_order(f.layout))
+    return exact_divide(f, g)
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:
-    """Best-effort squarefree reduction: exponent truncation for monomials,
-    derivative gcd for univariate factors, identity otherwise.  Saturation is
-    insensitive to multiplicities, so this only limits degree growth."""
+    """Squarefree reduction that keeps every irreducible factor: exponent
+    truncation for monomials, f / gcd(f, f') for a polynomial in one
+    variable (over F_p only when deg f < p), identity otherwise.  Saturation
+    is insensitive to multiplicities, so this only limits degree growth."""
     if f.is_zero or f.is_constant:
         return f
     if len(f.terms) == 1:

@@ -30,6 +30,7 @@ CASES = {
     },
     "blowup_a3": ["--input", "tests/golden/blowup_a3.alg", "--json"],
     "blowup_a3_lex": ["--input", "tests/golden/blowup_a3.alg", "--json", "--order", "lex"],
+    "charp_vertical": ["--input", "tests/golden/charp_vertical.alg", "--json"],
     "module_torsion_lex": ["--input", "fixtures/module_torsion.alg", "--json", "--order", "lex"],
     "rank2_module": ["--input", "tests/golden/rank2_module.alg", "--json"],
     "rank2_module_lex": ["--input", "tests/golden/rank2_module.alg", "--json", "--order", "lex"],

@@ -19,12 +19,14 @@ from fibrecheck import (
     buchberger,
     default_order,
     elimination_order,
+    fibred_power_ideal,
     ideal_member,
     module_buchberger,
     module_normal_form,
     normal_form,
     s_polynomial,
 )
+from fibrecheck import groebner
 from fibrecheck.groebner import _reduce_spair, decode_vectors, encode_vectors
 from fibrecheck.poly import mono_lcm
 
@@ -213,6 +215,59 @@ def test_basis_memo_unaffordable_hit_aborts_like_a_computation(monkeypatch, over
     assert replayed.value.pairs == direct.value.pairs
 
 
+A3_CHART = ideal_of(RingLayout(("y1", "y2", "y3"), ("x1", "x2")), "y1*x1 - y2", "y1*x2 - y3")
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        fibred_power_ideal(A3_CHART, 2).gens,
+        # coprime leads: the generators are the basis, but x - y has a tail
+        # divisible by y, so dividing it changes it
+        (P(XY2, "x - y"), P(XY2, "y - 1")),
+    ],
+    ids=["A3-chart-J2", "unreduced-tail"],
+)
+def test_interreduction_divides_each_kept_element_once(monkeypatch, gens):
+    # the minimal elements of a Groebner basis reach the reduced basis in one
+    # pass: one division each, with no sweep to confirm that nothing changed
+    inside, calls = [False], [0]
+    interreduce, reduce = groebner._interreduce, groebner._reduce
+
+    def spy_interreduce(*args):
+        inside[0] = True
+        try:
+            return interreduce(*args)
+        finally:
+            inside[0] = False
+
+    def spy_reduce(*args):
+        calls[0] += inside[0]
+        return reduce(*args)
+
+    monkeypatch.setattr(groebner, "_interreduce", spy_interreduce)
+    monkeypatch.setattr(groebner, "_reduce", spy_reduce)
+    basis = buchberger(gens, default_order(gens[0].layout))
+    assert len(basis) > 1
+    assert calls[0] == len(basis)
+
+
+def test_deadline_passing_mid_division_aborts_on_the_next_step(monkeypatch):
+    # x^10 by x - y takes eleven reduction steps; the clock passes the
+    # deadline after the third
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= 3 else 2.0
+
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    budget = ComputeBudget(deadline=1.0)
+    with pytest.raises(ResourceLimitError, match="timeout exceeded"):
+        normal_form(P(XY2, "x^10"), [P(XY2, "x - y")], default_order(XY2), budget=budget)
+    assert budget.work == 4
+
+
 # ---------------------------------------------------------------------------
 # normal forms and membership
 
@@ -269,8 +324,6 @@ def test_normal_form_equals_reference_division(field, layout, order, data):
     got_r, got_q = normal_form(f, basis, order, with_quotients=True, budget=got_budget)
     assert (got_r, got_q) == (want_r, want_q)
     assert got_budget.work == want_budget.work
-    leads = [g.leading_term(order) for g in basis]
-    assert normal_form(f, basis, order, leads=leads) == want_r
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])

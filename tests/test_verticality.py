@@ -2,6 +2,7 @@
 vertical components, torsion, and the full power-loop checks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibrecheck import (
     QQ,
@@ -31,7 +32,7 @@ from fibrecheck import (
     vertical_witness,
 )
 
-from fibrecheck.groebner import encode_vectors
+from fibrecheck.groebner import encode_vectors, exact_divide
 from fibrecheck.verticality import (
     _verify_flat_ideal_certificate,
     _verify_flat_module_certificate,
@@ -68,6 +69,24 @@ def test_squarefree_part_univariate():
     from fibrecheck import integer_normalized
 
     assert integer_normalized(squarefree_part(f)) == P(lay, "y - 1")
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(3), PrimeField(5), PrimeField(7)], ids=["Q", "F3", "F5", "F7"]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_squarefree_part_keeps_every_factor(field, data):
+    # f = prod (y - a)^m, m in 1..4: r must divide f, and f must divide
+    # r^deg f, so r has the same irreducible factors as f
+    lay = RingLayout(("y",), ("x",))
+    values = st.integers(-3, 3) if field == QQ else st.integers(0, field.p - 1)
+    y, f = P(lay, "y", field), Polynomial.constant(lay, field, 1)
+    for a in data.draw(st.lists(values, min_size=1, max_size=3, unique=True)):
+        f = f * (y - Polynomial.constant(lay, field, a)) ** data.draw(st.integers(1, 4))
+    r = squarefree_part(f)
+    exact_divide(f, r)
+    exact_divide(r ** f.total_degree(), f)
 
 
 def test_squarefree_part_multivariate_identity():
