@@ -11,7 +11,8 @@ The input is line-oriented ('#' starts a comment):
     power <k>                      (optional max-power override)
 
 Polynomials are +/- sums of products of rational coefficients ("3", "3/2"),
-declared variables, "^" integer powers (at most MAX_EXPONENT) and parentheses;
+declared variables, "^" integer powers (at most MAX_EXPONENT) and parentheses
+(nested at most MAX_NESTING deep);
 an expression may form at most MAX_EXPANSION term products, weighted by
 coefficient size (COEFF_CHUNK_BITS), while it expands.
 
@@ -25,12 +26,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
 from .fields import PRIME_LIMIT, QQ, PrimeField
-from .poly import Polynomial, RingLayout, integer_normalized, power_products, render_poly, transport
+from .poly import Polynomial, RingLayout, power_products, render_poly, transport
 from .power import ModuleSpec, Problem
 from .verticality import (
     CharacteristicGuardError,
@@ -45,6 +45,10 @@ from .verticality import (
 # may produce, not a bound on parsing cost: Polynomial.__pow__ squares, so even
 # x^3000000 would expand at once.  Parsing cost is bounded by MAX_EXPANSION.
 MAX_EXPONENT = 1000
+
+# Deepest parenthesis nesting an expression may use.  The parser recurses once
+# per level, so this keeps it far from the interpreter's recursion limit.
+MAX_NESTING = 100
 
 # Most term products one expression may form while it is parsed, which runs
 # before any budget of the run exists.  A product a*b forms |a|*|b|; a power
@@ -97,6 +101,7 @@ class _Tokens:
         self.offset = col_offset
         self.pos = 0
         self.work = 0  # term products charged so far, at most MAX_EXPANSION
+        self.depth = 0  # parentheses open, at most MAX_NESTING
         self.toks = []
         self._lex()
         self.i = 0
@@ -248,9 +253,11 @@ def _parse_atom(tokens, layout, fld):
             if k2 != "INT":
                 tokens.error("denominator must be an integer", "integer")
             den = tokens.int_at(t2, start2, "denominator")
-            tokens.next()
             if den == 0:
                 tokens.error("zero denominator")
+            if fld.characteristic and den % fld.characteristic == 0:
+                tokens.error(f"denominator divisible by the characteristic {fld.characteristic}")
+            tokens.next()
             return Polynomial.constant(layout, fld, Fraction(num, den))
         return Polynomial.constant(layout, fld, num)
     if kind == "IDENT":
@@ -264,11 +271,15 @@ def _parse_atom(tokens, layout, fld):
                 tokens.offset + tokens.toks[tokens.i - 1][2] + 1,
             ) from None
     if kind == "(":
+        if tokens.depth == MAX_NESTING:
+            tokens.error(f"parentheses nested deeper than {MAX_NESTING}")
+        tokens.depth += 1
         tokens.next()
         inner = _parse_sum(tokens, layout, fld)
         if tokens.peek()[0] != ")":
             tokens.error("unbalanced parenthesis", "')'")
         tokens.next()
+        tokens.depth -= 1
         return inner
     tokens.error(f"unexpected token {text!r}", "number, variable or '('")
 
@@ -339,7 +350,7 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError("missing ':' after 'ideal'", lineno, indent + 1, "':'")
             payload = body[1:]
             offset = len(raw) - len(payload)
-            ideal_lines.append((payload, lineno, offset, tuple(base), tuple(fibre), field))
+            ideal_lines.append((payload, lineno, offset, tuple(base), tuple(fibre)))
         elif head == "module":
             rest = stripped[len("module"):].lstrip()
             head_part, _, payload = rest.partition(":")
@@ -352,7 +363,7 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError("conflicting module ranks", lineno, indent + 1)
             module_rank = rank
             offset = len(raw) - len(payload)
-            module_lines.append((payload, lineno, offset, tuple(base), tuple(fibre), field))
+            module_lines.append((payload, lineno, offset, tuple(base), tuple(fibre)))
         elif head == "check":
             if len(words) != 2 or words[1] not in ("open", "flat", "both"):
                 raise ParseError("malformed check statement", lineno, indent + 1, "'open', 'flat' or 'both'")
@@ -369,22 +380,24 @@ def parse_problem(text: str) -> Problem:
     if not base:
         raise ParseError("no base variables declared", 1, 1)
 
+    # Each line sees the variables declared above it, and the run's final
+    # field, wherever its field statement stands.
     layout = RingLayout(tuple(base), tuple(fibre), 1, None)
 
     gens = []
-    for payload, lineno, offset, base_then, fibre_then, fld_then in ideal_lines:
+    for payload, lineno, offset, base_then, fibre_then in ideal_lines:
         scope = RingLayout(base_then, fibre_then, 1, None)
         for chunk, chunk_off in _split_top_level(payload, ","):
             tokens = _Tokens(chunk, lineno, offset + chunk_off)
-            g = _parse_polyexpr(tokens, scope, fld_then)
+            g = _parse_polyexpr(tokens, scope, field)
             if g.is_zero:
                 raise ParseError("zero generator", lineno, offset + chunk_off + 1)
-            gens.append(transport(g, layout, field))
+            gens.append(transport(g, layout))
 
     module = None
     if module_rank is not None:
         vectors = []
-        for payload, lineno, offset, base_then, fibre_then, fld_then in module_lines:
+        for payload, lineno, offset, base_then, fibre_then in module_lines:
             scope = RingLayout(base_then, fibre_then, 1, None)
             for chunk, chunk_off in _split_top_level(payload, ","):
                 s = chunk.strip()
@@ -397,7 +410,7 @@ def parse_problem(text: str) -> Problem:
                 comps = []
                 for comp_text, comp_off in _split_top_level(inner, ";"):
                     tokens = _Tokens(comp_text, lineno, inner_off + comp_off)
-                    comps.append(transport(_parse_polyexpr(tokens, scope, fld_then), layout, field))
+                    comps.append(transport(_parse_polyexpr(tokens, scope, field), layout))
                 if len(comps) != module_rank:
                     raise ParseError(
                         f"module vector has {len(comps)} components, rank is {module_rank}",
@@ -445,21 +458,16 @@ def render_problem(problem: Problem) -> str:
 # reports
 
 
-@dataclass
-class Report:
-    problem: Problem
-    verdicts: list
-    trace: bool = False
-
-
 def _render_witness(p) -> str:
     if isinstance(p, Polynomial):
-        return render_poly(integer_normalized(p))
+        return render_poly(p)
     # module vector
-    return "(" + "; ".join(render_poly(integer_normalized(c)) for c in p) + ")"
+    return "(" + "; ".join(render_poly(c) for c in p) + ")"
 
 
 def _verdict_json(v: Verdict, trace: bool) -> dict:
+    """The report of one check: the JSON entry, which the text report and the
+    --trace lines also render.  Witnesses are printed exactly as verified."""
     d: dict = {"kind": v.kind, "outcome": v.outcome}
     if v.failing_power is not None:
         d["failing_power"] = v.failing_power
@@ -485,15 +493,58 @@ def _verdict_json(v: Verdict, trace: bool) -> dict:
     return d
 
 
-def render_report(report: Report, fmt: str = "text") -> str:
-    problem = report.problem
+# Per kind: the headlines of a failure, a conclusive pass and an inconclusive
+# pass, and what a failure's witness means.  {tested} is the highest power
+# tried, the last entry of a passing check's powers.
+_PHRASES = {
+    "open": (
+        "NOT OPEN (vertical component at fibred power {failing_power})",
+        "OPEN (no vertical components through fibred power {tested})",
+        "INCONCLUSIVE-PASS (no vertical component up to fibred power {tested},"
+        " below the base dimension)",
+        "the image of the component cut out by g at power {failing_power}"
+        " lies inside the zero set of r",
+    ),
+    "flat": (
+        "NOT FLAT (torsion at tensor power {failing_power})",
+        "FLAT (torsion-free through tensor power {tested})",
+        "INCONCLUSIVE-PASS (torsion-free up to tensor power {tested},"
+        " below the base dimension)",
+        "r annihilates the class of v in the tensor power {failing_power}"
+        " while v is nonzero there",
+    ),
+}
+
+
+def _render_verdict_text(d: dict) -> list:
+    failed, passed, partial, meaning = _PHRASES[d["kind"]]
+    if d["outcome"] == "fail":
+        headline = failed
+    elif d["outcome"] == "aborted":
+        headline = "ABORTED ({abort_reason})"
+    else:
+        headline = passed if d.get("conclusive", True) else partial
+    out = [f"check {d['kind']}: " + headline.format(tested=len(d["powers"]), **d)]
+    for key, value in d.items():
+        if key.startswith(("witness_", "certificate_")):
+            out.append(f"  {key.replace('_', ' ')} = {value}")
+    if d["outcome"] == "fail":
+        out.append("  " + meaning.format(**d))
+    for p in d["powers"]:
+        out.append(f"  power {p['k']}: basis size {p['basis_size']}, pairs {p['pairs']}")
+    out.append("")
+    return out
+
+
+def render_report(problem: Problem, checks: list, fmt: str = "text") -> str:
+    """The report of a run, from the problem and the entries of its checks."""
     if fmt == "json":
         doc = {
             "version": __version__,
             "field": problem.field.name,
             "n": problem.n,
             "m": problem.m,
-            "checks": [_verdict_json(v, report.trace) for v in report.verdicts],
+            "checks": checks,
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -507,61 +558,9 @@ def render_report(report: Report, fmt: str = "text") -> str:
     else:
         lines.append("ideal: (0)")
     lines.append("")
-    for v in report.verdicts:
-        lines.extend(_render_verdict_text(v))
+    for d in checks:
+        lines.extend(_render_verdict_text(d))
     return "\n".join(lines) + "\n"
-
-
-def _render_verdict_text(v: Verdict):
-    out = []
-    if v.kind == "open":
-        if v.outcome == "fail":
-            out.append(
-                f"check open: NOT OPEN (vertical component at fibred power {v.failing_power})"
-            )
-            out.append(f"  witness g = {_render_witness(v.witness_g)}")
-            out.append(f"  witness r = {_render_witness(v.witness_r)}")
-            out.append(
-                f"  the image of the component cut out by g at power {v.failing_power}"
-                f" lies inside the zero set of r"
-            )
-        elif v.outcome == "pass" and v.conclusive:
-            out.append(
-                f"check open: OPEN (no vertical components through fibred power {v.max_power_tested})"
-            )
-        elif v.outcome == "pass":
-            out.append(
-                f"check open: INCONCLUSIVE-PASS (no vertical component up to fibred power"
-                f" {v.max_power_tested}, below the base dimension)"
-            )
-        else:
-            out.append(f"check open: ABORTED ({v.abort_reason})")
-    else:
-        if v.outcome == "fail":
-            out.append(
-                f"check flat: NOT FLAT (torsion at tensor power {v.failing_power})"
-            )
-            out.append(f"  certificate r = {_render_witness(v.certificate_r)}")
-            out.append(f"  certificate v = {_render_witness(v.certificate_v)}")
-            out.append(
-                f"  r annihilates the class of v in the tensor power {v.failing_power}"
-                f" while v is nonzero there"
-            )
-        elif v.outcome == "pass" and v.conclusive:
-            out.append(
-                f"check flat: FLAT (torsion-free through tensor power {v.max_power_tested})"
-            )
-        elif v.outcome == "pass":
-            out.append(
-                f"check flat: INCONCLUSIVE-PASS (torsion-free up to tensor power"
-                f" {v.max_power_tested}, below the base dimension)"
-            )
-        else:
-            out.append(f"check flat: ABORTED ({v.abort_reason})")
-    for ps in v.powers:
-        out.append(f"  power {ps.k}: basis size {ps.basis_size}, pairs {ps.pairs}")
-    out.append("")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +636,17 @@ def run(argv=None) -> int:
         print(f"fibrecheck: unsupported: {exc}", file=sys.stderr)
         return 2
 
-    report = Report(problem=problem, verdicts=verdicts, trace=args.trace)
-    sys.stdout.write(render_report(report, "json" if args.json else "text"))
+    checks = [_verdict_json(v, args.trace) for v in verdicts]
+    sys.stdout.write(render_report(problem, checks, "json" if args.json else "text"))
     if args.trace:
-        for v in verdicts:
-            for ps in v.powers:
+        for d in checks:
+            for p in d["powers"]:
                 print(
-                    f"trace: {v.kind} power {ps.k}: basis {ps.basis_size},"
-                    f" pairs {ps.pairs}, {ps.millis} ms",
+                    f"trace: {d['kind']} power {p['k']}: basis {p['basis_size']},"
+                    f" pairs {p['pairs']}, {p['millis']} ms",
                     file=sys.stderr,
                 )
-    if any(v.outcome == "aborted" for v in verdicts):
+    if any(d["outcome"] == "aborted" for d in checks):
         return 3
     return 0
 

@@ -510,9 +510,8 @@ def integer_normalized(f: Polynomial) -> Polynomial:
 # layout-changing operations
 
 
-def transport(f: Polynomial, new_layout: RingLayout, field=None) -> Polynomial:
+def transport(f: Polynomial, new_layout: RingLayout) -> Polynomial:
     """Re-express f in another layout, matching variables by display name."""
-    field = field or f.field
     names = f.layout.var_names()
     new_names = new_layout.var_names()
     idx = {}
@@ -527,8 +526,8 @@ def transport(f: Polynomial, new_layout: RingLayout, field=None) -> Polynomial:
         for i, x in enumerate(e):
             if x:
                 new_e[idx[i]] = x
-        acc[tuple(new_e)] = field.coerce(c)
-    return Polynomial.from_dict(new_layout, field, acc)
+        acc[tuple(new_e)] = c
+    return Polynomial.from_dict(new_layout, f.field, acc)
 
 
 def relabel(f: Polynomial, target_layout: RingLayout, copy_index: int) -> Polynomial:

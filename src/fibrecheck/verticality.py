@@ -22,6 +22,7 @@ from .groebner import (
     ModulePresentation,
     ResourceLimitError,
     buchberger,
+    decode_vectors,
     encode_vectors,
     exact_divide,
 )
@@ -309,6 +310,9 @@ def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, budge
     if not found:
         return False, None
     r, v = cert
+    # scaled as one vector, so that its components keep their ratios
+    (encoded,) = encode_vectors([v], pres.layout, pres.rank)
+    (v,) = decode_vectors([integer_normalized(encoded)])
     _verify_flat_module_certificate(pres, r, v, within, budget)
     return True, (r, v)
 
@@ -321,8 +325,8 @@ def _is_pure_base(f: Polynomial) -> bool:
 # Every re-check recomputes the bases it needs: it runs inside
 # budget.memo_bypassed(), and it asks a fresh object, whose per-object basis
 # cache is empty, rather than the Jk or pres that the search filled.
-# _verify_open_witness builds new ideals in radical_member; the flat re-checks
-# copy Jk and pres.
+# _verify_open_witness builds new ideals in radical_member; the flat re-check
+# copies Jk, or encodes the relations of pres afresh.
 
 
 def _verify_open_witness(Jk, g, r, within, budget):
@@ -352,18 +356,11 @@ def _verify_flat_ideal_certificate(Jk, r, v, within, budget):
 
 
 def _verify_flat_module_certificate(pres, r, v, within, budget):
-    morder = ModuleOrder(default_order(pres.layout, within))
-    fresh = ModulePresentation(pres.layout, pres.field, pres.rank, pres.relations)
-    scaled = tuple(r * c for c in v)
-    with budget.memo_bypassed():
-        ok = (
-            not r.is_zero
-            and _is_pure_base(r)
-            and fresh.contains(scaled, morder, budget)
-            and not fresh.contains(v, morder, budget)
-        )
-    if not ok:
-        raise WitnessSoundnessError("flatness certificate failed its re-check")
+    """The ideal re-check on the encoded relations and vector; its order,
+    default_order of the positioned layout, is the module order there."""
+    *relations, encoded = encode_vectors([*pres.relations, v], pres.layout, pres.rank)
+    N = Ideal(encoded.layout, pres.field, tuple(relations))
+    _verify_flat_ideal_certificate(N, transport(r, encoded.layout), encoded, within, budget)
 
 
 # ---------------------------------------------------------------------------

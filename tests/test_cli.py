@@ -221,6 +221,59 @@ def test_exponent_at_maximum_parses():
 
 
 @pytest.mark.parametrize(
+    "text, error",
+    [
+        ("field F 2\nbase y\nvars x\nideal: 3/2*x - y\n", "line 4, col 10: denominator divisible by the characteristic 2"),
+        ("base y\nvars x\nideal: 3/2*x - y\nfield F 2\n", "line 3, col 10: denominator divisible by the characteristic 2"),
+        ("base y\nvars x\nmodule 2: (x; 1/6*y)\nfield F 3\n", "line 3, col 17: denominator divisible by the characteristic 3"),
+        ("field F 2\nbase y\nvars x\nideal: 3/0*x - y\n", "line 4, col 10: zero denominator"),
+    ],
+    ids=["field-first", "field-last", "module", "zero"],
+)
+def test_exit_one_on_denominator_without_inverse(capsys, monkeypatch, text, error):
+    # every expression is parsed in the run's final field, wherever the field
+    # statement stands, and the error points at the denominator
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = _run(capsys)
+    assert (code, out, err) == (1, "", f"fibrecheck: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "text, location",
+    [
+        ("field F 3\nbase y\nvars x\nideal: x - y, 3*x\n", "line 4, col 14"),
+        ("base y\nvars x\nideal: x - y, 3*x\nfield F 3\n", "line 3, col 14"),
+    ],
+    ids=["field-first", "field-last"],
+)
+def test_generator_vanishing_mod_p_is_a_zero_generator(text, location):
+    with pytest.raises(ParseError, match=f"^{location}: zero generator$"):
+        parse_problem(text)
+
+
+def test_parenthesis_nesting_at_maximum_parses():
+    depth = cli.MAX_NESTING
+    problem = parse_problem(f"base y\nvars x\nideal: {'(' * depth}x - y{')' * depth}\n")
+    assert [str(g) for g in problem.ideal_gens] == ["x - y"]
+
+
+def test_exit_one_on_parenthesis_nesting_above_maximum(capsys, monkeypatch):
+    # refused at the first parenthesis past the limit, long before the
+    # parser's recursion could reach the interpreter's limit
+    depth = 5000
+    text = f"base y\nvars x\nideal: {'(' * depth}x{')' * depth}\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    col = len("ideal: ") + cli.MAX_NESTING + 1
+    assert err == (
+        f"fibrecheck: line 3, col {col}: parentheses nested deeper than {cli.MAX_NESTING}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "expr,col",
     [
         ("(x1 + x2 + y1 + y2)^60 - y1", 28),

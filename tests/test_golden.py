@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -31,6 +32,7 @@ CASES = {
     "blowup_a3": ["--input", "tests/golden/blowup_a3.alg", "--json"],
     "blowup_a3_lex": ["--input", "tests/golden/blowup_a3.alg", "--json", "--order", "lex"],
     "charp_vertical": ["--input", "tests/golden/charp_vertical.alg", "--json"],
+    "module_scaled": ["--input", "tests/golden/module_scaled.alg", "--json"],
     "module_torsion_lex": ["--input", "fixtures/module_torsion.alg", "--json", "--order", "lex"],
     "rank2_module": ["--input", "tests/golden/rank2_module.alg", "--json"],
     "rank2_module_lex": ["--input", "tests/golden/rank2_module.alg", "--json", "--order", "lex"],
@@ -61,6 +63,64 @@ def test_report_matches_golden(case):
     assert got["exit_code"] == golden["exit_code"]
     assert got["stderr"] == golden["stderr"]
     assert got["stdout"] == golden["stdout"]
+
+
+def _parse_printed(text: str, layout, fld):
+    """A printed polynomial of ``layout``.  Names such as x(2) are renamed to
+    identifiers v<i>, where i is the variable's index, and parsed in a layout
+    of those identifiers in the same order."""
+    from fibrecheck import Polynomial, RingLayout
+    from util import P
+
+    names = layout.var_names()
+    alternatives = "|".join(re.escape(n) for n in sorted(names, key=len, reverse=True))
+    renamed = re.sub(
+        rf"(?<![\w)])({alternatives})(?![\w(])", lambda m: f"v{names.index(m[1])}", text
+    )
+    nb = len(layout.base_vars)
+    idents = tuple(f"v{i}" for i in range(len(names)))
+    f = P(RingLayout(idents[:nb], idents[nb:]), renamed, fld)
+    return Polynomial.from_dict(layout, fld, {e: c for c, e in f.terms})
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_printed_witnesses_pass_a_fresh_recheck(case):
+    """Every printed witness and certificate, read back from the report,
+    satisfies its defining property under fresh engine calls:
+    open: r*g in sqrt(J_k) and g not; flat: r*v in N and v not in N."""
+    from fibrecheck import ModulePresentation, radical_member
+    from fibrecheck.cli import parse_problem
+    from fibrecheck.power import fibred_power_ideal, tensor_power_presentation
+
+    report = run_case(CASES[case])
+    if report["exit_code"] != 0:
+        return
+    problem = parse_problem((ROOT / CASES[case][1]).read_text(encoding="utf-8"))
+    fld = problem.field
+    for check in json.loads(report["stdout"])["checks"]:
+        if check["outcome"] != "fail":
+            continue
+        k = check["failing_power"]
+        if check["kind"] == "open":
+            Jk = fibred_power_ideal(problem.ideal, k)
+            g = _parse_printed(check["witness_g"], Jk.layout, fld)
+            r = _parse_printed(check["witness_r"], Jk.layout, fld)
+            assert not r.is_zero and r.support_indices() <= set(Jk.layout.base_indices)
+            assert radical_member(r * g, Jk)
+            assert not radical_member(g, Jk)
+            continue
+        if problem.module is None:
+            Jk = fibred_power_ideal(problem.ideal, k)
+            N = ModulePresentation(Jk.layout, fld, 1, tuple((f,) for f in Jk.gens))
+        else:
+            N = tensor_power_presentation(problem, k)
+        printed = check["certificate_v"]
+        parts = [printed] if N.rank == 1 else printed[1:-1].split("; ")
+        v = tuple(_parse_printed(c, N.layout, fld) for c in parts)
+        r = _parse_printed(check["certificate_r"], N.layout, fld)
+        assert not r.is_zero and r.support_indices() <= set(N.layout.base_indices)
+        assert N.contains(tuple(r * c for c in v))
+        assert not N.contains(v)
 
 
 def regenerate():
