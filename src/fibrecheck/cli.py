@@ -12,9 +12,9 @@ The input is line-oriented ('#' starts a comment):
 
 Polynomials are +/- sums of products of rational coefficients ("3", "3/2"),
 declared variables, "^" integer powers (at most MAX_EXPONENT) and parentheses
-(nested at most MAX_NESTING deep);
-an expression may form at most MAX_EXPANSION term products, weighted by
-coefficient size (COEFF_CHUNK_BITS), while it expands.
+(nested at most MAX_NESTING deep); an expression may form at most
+MAX_EXPANSION term products, weighted by coefficient size (COEFF_CHUNK_BITS),
+while it expands.  Every expression is read in the input's final field.
 
 Exit codes: 0 verdicts computed, 1 parse/semantic error, 2 unsupported input,
 3 resource limit or timeout.
@@ -307,7 +307,7 @@ def parse_problem(text: str) -> Problem:
     field = QQ
     base: list = []
     fibre: list = []
-    ideal_lines: list = []   # (payload, line_no, col_offset)
+    ideal_lines: list = []   # (payload, line_no, col_offset, scope layout)
     module_rank: int | None = None
     module_lines: list = []
     checks: tuple | None = None
@@ -350,7 +350,7 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError("missing ':' after 'ideal'", lineno, indent + 1, "':'")
             payload = body[1:]
             offset = len(raw) - len(payload)
-            ideal_lines.append((payload, lineno, offset, tuple(base), tuple(fibre)))
+            ideal_lines.append((payload, lineno, offset, RingLayout(tuple(base), tuple(fibre))))
         elif head == "module":
             rest = stripped[len("module"):].lstrip()
             head_part, _, payload = rest.partition(":")
@@ -363,7 +363,7 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError("conflicting module ranks", lineno, indent + 1)
             module_rank = rank
             offset = len(raw) - len(payload)
-            module_lines.append((payload, lineno, offset, tuple(base), tuple(fibre)))
+            module_lines.append((payload, lineno, offset, RingLayout(tuple(base), tuple(fibre))))
         elif head == "check":
             if len(words) != 2 or words[1] not in ("open", "flat", "both"):
                 raise ParseError("malformed check statement", lineno, indent + 1, "'open', 'flat' or 'both'")
@@ -380,13 +380,10 @@ def parse_problem(text: str) -> Problem:
     if not base:
         raise ParseError("no base variables declared", 1, 1)
 
-    # Each line sees the variables declared above it, and the run's final
-    # field, wherever its field statement stands.
     layout = RingLayout(tuple(base), tuple(fibre), 1, None)
 
     gens = []
-    for payload, lineno, offset, base_then, fibre_then in ideal_lines:
-        scope = RingLayout(base_then, fibre_then, 1, None)
+    for payload, lineno, offset, scope in ideal_lines:
         for chunk, chunk_off in _split_top_level(payload, ","):
             tokens = _Tokens(chunk, lineno, offset + chunk_off)
             g = _parse_polyexpr(tokens, scope, field)
@@ -397,8 +394,7 @@ def parse_problem(text: str) -> Problem:
     module = None
     if module_rank is not None:
         vectors = []
-        for payload, lineno, offset, base_then, fibre_then in module_lines:
-            scope = RingLayout(base_then, fibre_then, 1, None)
+        for payload, lineno, offset, scope in module_lines:
             for chunk, chunk_off in _split_top_level(payload, ","):
                 s = chunk.strip()
                 if not s:
@@ -461,79 +457,59 @@ def render_problem(problem: Problem) -> str:
 def _render_witness(p) -> str:
     if isinstance(p, Polynomial):
         return render_poly(p)
-    # module vector
     return "(" + "; ".join(render_poly(c) for c in p) + ")"
 
 
 def _verdict_json(v: Verdict, trace: bool) -> dict:
-    """The report of one check: the JSON entry, which the text report and the
-    --trace lines also render.  Witnesses are printed exactly as verified."""
+    """One check's entry of the report: the model that the JSON report, the
+    text report and the --trace lines all render.  Witnesses are printed
+    exactly as they were verified."""
     d: dict = {"kind": v.kind, "outcome": v.outcome}
     if v.failing_power is not None:
         d["failing_power"] = v.failing_power
-    if v.witness_g is not None:
-        d["witness_g"] = _render_witness(v.witness_g)
-    if v.witness_r is not None:
-        d["witness_r"] = _render_witness(v.witness_r)
-    if v.certificate_r is not None:
-        d["certificate_r"] = _render_witness(v.certificate_r)
-    if v.certificate_v is not None:
-        d["certificate_v"] = _render_witness(v.certificate_v)
+    for key in ("witness_g", "witness_r", "certificate_r", "certificate_v"):
+        if getattr(v, key) is not None:
+            d[key] = _render_witness(getattr(v, key))
     if not v.conclusive and v.outcome == "pass":
         d["conclusive"] = False
     if v.abort_reason is not None:
         d["abort_reason"] = v.abort_reason
-    powers = []
-    for ps in v.powers:
-        entry = {"k": ps.k, "basis_size": ps.basis_size, "pairs": ps.pairs}
-        if trace:
-            entry["millis"] = ps.millis
-        powers.append(entry)
-    d["powers"] = powers
+    d["powers"] = [
+        {"k": ps.k, "basis_size": ps.basis_size, "pairs": ps.pairs, **({"millis": ps.millis} if trace else {})}
+        for ps in v.powers
+    ]
     return d
 
 
-# Per kind: the headlines of a failure, a conclusive pass and an inconclusive
-# pass, and what a failure's witness means.  {tested} is the highest power
-# tried, the last entry of a passing check's powers.
+# The text report's phrases per check kind: the headline of each state, and
+# what the witness of a failure shows.  {tested} is the last power tried.
 _PHRASES = {
-    "open": (
-        "NOT OPEN (vertical component at fibred power {failing_power})",
-        "OPEN (no vertical components through fibred power {tested})",
-        "INCONCLUSIVE-PASS (no vertical component up to fibred power {tested},"
-        " below the base dimension)",
-        "the image of the component cut out by g at power {failing_power}"
-        " lies inside the zero set of r",
-    ),
-    "flat": (
-        "NOT FLAT (torsion at tensor power {failing_power})",
-        "FLAT (torsion-free through tensor power {tested})",
-        "INCONCLUSIVE-PASS (torsion-free up to tensor power {tested},"
-        " below the base dimension)",
-        "r annihilates the class of v in the tensor power {failing_power}"
-        " while v is nonzero there",
-    ),
+    "open": {
+        "fail": "NOT OPEN (vertical component at fibred power {failing_power})",
+        "pass": "OPEN (no vertical components through fibred power {tested})",
+        "inconclusive": "INCONCLUSIVE-PASS (no vertical component up to fibred power {tested}, below the base dimension)",
+        "meaning": "the image of the component cut out by g at power {failing_power} lies inside the zero set of r",
+    },
+    "flat": {
+        "fail": "NOT FLAT (torsion at tensor power {failing_power})",
+        "pass": "FLAT (torsion-free through tensor power {tested})",
+        "inconclusive": "INCONCLUSIVE-PASS (torsion-free up to tensor power {tested}, below the base dimension)",
+        "meaning": "r annihilates the class of v in the tensor power {failing_power} while v is nonzero there",
+    },
 }
 
 
 def _render_verdict_text(d: dict) -> list:
-    failed, passed, partial, meaning = _PHRASES[d["kind"]]
-    if d["outcome"] == "fail":
-        headline = failed
-    elif d["outcome"] == "aborted":
-        headline = "ABORTED ({abort_reason})"
-    else:
-        headline = passed if d.get("conclusive", True) else partial
+    phrases = _PHRASES[d["kind"]]
+    state = "inconclusive" if d.get("conclusive") is False else d["outcome"]
+    headline = "ABORTED ({abort_reason})" if state == "aborted" else phrases[state]
     out = [f"check {d['kind']}: " + headline.format(tested=len(d["powers"]), **d)]
-    for key, value in d.items():
-        if key.startswith(("witness_", "certificate_")):
-            out.append(f"  {key.replace('_', ' ')} = {value}")
-    if d["outcome"] == "fail":
-        out.append("  " + meaning.format(**d))
-    for p in d["powers"]:
-        out.append(f"  power {p['k']}: basis size {p['basis_size']}, pairs {p['pairs']}")
-    out.append("")
-    return out
+    witnesses = [key for key in d if key.startswith(("witness_", "certificate_"))]
+    out += [f"  {key.replace('_', ' ')} = {d[key]}" for key in witnesses]
+    if state == "fail":
+        out.append("  " + phrases["meaning"].format(**d))
+    out += [f"  power {p['k']}: basis size {p['basis_size']}, pairs {p['pairs']}" for p in d["powers"]]
+    return out + [""]
 
 
 def render_report(problem: Problem, checks: list, fmt: str = "text") -> str:
@@ -625,13 +601,11 @@ def run(argv=None) -> int:
         return 1
 
     config = _build_config(args, problem)
-    verdicts = []
     try:
-        for kind in problem.checks:
-            if kind == "open":
-                verdicts.append(check_openness(problem, config))
-            else:
-                verdicts.append(check_flatness(problem, config))
+        verdicts = [
+            check_openness(problem, config) if kind == "open" else check_flatness(problem, config)
+            for kind in problem.checks
+        ]
     except CharacteristicGuardError as exc:
         print(f"fibrecheck: unsupported: {exc}", file=sys.stderr)
         return 2
@@ -639,16 +613,12 @@ def run(argv=None) -> int:
     checks = [_verdict_json(v, args.trace) for v in verdicts]
     sys.stdout.write(render_report(problem, checks, "json" if args.json else "text"))
     if args.trace:
-        for d in checks:
-            for p in d["powers"]:
-                print(
-                    f"trace: {d['kind']} power {p['k']}: basis {p['basis_size']},"
-                    f" pairs {p['pairs']}, {p['millis']} ms",
-                    file=sys.stderr,
-                )
-    if any(d["outcome"] == "aborted" for d in checks):
-        return 3
-    return 0
+        sys.stderr.writelines(
+            f"trace: {d['kind']} power {p['k']}: basis {p['basis_size']}, pairs {p['pairs']}, {p['millis']} ms\n"
+            for d in checks
+            for p in d["powers"]
+        )
+    return 3 if any(d["outcome"] == "aborted" for d in checks) else 0
 
 
 def main() -> None:

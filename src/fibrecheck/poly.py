@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import add, itemgetter, le, neg, sub
 
-from .fields import QQ, RationalField
+from .fields import RationalField
 
 Exponents = tuple
 

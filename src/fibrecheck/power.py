@@ -9,7 +9,7 @@ copies of I.  Tensor indices of module powers are flattened row-major.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .groebner import Ideal, ModulePresentation
 from .poly import Polynomial, RingLayout, relabel

@@ -295,8 +295,7 @@ def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, budge
             Jk = fibred_power_ideal(problem.ideal, k)
         else:
             pres = tensor_power_presentation(problem, k)
-            comps = tuple(v[0] for v in pres.relations)
-            Jk = Ideal(pres.layout, pres.field, comps)
+            Jk = Ideal(pres.layout, pres.field, tuple(v[0] for v in pres.relations))
         found, cert = has_torsion_ideal(Jk, within, budget)
         if not found:
             return False, None

@@ -24,7 +24,7 @@ from fibrecheck.cli import run
 
 from corpus import full_corpus, named_fixtures
 from oracles import saturate_by_quotients
-from util import BLOWUP_LAYOUT, CUSP_LAYOUT, P, PW, ideal_equal, ideal_of
+from util import PW, ideal_equal, ideal_of
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 BLOWUP = named_fixtures()[0].problem

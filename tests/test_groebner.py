@@ -37,7 +37,6 @@ from util import (
     P,
     PW,
     count_computations,
-    ideal_equal,
     ideal_of,
     reference_buchberger,
     reference_module_buchberger,

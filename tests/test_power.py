@@ -1,7 +1,5 @@
 """Fibred powers of the algebra and tensor powers of a presented module."""
 
-import itertools
-
 import pytest
 
 from fibrecheck import (

@@ -8,7 +8,6 @@ from fibrecheck import (
     QQ,
     CharacteristicGuardError,
     CheckConfig,
-    Ideal,
     ModulePresentation,
     Polynomial,
     PrimeField,
@@ -16,7 +15,6 @@ from fibrecheck import (
     RingLayout,
     check_flatness,
     check_openness,
-    contract_to_base,
     default_order,
     dominant_part,
     fibred_power_ideal,
@@ -24,7 +22,6 @@ from fibrecheck import (
     has_torsion_ideal,
     has_torsion_module,
     has_vertical_component,
-    ideal_member,
     integer_normalized,
     radical_member,
     saturate,
