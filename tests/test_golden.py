@@ -5,6 +5,9 @@ the ``--json`` report, standard error and exit code it gave.  A change that
 is meant to leave reports alone (a speed-up, a refactor) must pass this test
 unchanged.  A change that alters reports on purpose regenerates the files
 with ``python tests/test_golden.py`` and says why.
+
+The witnesses and certificates each report prints are also read back and
+re-checked with fresh engine calls, so that what is printed is what holds.
 """
 
 from __future__ import annotations
