@@ -35,6 +35,8 @@ CASES = {
     "blowup_a3": ["--input", "tests/golden/blowup_a3.alg", "--json"],
     "blowup_a3_lex": ["--input", "tests/golden/blowup_a3.alg", "--json", "--order", "lex"],
     "charp_vertical": ["--input", "tests/golden/charp_vertical.alg", "--json"],
+    "huge_exponent": ["--input", "tests/golden/huge_exponent.alg", "--json"],
+    "huge_exponent_lex": ["--input", "tests/golden/huge_exponent.alg", "--json", "--order", "lex"],
     "module_scaled": ["--input", "tests/golden/module_scaled.alg", "--json"],
     "module_torsion_lex": ["--input", "fixtures/module_torsion.alg", "--json", "--order", "lex"],
     "rank2_module": ["--input", "tests/golden/rank2_module.alg", "--json"],
@@ -68,10 +70,26 @@ def test_report_matches_golden(case):
     assert got["stdout"] == golden["stdout"]
 
 
+def _nested_power(name: str, e: int) -> str:
+    """``name^e`` in powers the parser accepts: one factor per nonzero digit
+    d of e in base MAX_EXPONENT, at position k written (...(name^d)^B...)^B
+    with k powers of B = MAX_EXPONENT."""
+    from fibrecheck.cli import MAX_EXPONENT
+
+    factors, k = [], 0
+    while e:
+        e, d = divmod(e, MAX_EXPONENT)
+        if d:
+            factors.append("(" * k + f"{name}^{d}" + f")^{MAX_EXPONENT}" * k)
+        k += 1
+    return "*".join(factors)
+
+
 def _parse_printed(text: str, layout, fld):
     """A printed polynomial of ``layout``.  Names such as x(2) are renamed to
     identifiers v<i>, where i is the variable's index, and parsed in a layout
-    of those identifiers in the same order."""
+    of those identifiers in the same order.  An exponent above the parser's
+    maximum is rewritten as nested powers."""
     from fibrecheck import Polynomial, RingLayout
     from util import P
 
@@ -80,6 +98,7 @@ def _parse_printed(text: str, layout, fld):
     renamed = re.sub(
         rf"(?<![\w)])({alternatives})(?![\w(])", lambda m: f"v{names.index(m[1])}", text
     )
+    renamed = re.sub(r"(v\d+)\^(\d+)", lambda m: _nested_power(m[1], int(m[2])), renamed)
     nb = len(layout.base_vars)
     idents = tuple(f"v{i}" for i in range(len(names)))
     f = P(RingLayout(idents[:nb], idents[nb:]), renamed, fld)
