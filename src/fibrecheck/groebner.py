@@ -46,36 +46,26 @@ reductions.
 
 Division (:func:`_reduce`) is the package's one division kernel: normal
 forms, S-pair remainders, interreduction and exact division all run through
-it.  The part still to divide lives in a ``{monomial: coefficient}``
-accumulator, and a binary heap holds the negated order key of every monomial
-that entered it, each key computed once.  Each step pops the largest pending
-monomial (one whose coefficient cancelled to zero is skipped), divides by the
-first basis element whose leading monomial divides it, and subtracts that
-element's other terms, scaled by the coefficient times the stored inverse of
-the element's leading coefficient, into the accumulator.  The steps are
-exactly those of textbook division.  The monomials pop in descending order,
-so under the stored order the remainder is built from them as they come,
-with no sort.  :func:`normal_form` computes the divisors' leading terms and
-inverses once per call; Buchberger and interreduction pass in the tables
-they hold, computed once per element.
+it, on packed monomials (:class:`fibrecheck.poly.Packing`).  An exponent
+vector is one int with a guard bit above each variable's field, so a product
+is one addition, divisibility a subtract-and-mask and an lcm a mask; an order
+key is one int, a linear form in the exponents, so a product's key is a sum.
+The part still to divide maps each monomial's negated key to its coefficient
+and its packed monomial, and a heap of those keys pops the largest monomial
+first (skipping cancelled ones).  Each step divides by the first basis
+element whose leading monomial divides it, adding its other terms, stored
+times minus the inverse of its leading coefficient, shifted and scaled.
+These are the steps of textbook division; the remainder comes out sorted.
+Buchberger never builds an S-polynomial: :func:`_reduce_spair` writes its
+terms straight into the division's accumulator.
 
-Buchberger never builds an S-polynomial.  :func:`_reduce_spair` writes the
-terms of (lcm/LT(g_i))*g_i - (lcm/LT(g_j))*g_j, less the two leading terms
-that cancel, straight into the division's accumulator, and divides from
-there.  The inverse of each basis element's leading coefficient is computed
-once, when the element joins the basis, and serves both the S-pair scaling
-and every division step by that element.  :func:`s_polynomial` builds the
-same terms into a polynomial.
-
-A budget may carry a basis memo, keyed by content: the nonzero generators in
-input order together with the monomial order.  A hit returns the stored
-reduced basis and charges the budget again with the pairs, reduction steps and
-basis high-water mark that the computation charged when it ran, so every
-count, every abort and every report is the same as if the basis had been
-recomputed.  A hit the budget cannot afford is recomputed, so it aborts at the
-same step with the same message.  Aborted computations are never stored, and
-witness re-verification bypasses the memo.  Module bases are encoded
-polynomials, so they share the memo.
+Each computation packs its inputs and unpacks what it returns; ``Exponents``
+tuples stay the representation everywhere else.  Fields start HEADROOM_BITS
+wider than the inputs' largest exponent.  A product that outgrows them sets a
+guard bit, never wrapping into the next field, and the :func:`buchberger` or
+:func:`normal_form` call runs again at double width with the budget's pairs,
+reduction steps and largest basis restored: its counts are those of one run
+at the final width, which steps like any wider one.
 """
 
 from __future__ import annotations
@@ -84,18 +74,19 @@ import heapq
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import add, neg
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
-from .poly import (
-    MonomialOrder,
-    Polynomial,
-    RingLayout,
-    default_order,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-)
+from .poly import MonomialOrder, Polynomial, RingLayout, default_order
+
+# bits above the inputs' largest exponent that a packed computation starts
+# with; one whose exponents outgrow them runs again at double width
+HEADROOM_BITS = 16
+
+
+class _WidthExceeded(Exception):
+    """A packed product has an exponent too large for its packing's fields."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -120,14 +111,15 @@ class ComputeBudget:
     """Cumulative pair/time limits shared by a sequence of computations.
     Reduction steps are metered too (at 200x the pair limit), so oversized
     inputs abort deterministically even inside a single division; the
-    deadline is checked at every pair and every reduction step.
+    deadline is checked at every pair and reduction step, membership tests too.
 
     ``memo`` (None: no memo) maps ``(nonzero generators in input order,
     MonomialOrder)`` to a :class:`BasisRecord`.  :func:`buchberger` serves a
     hit only when the recorded pairs and reduction steps still fit under the
     limits, and charges them again, so counts and aborts never depend on
-    which computations ran before.  Re-verification runs inside
-    :meth:`memo_bypassed` and recomputes every basis it needs."""
+    which computations ran before.  Aborted computations are never stored;
+    module bases are encoded polynomials and share the memo.  Re-verification
+    runs inside :meth:`memo_bypassed` and recomputes every basis it needs."""
 
     pair_limit: int = 100_000
     deadline: float | None = None  # absolute time.monotonic() deadline
@@ -186,25 +178,83 @@ class ComputeBudget:
 
 
 # ---------------------------------------------------------------------------
+# packed terms
+
+
+def _widening(run, polys, order: MonomialOrder, budget):
+    """``run(packing)`` at the start width of ``polys``, then at double width
+    while a product outgrows it, restoring the budget's counters each time."""
+    exps = chain.from_iterable(map(itemgetter(1), chain.from_iterable(f.terms for f in polys)))
+    width = max(1, max(exps, default=0).bit_length() + HEADROOM_BITS)
+    saved = budget and (budget.pairs, budget.work, budget.max_basis)
+    while True:
+        try:
+            return run(order.packing(width))
+        except _WidthExceeded:
+            if budget is not None:
+                budget.pairs, budget.work, budget.max_basis = saved
+            width *= 2
+
+
+def _packed(f: Polynomial, packing) -> list:
+    """f's terms as (coefficient, packed monomial, negated key), descending."""
+    pack, key = packing.pack, packing.key
+    return sorted([(c, pack(e), -key(e)) for c, e in f.terms], key=itemgetter(2))
+
+
+def _polynomial(terms, layout: RingLayout, fld, order: MonomialOrder, packing) -> Polynomial:
+    """The polynomial of packed terms given in descending order."""
+    unpack = packing.unpack
+    if order == default_order(layout):
+        return Polynomial(layout, fld, tuple([(c, unpack(m)) for c, m, _ in terms]))
+    return Polynomial.from_dict(layout, fld, {unpack(m): c for c, m, _ in terms})
+
+
+def _table(terms, fld) -> tuple:
+    """(negated key of the lead, tail, inverse of the leading coefficient lc) of
+    packed terms, lead first; the tail holds (-c/lc, m, key) for the others."""
+    inv, mul, fneg = fld.inv(terms[0][0]), fld.mul, fld.neg
+    return terms[0][2], [(fneg(mul(c, inv)), m, k) for c, m, k in terms[1:]], inv
+
+
+class _Tables(dict):
+    """The :func:`_table` of each of ``polys``, made on first use."""
+
+    def __init__(self, polys, packing):
+        self.polys, self.packing = polys, packing
+
+    def __missing__(self, i):
+        table = self[i] = _table(_packed(self.polys[i], self.packing), self.polys[i].field)
+        return table
+
+
+def _divisors(basis, order: MonomialOrder, fld, packing) -> tuple:
+    """``basis`` packed for division: (leading monomials, tables, field, packing)."""
+    stored = bool(basis) and order == default_order(basis[0].layout)
+    leads = [packing.pack((g.terms[0] if stored else g.leading_term(order))[1]) for g in basis]
+    return leads, _Tables(basis, packing), fld, packing
+
+
+# ---------------------------------------------------------------------------
 # division and S-polynomials
 
 
-def normal_form(
-    f: Polynomial,
-    basis,
-    order: MonomialOrder,
-    with_quotients: bool = False,
-    budget: "ComputeBudget | None" = None,
-):
+def normal_form(f: Polynomial, basis, order: MonomialOrder, with_quotients=False, budget=None):
     """Remainder of multivariate division of f by the basis; no remainder term
     is divisible by any basis leading monomial.  With ``with_quotients``,
     also the quotient per basis element."""
-    leads = [g.leading_term(order) for g in basis]
-    invs = [f.field.inv(c) for c, _ in leads]
-    pending = {e: c for c, e in f.terms}
-    return _reduce(
-        pending, basis, leads, invs, order, f.layout, f.field, budget, with_quotients
-    )
+    layout, fld = f.layout, f.field
+
+    def run(packing):
+        terms, divisors = _packed(f, packing), _divisors(basis, order, fld, packing)
+        pending, mono = {k: c for c, _, k in terms}, {k: m for _, m, k in terms}
+        rem, quots = _reduce(pending, mono, divisors, budget, with_quotients)
+        r, unpack = _polynomial(rem, layout, fld, order, packing), packing.unpack
+        if with_quotients:
+            return r, [Polynomial.from_dict(layout, fld, {unpack(m): c for m, c in q.items()}) for q in quots]
+        return r
+
+    return _widening(run, [f, *basis], order, budget)
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -215,76 +265,72 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     return quots[0]
 
 
-def _reduce(pending, basis, leads, invs, order, layout, fld, budget, with_quotients):
-    """:func:`normal_form` of the polynomial whose terms are the
-    ``{monomial: coefficient}`` accumulator ``pending``, which is consumed;
-    zero entries are allowed.  ``leads`` holds the leading terms of the basis
-    under the order and ``invs`` the inverses of their coefficients; each
-    step's factor is the popped coefficient times that inverse."""
-    key, mul, sub, fneg, is_zero = order.key, fld.mul, fld.sub, fld.neg, fld.is_zero
-    # a cancelled monomial keeps a zero entry, so each monomial's key is
-    # computed once, when it enters the heap
-    heap = [(tuple(map(neg, key(e))), e) for e in pending]
+def _reduce(pending, mono, basis, budget, with_quotients):
+    """Division by ``basis`` (see :func:`_divisors`) of the accumulator that
+    maps negated keys to coefficients (``pending``, zeros allowed) and to
+    packed monomials (``mono``), both consumed: the remainder as packed terms,
+    descending, and the quotients as ``{monomial: coefficient}`` or None."""
+    leads, tables, fld, packing = basis
+    mul, add, is_zero, guards = fld.mul, fld.add, fld.is_zero, packing.guards
+    heap = list(pending)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     rem = []  # popped in descending order
-    quots = [{} for _ in basis] if with_quotients else None
+    quots = [{} for _ in leads] if with_quotients else None
     while heap:
-        m = pop(heap)[1]
-        c = pending.pop(m)
+        k = pop(heap)
+        c = pending.pop(k)
         if is_zero(c):
             continue
         if budget is not None:
             budget.charge_work()
-        for i, (_, gm) in enumerate(leads):
-            if mono_divides(gm, m):
-                factor_c = mul(c, invs[i])
-                factor_m = mono_div(m, gm)
-                # the product's term at m cancels c exactly and is skipped
-                for tc, te in basis[i].terms:
-                    e = tuple(map(add, te, factor_m))
-                    if e == m:
-                        continue
-                    old = pending.get(e)
+        m = mono[k]
+        guarded = m | guards
+        for i, lead in enumerate(leads):
+            if (guarded - lead) & guards == guards:
+                lead_key, tail, inv = tables[i]
+                shift, shift_key = m - lead, k - lead_key
+                for tc, tm, tk in tail:
+                    e_key = tk + shift_key
+                    old = pending.get(e_key)
                     if old is None:
-                        pending[e] = fneg(mul(factor_c, tc))
-                        push(heap, (tuple(map(neg, key(e))), e))
+                        # keys tell products apart, so only a new monomial can outgrow the width
+                        e = tm + shift
+                        if e & guards:
+                            raise _WidthExceeded
+                        pending[e_key] = mul(c, tc)
+                        mono[e_key] = e
+                        push(heap, e_key)
                     else:
-                        pending[e] = sub(old, mul(factor_c, tc))
+                        pending[e_key] = add(old, mul(c, tc))
                 if with_quotients:
-                    quots[i][factor_m] = factor_c
+                    quots[i][shift] = mul(c, inv)
                 break
         else:
-            rem.append((c, m))
-    if order == default_order(layout):
-        r = Polynomial(layout, fld, tuple(rem))
-    else:
-        r = Polynomial.from_dict(layout, fld, {m: c for c, m in rem})
-    if with_quotients:
-        return r, [Polynomial.from_dict(layout, fld, q) for q in quots]
-    return r
+            rem.append((c, m, k))
+    return rem, quots
 
 
-def _spair_terms(f, f_inv, fm, g, g_inv, gm, lcm):
-    """``{monomial: coefficient}`` of (lcm/fm)*f_inv*f - (lcm/gm)*g_inv*g,
-    where fm, gm are the leading monomials of f, g and f_inv, g_inv the
-    inverses of their leading coefficients.  The leading terms cancel, so no
-    entry is made at lcm; other cancelled entries stay as zeros."""
-    fld = f.field
-    mul, sub, fneg = fld.mul, fld.sub, fld.neg
-    acc = {}
-    shift = mono_div(lcm, fm)
-    for c, e in f.terms:
-        e = tuple(map(add, e, shift))
-        if e != lcm:
-            acc[e] = mul(c, f_inv)
-    shift = mono_div(lcm, gm)
-    for c, e in g.terms:
-        e = tuple(map(add, e, shift))
-        if e != lcm:
-            old = acc.get(e)
-            acc[e] = fneg(mul(c, g_inv)) if old is None else sub(old, mul(c, g_inv))
-    return acc
+def _spair(basis, i, j, lcm, lcm_key):
+    """The accumulator ``(pending, mono)`` of (lcm/LT(g_i))*g_i -
+    (lcm/LT(g_j))*g_j, ``lcm_key`` the negated key of lcm.  The leading terms
+    cancel, so no entry is made at lcm; other cancelled entries stay as
+    zeros."""
+    leads, tables, fld, packing = basis
+    (key_i, tail_i, _), (key_j, tail_j, _) = tables[i], tables[j]
+    shift, shift_key = lcm - leads[i], lcm_key - key_i
+    mono = {tk + shift_key: tm + shift for _, tm, tk in tail_i}
+    pending = {tk + shift_key: fld.neg(tc) for tc, _, tk in tail_i}
+    shift, shift_key = lcm - leads[j], lcm_key - key_j
+    for tc, tm, tk in tail_j:
+        k = tk + shift_key
+        if k in pending:
+            pending[k] = fld.add(pending[k], tc)
+        else:
+            pending[k], mono[k] = tc, tm + shift
+    if any(m & packing.guards for m in mono.values()):
+        raise _WidthExceeded
+    return pending, mono
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -292,21 +338,23 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     if f.is_zero or g.is_zero:
         raise ValueError("s_polynomial of the zero polynomial")
     f._check(g)
-    fld = f.field
-    fc, fm = f.leading_term(order)
-    gc, gm = g.leading_term(order)
-    acc = _spair_terms(f, fld.inv(fc), fm, g, fld.inv(gc), gm, mono_lcm(fm, gm))
-    return Polynomial.from_dict(f.layout, fld, acc)
+
+    def run(packing):
+        basis = _divisors([f, g], order, f.field, packing)
+        lcm = packing.lcm(*basis[0])
+        pending, mono = _spair(basis, 0, 1, lcm, -packing.key(packing.unpack(lcm)))
+        return Polynomial.from_dict(f.layout, f.field, {packing.unpack(mono[k]): c for k, c in pending.items()})
+
+    return _widening(run, [f, g], order, None)
 
 
-def _reduce_spair(G, lead, invs, i, j, lcm, order, budget, with_quotients=False):
-    """Remainder of the S-polynomial of G[i] and G[j] (leading monomial lcm)
-    on division by G, and with ``with_quotients`` the quotient per element of
-    G.  The difference goes straight into the division's accumulator: no
-    S-polynomial is built."""
-    f, g = G[i], G[j]
-    acc = _spair_terms(f, invs[i], lead[i][1], g, invs[j], lead[j][1], lcm)
-    return _reduce(acc, G, lead, invs, order, f.layout, f.field, budget, with_quotients)
+def _reduce_spair(basis, i, j, lcm, lcm_key, budget, with_quotients=False):
+    """:func:`_reduce` of the S-polynomial of elements i and j (leading
+    monomial lcm, of negated key ``lcm_key``) by the basis.  The difference
+    goes straight into the division's accumulator: no S-polynomial is
+    built."""
+    pending, mono = _spair(basis, i, j, lcm, lcm_key)
+    return _reduce(pending, mono, basis, budget, with_quotients)
 
 
 # ---------------------------------------------------------------------------
@@ -338,99 +386,96 @@ def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None):
 
 def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
     """(basis, largest basis held) of nonzero ``gens``."""
+    return _widening(lambda packing: _buchberger_at(gens, order, packing, budget), gens, order, budget)
+
+
+def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
     layout, fld = gens[0].layout, gens[0].field
-    key = order.key
-    first_pos = layout.nvars - layout.positions
-    G, lead, invs = [], [], []
-    # per element: the degree of its leading monomial, and its sugar less that
-    degs, surplus = [], []
+    divides, lcm_of, unpack, key = packing.divides, packing.lcm, packing.unpack, packing.key
+    rank = layout.positions
+    positions = packing.pack((0,) * (layout.nvars - rank) + ((1 << packing.width) - 1,) * rank)
+    leads, tables = [], []
+    basis = leads, tables, fld, packing
+    elements = []  # packed terms of each element, leading term first
+    surplus = []  # per element: its sugar less the degree of its leading monomial
     live = []  # the elements new ones pair with: no later leading monomial divides theirs
-    # pending pairs (sugar, deg lcm, order key of lcm, i, j, lcm), a heap
+    # pending pairs (sugar, deg lcm, order key of lcm, i, j, packed lcm), a heap
     queue = []
 
-    def insert(f, f_sugar):
-        """Append f to the basis by the Gebauer-Moeller update."""
-        h = len(G)
-        c, hm = f.leading_term(order)
-        hdeg = sum(hm)
-        G.append(f)
-        lead.append((c, hm))
-        invs.append(fld.inv(c))
-        degs.append(hdeg)
-        surplus.append(f_sugar - hdeg)
+    def insert(terms, sugar):
+        """Append the packed ``terms`` to the basis by the Gebauer-Moeller update."""
+        h = len(leads)
+        hm = terms[0][1]
+        hdeg = sum(unpack(hm))
+        leads.append(hm)
+        tables.append(_table(terms, fld))
+        elements.append(terms)
+        surplus.append(sugar - hdeg)
         # a pending pair whose lcm hm divides, and differs from the lcms of
         # both its elements with h, reduces through those two pairs
         kept = [
             p for p in queue
-            if p[1] < hdeg
-            or not mono_divides(hm, p[5])
-            or mono_lcm(lead[p[3]][1], hm) == p[5]
-            or mono_lcm(lead[p[4]][1], hm) == p[5]
+            if p[1] < hdeg or not divides(hm, p[5])
+            or lcm_of(leads[p[3]], hm) == p[5] or lcm_of(leads[p[4]], hm) == p[5]
         ]
         # the pairs (k, h), one per lcm: the least sugar, then the least k
-        where = hm[first_pos:]  # () for an ideal
+        where = hm & positions  # 0 for an ideal
         best, coprime = {}, set()
         for k in live:
-            km = lead[k][1]
-            if where and km[first_pos:] != where:
+            km = leads[k]
+            if where and km & positions != where:
                 continue
-            lcm = mono_lcm(km, hm)
-            deg = sum(lcm)
-            if deg == degs[k] + hdeg:
+            lcm = lcm_of(km, hm)
+            if lcm == km + hm:
                 coprime.add(lcm)
             over = max(surplus[k], surplus[h])  # the pair's sugar less deg lcm
             if lcm not in best or over < best[lcm][0]:
-                best[lcm] = (over, k, deg)
+                best[lcm] = (over, k)
         # no pair whose lcm is that of a coprime pair, or a proper multiple of
         # another new pair's lcm
-        for lcm, (over, k, deg) in best.items():
-            if lcm in coprime or any(
-                d < deg and mono_divides(other, lcm) for other, (_, _, d) in best.items()
-            ):
+        for lcm, (over, k) in best.items():
+            if lcm in coprime or any(other != lcm and divides(other, lcm) for other in best):
                 continue
-            kept.append((deg + over, deg, key(lcm), k, h, lcm))
+            exps = unpack(lcm)
+            deg = sum(exps)
+            kept.append((deg + over, deg, key(exps), k, h, lcm))
         heapq.heapify(kept)
         queue[:] = kept
-        live[:] = [k for k in live if not mono_divides(hm, lead[k][1])]
+        live[:] = [k for k in live if not divides(hm, leads[k])]
         live.append(h)
-        budget.note_basis(len(G))
+        budget.note_basis(len(leads))
 
     for g in gens:
-        insert(g, g.total_degree())
+        insert(_packed(g, packing), g.total_degree())
     while queue:
-        pair_sugar, _, _, i, j, lcm = heapq.heappop(queue)
+        pair_sugar, _, lcm_key, i, j, lcm = heapq.heappop(queue)
         budget.charge_pair()
-        nf = _reduce_spair(G, lead, invs, i, j, lcm, order, budget)
-        if not nf.is_zero:
-            insert(nf, pair_sugar)
-    return _interreduce(G, lead, invs, order, budget), len(G)
+        rem, _ = _reduce_spair(basis, i, j, lcm, -lcm_key, budget)
+        if rem:
+            insert(rem, pair_sugar)
+    return _interreduce(elements, basis, order, layout, budget), len(leads)
 
 
-def _interreduce(G, lead, invs, order: MonomialOrder, budget: ComputeBudget):
-    """The reduced basis of the Groebner basis G, from Buchberger's tables of
-    its leading terms and their inverse coefficients: the minimal elements,
-    each divided once by the others, made monic, sorted descending.  The
-    minimal leading monomials are those of the reduced basis, and division by
-    a Groebner basis has a unique remainder, so one pass is enough."""
-    keys = [order.key(m) for _, m in lead]
+def _interreduce(elements, basis, order: MonomialOrder, layout, budget):
+    """The reduced basis of the Groebner basis of packed ``elements``: the
+    minimal elements, each divided once by the others, made monic, sorted
+    descending.  The minimal leading monomials are those of the reduced basis,
+    and division by a Groebner basis has a unique remainder, so one pass is
+    enough."""
+    leads, tables, fld, packing = basis
     # drop elements whose leading monomial is divisible by another's
     kept = []
-    for i in sorted(range(len(G)), key=keys.__getitem__):
-        if not any(mono_divides(lead[j][1], lead[i][1]) for j in kept):
+    for i in sorted(range(len(leads)), key=lambda i: tables[i][0], reverse=True):
+        if not any(packing.divides(leads[j], leads[i]) for j in kept):
             kept.append(i)
-    layout, fld = G[0].layout, G[0].field
     out = []
     for i in reversed(kept):
         others = [j for j in kept if j != i]
-        pending = {e: c for c, e in G[i].terms}
-        r = _reduce(
-            pending,
-            [G[j] for j in others],
-            [lead[j] for j in others],
-            [invs[j] for j in others],
-            order, layout, fld, budget, False,
-        )
-        out.append(r.scale(invs[i]))
+        divisors = [leads[j] for j in others], [tables[j] for j in others], fld, packing
+        pending = {k: c for c, _, k in elements[i]}
+        rem, _ = _reduce(pending, {k: m for _, m, k in elements[i]}, divisors, budget, False)
+        monic = [(fld.mul(c, tables[i][2]), m, k) for c, m, k in rem]
+        out.append(_polynomial(monic, layout, fld, order, packing))
     return out
 
 
@@ -469,7 +514,7 @@ class Ideal:
         if not gb:
             return f.is_zero
         order = order or default_order(self.layout)
-        return normal_form(f, list(gb), order).is_zero
+        return normal_form(f, list(gb), order, budget=budget).is_zero
 
 
 def ideal_member(f: Polynomial, I: Ideal, order=None, budget=None) -> bool:
@@ -577,4 +622,4 @@ class ModulePresentation:
         gb = self.groebner_basis(morder, budget)
         if not gb:
             return _is_zero_vector(v)
-        return _is_zero_vector(module_normal_form(v, list(gb), morder or self.morder))
+        return _is_zero_vector(module_normal_form(v, list(gb), morder or self.morder, budget))

@@ -50,7 +50,6 @@ def eliminate(I: Ideal, keep, within: str = "grevlex", budget: ComputeBudget | N
     """Generators of I intersected with k[keep]; ``keep`` is a collection of
     variable names.  The result stays in I's layout."""
     layout = I.layout
-    names = layout.var_names()
     keep_idx = {layout.index_of(n) for n in keep}
     drop_idx = [i for i in range(layout.nvars) if i not in keep_idx]
     order = elimination_order(layout, drop_idx, within)

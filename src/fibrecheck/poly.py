@@ -16,6 +16,10 @@ contributes a fixed number of entries (a grevlex block its degree and then its
 negated exponents in reverse, a lex block its exponents), which makes the flat
 key compare exactly like the tuple of per-block keys.
 
+Exponent tuples are the API's representation, in terms, parsing, rendering
+and layout changes.  Only the Groebner engine packs monomials and order keys
+into ints, by an order's :class:`Packing`, and it unpacks what it returns.
+
 Terms are stored descending under ``default_order(layout)``.  Multiplying by a
 single term keeps that order and every term (a monomial order is
 multiplicative and a field has no zero divisors), so :meth:`Polynomial.mul_term`
@@ -28,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from operator import add, itemgetter, le, neg, sub
+from operator import add, itemgetter, lshift, mul, neg, sub
 
 from .fields import RationalField
 
@@ -164,6 +168,7 @@ class MonomialOrder:
         else:
             picks = tuple(_picker(tuple(reversed(blk))) for blk in self.blocks)
         object.__setattr__(self, "_picks", picks)
+        object.__setattr__(self, "_packings", {})
 
     def key(self, exps: Exponents) -> tuple:
         """Flat tuple of ints; a monomial is greater exactly when its key is.
@@ -181,6 +186,12 @@ class MonomialOrder:
             out += map(neg, vals)
         return tuple(out)
 
+    def packing(self, width: int) -> "Packing":
+        """This order's :class:`Packing` of exponents below 2^width, made once."""
+        if width not in self._packings:
+            self._packings[width] = Packing(self, width)
+        return self._packings[width]
+
     def base_is_last(self, layout: RingLayout) -> bool:
         """True when every fibre and tag variable outranks every base
         variable; position variables are skipped."""
@@ -196,6 +207,49 @@ class MonomialOrder:
             elif seen_base and blk:
                 return False
         return True
+
+
+class Packing:
+    """Exponent vectors, each below 2^width, packed into one int: variable i
+    owns bits i*(width + 1) on, the top one a guard bit that stays clear.  A
+    product is a sum with no carry between fields, a set guard bit marking an
+    exponent past the width; a divides b when no field of ``(b | guards) - a``
+    borrows its guard bit; an lcm takes each larger field under a mask made
+    from those bits.  The key ``sum(weights[i] * e[i])`` holds the entries of
+    :meth:`MonomialOrder.key` as digits in a radix none spans below
+    2^(width + 1), so keys order and tie like the order's on vectors and
+    their pairwise products, and a product's key is a sum.  The blocks must
+    partition the variables, so that only equal vectors tie."""
+
+    def __init__(self, order: MonomialOrder, width: int):
+        nvars = sum(map(len, order.blocks))
+        if sorted(i for blk in order.blocks for i in blk) != list(range(nvars)):
+            raise ValueError("a packed order's blocks must partition its variables")
+        self.width, self._field = width, (1 << (width + 1)) - 1
+        self.shifts = tuple(range(0, (width + 1) * nvars, width + 1))
+        self.guards = sum(1 << (shift + width) for shift in self.shifts)
+        # digit j of the order key is the sum of columns[i][j] * e[i], with
+        # coefficients in {-1, 0, 1}: it spans less than nvars * 2^(width + 1)
+        columns = [order.key(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
+        r, digits = (nvars * self._field).bit_length(), len(order.key((0,) * nvars))
+        self.weights = tuple(sum(a << (r * (digits - 1 - j)) for j, a in enumerate(col)) for col in columns)
+
+    def pack(self, exps: Exponents) -> int:
+        return sum(map(lshift, exps, self.shifts))
+
+    def unpack(self, packed: int) -> Exponents:
+        return tuple([(packed >> shift) & self._field for shift in self.shifts])
+
+    def key(self, exps: Exponents) -> int:
+        return sum(map(mul, self.weights, exps))
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guards) - a) & self.guards == self.guards
+
+    def lcm(self, a: int, b: int) -> int:
+        at_least = ((a | self.guards) - b) & self.guards  # guard bits where a >= b
+        take_a = at_least - (at_least >> self.width)
+        return (a & take_a) | (b & ~take_a)
 
 
 def _picker(indices: tuple):
@@ -240,20 +294,8 @@ def elimination_order(layout: RingLayout, drop, within: str = "grevlex") -> Mono
 # monomial helpers
 
 
-def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(add, a, b))
-
-
-def mono_divides(a: Exponents, b: Exponents) -> bool:
-    return all(map(le, a, b))
-
-
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +396,7 @@ class Polynomial:
         acc = {}
         for c1, e1 in self.terms:
             for c2, e2 in other.terms:
-                e = mono_mul(e1, e2)
+                e = tuple(map(add, e1, e2))
                 s = f.add(acc.get(e, f.zero), f.mul(c1, c2))
                 if f.is_zero(s):
                     acc.pop(e, None)

@@ -2,6 +2,7 @@
 (vectors encoded with position variables)."""
 
 import itertools
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from fibrecheck import (
     Ideal,
     ModuleOrder,
     ModulePresentation,
+    MonomialOrder,
     Polynomial,
     PrimeField,
     ResourceLimitError,
@@ -28,7 +30,6 @@ from fibrecheck import (
 )
 from fibrecheck import groebner
 from fibrecheck.groebner import _reduce_spair, decode_vectors, encode_vectors
-from fibrecheck.poly import mono_lcm
 
 from oracles import macaulay_member
 from test_poly import poly_strategy
@@ -267,6 +268,30 @@ def test_deadline_passing_mid_division_aborts_on_the_next_step(monkeypatch):
     assert budget.work == 4
 
 
+@pytest.mark.parametrize("kind", ["ideal", "module"])
+def test_deadline_passing_mid_membership_division_aborts(monkeypatch, kind):
+    # membership divides under the budget: x^10 by the basis x - y takes
+    # eleven reduction steps, and the clock passes the deadline after the third
+    gens = (P(XY2, "x - y"),)
+    budget = ComputeBudget()
+    if kind == "ideal":
+        N, member = Ideal(XY2, QQ, gens), P(XY2, "x^10")
+    else:
+        N, member = ModulePresentation(XY2, QQ, 1, (gens,)), (P(XY2, "x^10"),)
+    N.groebner_basis(None, budget)
+    budget.deadline, work = 1.0, budget.work
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= 3 else 2.0
+
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    with pytest.raises(ResourceLimitError, match="timeout exceeded"):
+        N.contains(member, None, budget)
+    assert budget.work == work + 4
+
+
 # ---------------------------------------------------------------------------
 # normal forms and membership
 
@@ -348,20 +373,28 @@ def test_spair_reduction_equals_reference_division(field, layout, order, data):
     if len(G) < 2:
         return
     i, j = data.draw(st.sampled_from(list(itertools.combinations(range(len(G)), 2))))
-    lead = [g.leading_term(order) for g in G]
-    invs = [field.inv(c) for c, _ in lead]
-    lcm = mono_lcm(lead[i][1], lead[j][1])
+    packing = order.packing(32)
+    basis = groebner._divisors(G, order, field, packing)
+    leads = basis[0]
+    lcm = packing.lcm(leads[i], leads[j])
+    lcm_key = -packing.key(packing.unpack(lcm))
+
+    def polynomial(packed):
+        return groebner._polynomial(packed, layout, field, order, packing)
+
     want_budget, got_budget = ComputeBudget(), ComputeBudget()
     spoly = s_polynomial(G[i], G[j], order)
     want_r, want_q = reference_normal_form(
         spoly, G, order, with_quotients=True, budget=want_budget
     )
-    got_r, got_q = _reduce_spair(
-        G, lead, invs, i, j, lcm, order, got_budget, with_quotients=True
-    )
-    assert (got_r, got_q) == (want_r, want_q)
+    rem, quots = _reduce_spair(basis, i, j, lcm, lcm_key, got_budget, with_quotients=True)
+    got_q = [
+        Polynomial.from_dict(layout, field, {packing.unpack(m): c for m, c in q.items()})
+        for q in quots
+    ]
+    assert (polynomial(rem), got_q) == (want_r, want_q)
     assert got_budget.work == want_budget.work
-    assert _reduce_spair(G, lead, invs, i, j, lcm, order, None) == want_r
+    assert polynomial(_reduce_spair(basis, i, j, lcm, lcm_key, None)[0]) == want_r
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
@@ -529,7 +562,7 @@ def gens_sharing_leads(draw, layout, order, field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 @pytest.mark.parametrize("name", sorted(GB_ORDERS))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_buchberger_equals_reference(field, name, data):
     layout, order = GB_ORDERS[name]
@@ -539,3 +572,88 @@ def test_buchberger_equals_reference(field, name, data):
     except ResourceLimitError:
         return
     assert buchberger(gens, order) == want
+
+
+# ---------------------------------------------------------------------------
+# packed exponents that outgrow their width
+
+
+def _basis_and_remainder(gens, f, order):
+    """The basis of gens and the normal form of f by it, with the counts
+    each call charged."""
+    gb_budget, nf_budget = ComputeBudget(), ComputeBudget()
+    basis = buchberger(gens, order, gb_budget)
+    r = normal_form(f, basis, order, with_quotients=True, budget=nf_budget) if basis else None
+    counts = [(b.pairs, b.work, b.max_basis) for b in (gb_budget, nf_budget)]
+    return basis, r, counts
+
+
+@contextmanager
+def _forced_narrow(widths):
+    """A context in which every packed computation starts at the narrowest
+    width its inputs allow; ``widths`` gains each width a packing is
+    requested at."""
+    packing = MonomialOrder.packing
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "HEADROOM_BITS", 0)
+        mp.setattr(MonomialOrder, "packing", lambda order, w: widths.append(w) or packing(order, w))
+        yield
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("name", sorted(GB_ORDERS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_widened_runs_equal_a_wide_run(field, name, data):
+    # reruns at double width restore the budget, so bases, remainders and
+    # every count equal those of a run that starts wide enough
+    layout, order = GB_ORDERS[name]
+    gens = data.draw(gens_sharing_leads(layout, order, field))
+    f = data.draw(poly_strategy(layout, field, max_exp=3, max_terms=4))
+    try:
+        reference_buchberger(gens, order, ComputeBudget(pair_limit=200))
+    except ResourceLimitError:
+        return
+    wide = _basis_and_remainder(gens, f, order)
+    widths = []
+    with _forced_narrow(widths):
+        assert _basis_and_remainder(gens, f, order) == wide
+
+
+TAGGED_XY2 = XY2.with_tag()
+NARROW_VECTORS = [(GROWING[0], P(XY2, "y")), (GROWING[1], P(XY2, "x"))]
+# kind -> (generators, order, a polynomial to divide by their basis)
+NARROW_CASES = {
+    "grevlex": (GROWING, default_order(XY2), P(XY2, "x^5*y^4 + y^7")),
+    "lex": (GROWING, default_order(XY2, "lex"), P(XY2, "x^5*y^4 + y^7")),
+    "elimination": (
+        A3_CHART.gens,
+        elimination_order(A3_CHART.layout, (3, 4)),
+        P(A3_CHART.layout, "x1^5*y1^3 + x2^2*y3^4"),
+    ),
+    "tagged": (
+        tuple(P(TAGGED_XY2, t) for t in ("_t*x^3 - 2*x*y", "x^2*y - 2*y^2 + x", "_t*y - 1")),
+        default_order(TAGGED_XY2),
+        P(TAGGED_XY2, "_t^3*x^5 + y^7"),
+    ),
+    "module": (
+        encode_vectors(NARROW_VECTORS, XY2, 2),
+        ModuleOrder(default_order(XY2)).on(XY2.with_positions(2)),
+        encode_vectors([(P(XY2, "x^5*y^4"), P(XY2, "y^7"))], XY2, 2)[0],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NARROW_CASES))
+def test_narrow_start_widens_and_counts_like_a_wide_run(kind):
+    gens, order, f = NARROW_CASES[kind]
+    wide = _basis_and_remainder(gens, f, order)
+    if kind == "module":
+        want = reference_module_buchberger(NARROW_VECTORS, ModuleOrder(default_order(XY2)))
+        assert decode_vectors(wide[0]) == want
+    else:
+        assert wide[0] == reference_buchberger(gens, order)
+    widths = []
+    with _forced_narrow(widths):
+        assert _basis_and_remainder(gens, f, order) == wide
+    assert len(set(widths)) > 1

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fibrecheck import (
     QQ,
     LayoutMismatchError,
+    ModuleOrder,
     MonomialOrder,
     Polynomial,
     PrimeField,
@@ -22,7 +23,7 @@ from fibrecheck import (
 )
 from fibrecheck.poly import power_products
 
-from util import BLOWUP_LAYOUT, P, reference_order_key
+from util import BLOWUP_LAYOUT, P, mono_divides, mono_lcm, reference_order_key
 
 XY = RingLayout(("y",), ("x",))
 F5 = PrimeField(5)
@@ -179,6 +180,47 @@ def test_fibre_monomials_beat_base_monomials():
     x = (0, 0, 1)
     y_big = (3, 3, 0)
     assert order.key(x) > order.key(y_big)
+
+
+Y2X2 = RingLayout(("y1", "y2"), ("x1", "x2"))
+PACKED_ORDERS = {
+    "grevlex": (4, default_order(Y2X2)),
+    "lex": (4, default_order(Y2X2, "lex")),
+    "elimination": (4, elimination_order(Y2X2, Y2X2.base_indices)),
+    "tagged": (5, default_order(Y2X2.with_tag())),
+    "positioned": (6, ModuleOrder(default_order(Y2X2)).on(Y2X2.with_positions(2))),
+    "base-first": (3, MonomialOrder(((0, 1), (2,)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_ORDERS))
+@settings(max_examples=60, derandomize=True)
+@given(data=st.data())
+def test_packing_agrees_with_tuple_monomials(name, data):
+    nvars, order = PACKED_ORDERS[name]
+    width = data.draw(st.integers(1, 9), label="width")
+    packing = order.packing(width)
+    assert order.packing(width) is packing
+    top = (1 << width) - 1
+    exps = st.lists(
+        st.one_of(st.integers(0, top), st.sampled_from([0, 1, top])), min_size=nvars, max_size=nvars
+    ).map(tuple)
+    a, b, c = data.draw(exps), data.draw(exps), data.draw(exps)
+    ab = tuple(x + y for x, y in zip(a, b))
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(pa) == a
+    assert packing.divides(pa, pb) == mono_divides(a, b)
+    assert packing.unpack(packing.lcm(pa, pb)) == mono_lcm(a, b)
+    # keys order like the order's keys, ties included, on vectors and on
+    # products of two vectors, and a product's key is the sum of the keys
+    assert packing.key(ab) == packing.key(a) + packing.key(b)
+    for u, v in [(a, b), (a, c), (ab, c), (ab, a), (a, a)]:
+        ku, kv = packing.key(u), packing.key(v)
+        assert (ku < kv, ku == kv) == (order.key(u) < order.key(v), order.key(u) == order.key(v))
+    # a product is a sum, and one past the width sets a guard bit rather
+    # than wrapping into the next field
+    assert packing.unpack(pa + pb) == ab
+    assert bool((pa + pb) & packing.guards) == (max(ab, default=0) > top)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,19 @@ reference implementations."""
 from __future__ import annotations
 
 import heapq
+from operator import le
 
 from fibrecheck import QQ, ComputeBudget, Ideal, Polynomial, RingLayout, groebner
 from fibrecheck.cli import _parse_polyexpr, _Tokens
-from fibrecheck.poly import mono_div, mono_divides, mono_lcm
+from fibrecheck.poly import mono_div
+
+
+def mono_divides(a, b) -> bool:
+    return all(map(le, a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
 
 
 def P(layout: RingLayout, text: str, field=QQ) -> Polynomial:
