@@ -223,6 +223,19 @@ def test_packing_agrees_with_tuple_monomials(name, data):
     assert bool((pa + pb) & packing.guards) == (max(ab, default=0) > top)
 
 
+@pytest.mark.parametrize("name", sorted(PACKED_ORDERS))
+def test_packed_keys_order_every_product_like_the_order(name):
+    # exhaustive over exponents up to 2^(width + 1) - 1, the range of a
+    # product of two packed vectors: a key digit may span no less
+    nvars, order = PACKED_ORDERS[name]
+    for width in (1, 2) if nvars <= 4 else (1,):
+        packing = order.packing(width)
+        vectors = list(itertools.product(range(1 << (width + 1)), repeat=nvars))
+        by_packed = sorted(vectors, key=packing.key)
+        assert by_packed == sorted(vectors, key=order.key)
+        assert len({packing.key(v) for v in vectors}) == len(vectors)
+
+
 # ---------------------------------------------------------------------------
 # leading data
 
