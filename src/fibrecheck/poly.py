@@ -225,20 +225,20 @@ class Packing:
         nvars = sum(map(len, order.blocks))
         if sorted(i for blk in order.blocks for i in blk) != list(range(nvars)):
             raise ValueError("a packed order's blocks must partition its variables")
-        self.width, self._field = width, (1 << (width + 1)) - 1
+        self.width, self._mask = width, (1 << (width + 1)) - 1
         self.shifts = tuple(range(0, (width + 1) * nvars, width + 1))
         self.guards = sum(1 << (shift + width) for shift in self.shifts)
         # digit j of the order key is the sum of columns[i][j] * e[i], with
         # coefficients in {-1, 0, 1}: it spans less than nvars * 2^(width + 1)
         columns = [order.key(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
-        r, digits = (nvars * self._field).bit_length(), len(order.key((0,) * nvars))
+        r, digits = (nvars * self._mask).bit_length(), len(order.key((0,) * nvars))
         self.weights = tuple(sum(a << (r * (digits - 1 - j)) for j, a in enumerate(col)) for col in columns)
 
     def pack(self, exps: Exponents) -> int:
         return sum(map(lshift, exps, self.shifts))
 
     def unpack(self, packed: int) -> Exponents:
-        return tuple([(packed >> shift) & self._field for shift in self.shifts])
+        return tuple([(packed >> shift) & self._mask for shift in self.shifts])
 
     def key(self, exps: Exponents) -> int:
         return sum(map(mul, self.weights, exps))
