@@ -610,13 +610,8 @@ def test_widened_runs_equal_a_wide_run(field, name, data):
     layout, order = GB_ORDERS[name]
     gens = data.draw(gens_sharing_leads(layout, order, field))
     f = data.draw(poly_strategy(layout, field, max_exp=3, max_terms=4))
-    try:
-        reference_buchberger(gens, order, ComputeBudget(pair_limit=200))
-    except ResourceLimitError:
-        return
     wide = _basis_and_remainder(gens, f, order)
-    widths = []
-    with _forced_narrow(widths):
+    with _forced_narrow([]):
         assert _basis_and_remainder(gens, f, order) == wide
 
 
