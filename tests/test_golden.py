@@ -40,6 +40,8 @@ CASES = {
     "module_scaled": ["--input", "tests/golden/module_scaled.alg", "--json"],
     "module_torsion_lex": ["--input", "fixtures/module_torsion.alg", "--json", "--order", "lex"],
     "rank2_module": ["--input", "tests/golden/rank2_module.alg", "--json"],
+    "rational_chart": ["--input", "tests/golden/rational_chart.alg", "--json"],
+    "rational_chart_lex": ["--input", "tests/golden/rational_chart.alg", "--json", "--order", "lex"],
     "rank2_module_lex": ["--input", "tests/golden/rank2_module.alg", "--json", "--order", "lex"],
 }
 
