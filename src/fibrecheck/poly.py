@@ -67,19 +67,22 @@ class RingLayout:
     def __post_init__(self):
         if self.copies < 1:
             raise ValueError("copies must be >= 1")
-        names = self.var_names()
-        if len(set(names)) != len(names):
-            raise ValueError(f"variable names collide in layout {names}")
-
-    def var_names(self) -> tuple:
         names = list(self.base_vars)
         for i in range(1, self.copies + 1):
             for v in self.fibre_vars:
                 names.append(v if self.copies == 1 else f"{v}({i})")
         if self.tag_var is not None:
             names.append(self.tag_var)
-        names += self.position_vars
-        return tuple(names)
+        names = tuple(names) + self.position_vars
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
+            raise ValueError(f"variable names collide in layout {names}")
+        # made once; equality and hashing stay on the declared fields
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_index", index)
+
+    def var_names(self) -> tuple:
+        return self._names
 
     @property
     def position_vars(self) -> tuple:
@@ -118,8 +121,8 @@ class RingLayout:
 
     def index_of(self, name: str) -> int:
         try:
-            return self.var_names().index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
     # derived layouts ------------------------------------------------------
@@ -555,13 +558,12 @@ def integer_normalized(f: Polynomial) -> Polynomial:
 def transport(f: Polynomial, new_layout: RingLayout) -> Polynomial:
     """Re-express f in another layout, matching variables by display name."""
     names = f.layout.var_names()
-    new_names = new_layout.var_names()
     idx = {}
     for i in f.support_indices():
-        name = names[i]
-        if name not in new_names:
-            raise LayoutMismatchError(f"variable {name!r} absent from target layout")
-        idx[i] = new_names.index(name)
+        try:
+            idx[i] = new_layout.index_of(names[i])
+        except KeyError:
+            raise LayoutMismatchError(f"variable {names[i]!r} absent from target layout") from None
     acc = {}
     for c, e in f.terms:
         new_e = [0] * new_layout.nvars

@@ -412,3 +412,17 @@ def test_tag_layout_avoids_collisions():
     ext = lay.with_tag()
     assert ext.tag_var not in ("_t",)
     assert len(set(ext.var_names())) == ext.nvars
+
+
+def test_layout_names_are_made_once_and_leave_equality_alone():
+    lay = RingLayout(("y1", "y2"), ("x",), 2, "_t", 2)
+    names = lay.var_names()
+    assert names == ("y1", "y2", "x(1)", "x(2)", "_t", "[1]", "[2]")
+    assert lay.var_names() is names
+    assert [lay.index_of(n) for n in names] == list(range(lay.nvars))
+    with pytest.raises(KeyError, match="unknown variable 'z'"):
+        lay.index_of("z")
+    twin = RingLayout(("y1", "y2"), ("x",), 2, "_t", 2)
+    assert twin == lay and hash(twin) == hash(lay) and {lay: 1}[twin] == 1
+    assert repr(twin) == repr(lay) and "_names" not in repr(lay)
+    assert lay != lay.with_positions(1)
