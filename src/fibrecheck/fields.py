@@ -2,12 +2,26 @@
 
 Coefficient values are plain Python objects (``fractions.Fraction`` for Q,
 ``int`` in [0, p) for F_p); the field object supplies the arithmetic.
+
+The Groebner engine's division kernel carries coefficients as ints over both
+fields; these hooks are all it knows of the field:
+
+- ``to_kernel(coeffs)``: ints i and a scale s with c = i/s, the ints primitive
+  over Q (no common factor, the first positive) and monic over F_p; ints
+  given as coefficients get their content removed (made monic);
+- ``from_kernel(ints, s)``: the values i/s;
+- ``step(c, lc)``: scalars (a, b) with a*c + b*lc = 0, fraction-free over Q,
+  (lc/d, -c/d) with d = gcd(c, lc), and (1, -c/lc) over F_p;
+- ``canon(i)``: an int whose zero test is exact, i itself over Q and i mod p
+  over F_p, where the kernel's sums grow unreduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import pos
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below
@@ -85,6 +99,24 @@ class RationalField:
     def to_str(self, a) -> str:
         return str(a)
 
+    # division kernel hooks (see the module docstring)
+
+    canon = staticmethod(pos)
+
+    def to_kernel(self, coeffs):
+        den = lcm(*[c.denominator for c in coeffs])
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        content = -gcd(*ints) if ints and ints[0] < 0 else gcd(*ints) or 1
+        return (ints if content == 1 else [i // content for i in ints]), Fraction(den, content)
+
+    def from_kernel(self, ints, scale):
+        num, den = scale.numerator, scale.denominator
+        return [Fraction(i * den, num) for i in ints]
+
+    def step(self, c, lc):
+        d = gcd(c, lc)
+        return lc // d, -(c // d)
+
     def __repr__(self):
         return "QQ"
 
@@ -157,3 +189,22 @@ class PrimeField:
 
     def to_str(self, a) -> str:
         return str(a % self.p)
+
+    # division kernel hooks (see the module docstring)
+
+    @property
+    def canon(self):
+        return self.p.__rmod__
+
+    def to_kernel(self, coeffs):
+        if not coeffs or coeffs[0] == 1:
+            return coeffs, 1
+        inv, p = self.inv(coeffs[0]), self.p
+        return [c * inv % p for c in coeffs], inv
+
+    def from_kernel(self, ints, scale):
+        inv, p = self.inv(scale), self.p
+        return [i * inv % p for i in ints]
+
+    def step(self, c, lc):
+        return 1, (-c if lc == 1 else -c * self.inv(lc) % self.p)

@@ -46,26 +46,39 @@ reductions.
 
 Division (:func:`_reduce`) is the package's one division kernel: normal
 forms, S-pair remainders, interreduction and exact division all run through
-it, on packed monomials (:class:`fibrecheck.poly.Packing`).  An exponent
-vector is one int with a guard bit above each variable's field, so a product
-is one addition, divisibility a subtract-and-mask and an lcm a mask; an order
-key is one int, a linear form in the exponents, so a product's key is a sum.
-The part still to divide maps each monomial's negated key to its coefficient
-and its packed monomial, and a heap of those keys pops the largest monomial
-first (skipping cancelled ones).  Each step divides by the first basis
-element whose leading monomial divides it, adding its other terms, stored
-times minus the inverse of its leading coefficient, shifted and scaled.
-These are the steps of textbook division; the remainder comes out sorted.
-Buchberger never builds an S-polynomial: :func:`_reduce_spair` writes its
-terms straight into the division's accumulator.
+it, on packed monomials (:class:`fibrecheck.poly.Packing`) and int
+coefficients.  An exponent vector is one int with a guard bit above each
+variable's field, so a product is one addition, divisibility a
+subtract-and-mask and an lcm a mask; an order key is one int, a linear form in
+the exponents, so a product's key is a sum.  The part still to divide maps
+each monomial's negated key to its coefficient and its packed monomial, and a
+heap of those keys pops the largest monomial first (skipping cancelled ones).
+Each step divides by the first basis element whose leading monomial divides
+it.  These are the steps of textbook division; the remainder comes out
+sorted.  Buchberger never builds an S-polynomial: :func:`_reduce_spair` writes
+its terms straight into the division's accumulator.
+
+Coefficients are ints over both fields, through the field's kernel hooks (see
+:mod:`fibrecheck.fields`).  Over Q every element is stored primitive and each
+step is fraction-free, the primitive pseudo-remainder (Geddes, Czapor &
+Labahn 1992, *Algorithms for Computer Algebra*): at coefficient c, by an
+element with leading coefficient lc, with d = gcd(c, lc), the accumulator P
+becomes (lc/d)*P - (c/d)*t*g, and when lc/d is not 1 the pending entries, the
+remainder so far and the division's running scale are multiplied by it.  Over
+F_p elements are stored monic and the step is (1, -c/lc).  An S-polynomial
+remainder joins the basis with its content removed (made monic over F_p).
+Exact values are rebuilt only where they leave the engine: a remainder as R
+over the running scale, a quotient also over its divisor's scale, and each
+reduced basis element as c/lc.  Popped monomials, divisors and zero tests are
+those of division over the field, so counts and bases do not depend on this.
 
 Each computation packs its inputs and unpacks what it returns; ``Exponents``
-tuples stay the representation everywhere else.  Fields start HEADROOM_BITS
-wider than the inputs' largest exponent.  A product that outgrows them sets a
-guard bit, never wrapping into the next field, and the :func:`buchberger` or
-:func:`normal_form` call runs again at double width with the budget's pairs,
-reduction steps and largest basis restored: its counts are those of one run
-at the final width, which steps like any wider one.
+tuples and field values stay the representation everywhere else.  Fields
+start HEADROOM_BITS wider than the inputs' largest exponent.  A product that
+outgrows them sets a guard bit, never wrapping into the next field, and the
+:func:`buchberger` or :func:`normal_form` call runs again at double width with
+the budget's pairs, reduction steps and largest basis restored: its counts are
+those of one run at the final width, which steps like any wider one.
 """
 
 from __future__ import annotations
@@ -196,35 +209,41 @@ def _widening(run, polys, order: MonomialOrder, budget):
             width *= 2
 
 
-def _packed(f: Polynomial, packing) -> list:
-    """f's terms as (coefficient, packed monomial, negated key), descending."""
+def _packed(f: Polynomial, packing) -> tuple:
+    """(terms, scale): f's terms as (int coefficient, packed monomial, negated
+    key), descending, their coefficients those of f times the scale."""
     pack, key = packing.pack, packing.key
-    return sorted([(c, pack(e), -key(e)) for c, e in f.terms], key=itemgetter(2))
+    ints, scale = f.field.to_kernel([c for c, _ in f.terms])
+    terms = [(i, pack(e), -key(e)) for i, (_, e) in zip(ints, f.terms)]
+    return sorted(terms, key=itemgetter(2)), scale
 
 
-def _polynomial(terms, layout: RingLayout, fld, order: MonomialOrder, packing) -> Polynomial:
-    """The polynomial of packed terms given in descending order."""
-    unpack = packing.unpack
+def _polynomial(terms, scale, layout: RingLayout, fld, order: MonomialOrder, packing) -> Polynomial:
+    """The polynomial of packed terms given in descending order, their
+    coefficients divided by the scale."""
+    coeffs = fld.from_kernel([c for c, _, _ in terms], scale)
+    monos = map(packing.unpack, [m for _, m, _ in terms])
     if order == default_order(layout):
-        return Polynomial(layout, fld, tuple([(c, unpack(m)) for c, m, _ in terms]))
-    return Polynomial.from_dict(layout, fld, {unpack(m): c for c, m, _ in terms})
+        return Polynomial(layout, fld, tuple(zip(coeffs, monos)))
+    return Polynomial.from_dict(layout, fld, dict(zip(monos, coeffs)))
 
 
-def _table(terms, fld) -> tuple:
-    """(negated key of the lead, tail, inverse of the leading coefficient lc) of
-    packed terms, lead first; the tail holds (-c/lc, m, key) for the others."""
-    inv, mul, fneg = fld.inv(terms[0][0]), fld.mul, fld.neg
-    return terms[0][2], [(fneg(mul(c, inv)), m, k) for c, m, k in terms[1:]], inv
+def _table(terms) -> tuple:
+    """(negated key of the lead, tail, leading coefficient) of packed terms,
+    lead first; the tail holds the other terms."""
+    return terms[0][2], terms[1:], terms[0][0]
 
 
 class _Tables(dict):
-    """The :func:`_table` of each of ``polys``, made on first use."""
+    """The :func:`_table` of each of ``polys``, made on first use; ``scales``
+    holds the scale of each table made (see :func:`_packed`)."""
 
     def __init__(self, polys, packing):
-        self.polys, self.packing = polys, packing
+        self.polys, self.packing, self.scales = polys, packing, {}
 
     def __missing__(self, i):
-        table = self[i] = _table(_packed(self.polys[i], self.packing), self.polys[i].field)
+        terms, self.scales[i] = _packed(self.polys[i], self.packing)
+        table = self[i] = _table(terms)
         return table
 
 
@@ -246,15 +265,25 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder, with_quotients=False
     layout, fld = f.layout, f.field
 
     def run(packing):
-        terms, divisors = _packed(f, packing), _divisors(basis, order, fld, packing)
+        (terms, scale), divisors = _packed(f, packing), _divisors(basis, order, fld, packing)
         pending, mono = {k: c for c, _, k in terms}, {k: m for _, m, k in terms}
-        rem, quots = _reduce(pending, mono, divisors, budget, with_quotients)
-        r, unpack = _polynomial(rem, layout, fld, order, packing), packing.unpack
-        if with_quotients:
-            return r, [Polynomial.from_dict(layout, fld, {unpack(m): c for m, c in q.items()}) for q in quots]
-        return r
+        rem, steps_scale, quots = _reduce(pending, mono, divisors, budget, with_quotients)
+        scale = fld.mul(scale, steps_scale)
+        r = _polynomial(rem, scale, layout, fld, order, packing)
+        return (r, _quotients(quots, scale, divisors, layout)) if with_quotients else r
 
     return _widening(run, [f, *basis], order, budget)
+
+
+def _quotients(quots, scale, divisors, layout: RingLayout) -> list:
+    """The quotients of :func:`_reduce` by ``divisors`` (see :func:`_divisors`)
+    as polynomials, for a division whose remainder has the given scale."""
+    _, tables, fld, packing = divisors
+    out = []
+    for i, q in enumerate(quots):
+        coeffs = fld.from_kernel(list(q.values()), fld.div(scale, tables.scales[i])) if q else ()
+        out.append(Polynomial.from_dict(layout, fld, dict(zip(map(packing.unpack, q), coeffs))))
+    return out
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -267,20 +296,23 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
 
 def _reduce(pending, mono, basis, budget, with_quotients):
     """Division by ``basis`` (see :func:`_divisors`) of the accumulator that
-    maps negated keys to coefficients (``pending``, zeros allowed) and to
-    packed monomials (``mono``), both consumed: the remainder as packed terms,
-    descending, and the quotients as ``{monomial: coefficient}`` or None."""
+    maps negated keys to int coefficients (``pending``, zeros allowed) and to
+    packed monomials (``mono``), both consumed.  Returns the remainder R as
+    packed terms, descending; the scale S, the product of the steps' scalars
+    a; and the quotients Q_i as ``{monomial: int}``, or None.  S times the
+    accumulator equals R + sum of Q_i*g_i, g_i as the tables hold them."""
     leads, tables, fld, packing = basis
-    mul, add, is_zero, guards = fld.mul, fld.add, fld.is_zero, packing.guards
+    step, canon, guards = fld.step, fld.canon, packing.guards
     heap = list(pending)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     rem = []  # popped in descending order
+    scale = 1
     quots = [{} for _ in leads] if with_quotients else None
     while heap:
         k = pop(heap)
-        c = pending.pop(k)
-        if is_zero(c):
+        c = canon(pending.pop(k))
+        if not c:
             continue
         if budget is not None:
             budget.charge_work()
@@ -288,7 +320,13 @@ def _reduce(pending, mono, basis, budget, with_quotients):
         guarded = m | guards
         for i, lead in enumerate(leads):
             if (guarded - lead) & guards == guards:
-                lead_key, tail, inv = tables[i]
+                lead_key, tail, lc = tables[i]
+                a, b = step(c, lc)
+                if a != 1:
+                    scale *= a
+                    for key, old in pending.items():
+                        pending[key] = old * a
+                    rem = [(rc * a, rm, rk) for rc, rm, rk in rem]
                 shift, shift_key = m - lead, k - lead_key
                 for tc, tm, tk in tail:
                     e_key = tk + shift_key
@@ -298,39 +336,44 @@ def _reduce(pending, mono, basis, budget, with_quotients):
                         e = tm + shift
                         if e & guards:
                             raise _WidthExceeded
-                        pending[e_key] = mul(c, tc)
+                        pending[e_key] = b * tc
                         mono[e_key] = e
                         push(heap, e_key)
                     else:
-                        pending[e_key] = add(old, mul(c, tc))
+                        pending[e_key] = old + b * tc
                 if with_quotients:
-                    quots[i][shift] = mul(c, inv)
+                    quots[i][shift] = (-b, scale)  # times the steps' scalars still to come
                 break
         else:
             rem.append((c, m, k))
-    return rem, quots
+    if with_quotients:
+        quots = [{m: q * (scale // at) for m, (q, at) in qi.items()} for qi in quots]
+    return rem, scale, quots
 
 
 def _spair(basis, i, j, lcm, lcm_key):
-    """The accumulator ``(pending, mono)`` of (lcm/LT(g_i))*g_i -
-    (lcm/LT(g_j))*g_j, ``lcm_key`` the negated key of lcm.  The leading terms
-    cancel, so no entry is made at lcm; other cancelled entries stay as
-    zeros."""
+    """The accumulator ``(pending, mono)`` of a*(lcm/LM(g_i))*g_i +
+    b*(lcm/LM(g_j))*g_j, (a, b) the step scalars of the two leading
+    coefficients and ``lcm_key`` the negated key of lcm, and its scale: the
+    multiple it is of the S-polynomial (lcm/LT(g_i))*g_i - (lcm/LT(g_j))*g_j.
+    The leading terms cancel, so no entry is made at lcm; other cancelled
+    entries stay as zeros."""
     leads, tables, fld, packing = basis
-    (key_i, tail_i, _), (key_j, tail_j, _) = tables[i], tables[j]
+    (key_i, tail_i, lc_i), (key_j, tail_j, lc_j) = tables[i], tables[j]
+    a, b = fld.step(lc_i, lc_j)
     shift, shift_key = lcm - leads[i], lcm_key - key_i
     mono = {tk + shift_key: tm + shift for _, tm, tk in tail_i}
-    pending = {tk + shift_key: fld.neg(tc) for tc, _, tk in tail_i}
+    pending = {tk + shift_key: a * tc for tc, _, tk in tail_i}
     shift, shift_key = lcm - leads[j], lcm_key - key_j
     for tc, tm, tk in tail_j:
         k = tk + shift_key
         if k in pending:
-            pending[k] = fld.add(pending[k], tc)
+            pending[k] += b * tc
         else:
-            pending[k], mono[k] = tc, tm + shift
+            pending[k], mono[k] = b * tc, tm + shift
     if any(m & packing.guards for m in mono.values()):
         raise _WidthExceeded
-    return pending, mono
+    return pending, mono, a * lc_i
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -342,19 +385,21 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     def run(packing):
         basis = _divisors([f, g], order, f.field, packing)
         lcm = packing.lcm(*basis[0])
-        pending, mono = _spair(basis, 0, 1, lcm, -packing.key(packing.unpack(lcm)))
-        return Polynomial.from_dict(f.layout, f.field, {packing.unpack(mono[k]): c for k, c in pending.items()})
+        pending, mono, scale = _spair(basis, 0, 1, lcm, -packing.key(packing.unpack(lcm)))
+        coeffs = f.field.from_kernel(list(pending.values()), scale)
+        return Polynomial.from_dict(f.layout, f.field, dict(zip([packing.unpack(mono[k]) for k in pending], coeffs)))
 
     return _widening(run, [f, g], order, None)
 
 
 def _reduce_spair(basis, i, j, lcm, lcm_key, budget, with_quotients=False):
     """:func:`_reduce` of the S-polynomial of elements i and j (leading
-    monomial lcm, of negated key ``lcm_key``) by the basis.  The difference
-    goes straight into the division's accumulator: no S-polynomial is
-    built."""
-    pending, mono = _spair(basis, i, j, lcm, lcm_key)
-    return _reduce(pending, mono, basis, budget, with_quotients)
+    monomial lcm, of negated key ``lcm_key``) by the basis, the scale S such
+    that R/S is the S-polynomial's remainder.  The difference goes straight
+    into the division's accumulator: no S-polynomial is built."""
+    pending, mono, scale = _spair(basis, i, j, lcm, lcm_key)
+    rem, steps_scale, quots = _reduce(pending, mono, basis, budget, with_quotients)
+    return rem, scale * steps_scale, quots
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +453,7 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
         hm = terms[0][1]
         hdeg = sum(unpack(hm))
         leads.append(hm)
-        tables.append(_table(terms, fld))
+        tables.append(_table(terms))
         elements.append(terms)
         surplus.append(sugar - hdeg)
         # a pending pair whose lcm hm divides, and differs from the lcms of
@@ -446,20 +491,21 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
         budget.note_basis(len(leads))
 
     for g in gens:
-        insert(_packed(g, packing), g.total_degree())
+        insert(_packed(g, packing)[0], g.total_degree())
     while queue:
         pair_sugar, _, lcm_key, i, j, lcm = heapq.heappop(queue)
         budget.charge_pair()
-        rem, _ = _reduce_spair(basis, i, j, lcm, -lcm_key, budget)
+        rem, _, _ = _reduce_spair(basis, i, j, lcm, -lcm_key, budget)
         if rem:
-            insert(rem, pair_sugar)
+            ints, _ = fld.to_kernel([c for c, _, _ in rem])  # content removed
+            insert([(i, m, k) for i, (_, m, k) in zip(ints, rem)], pair_sugar)
     return _interreduce(elements, basis, order, layout, budget), len(leads)
 
 
 def _interreduce(elements, basis, order: MonomialOrder, layout, budget):
     """The reduced basis of the Groebner basis of packed ``elements``: the
-    minimal elements, each divided once by the others, made monic, sorted
-    descending.  The minimal leading monomials are those of the reduced basis,
+    minimal elements, each divided once by the others, made monic (c/lc),
+    sorted descending.  The minimal leading monomials are those of the reduced basis,
     and division by a Groebner basis has a unique remainder, so one pass is
     enough."""
     leads, tables, fld, packing = basis
@@ -473,9 +519,8 @@ def _interreduce(elements, basis, order: MonomialOrder, layout, budget):
         others = [j for j in kept if j != i]
         divisors = [leads[j] for j in others], [tables[j] for j in others], fld, packing
         pending = {k: c for c, _, k in elements[i]}
-        rem, _ = _reduce(pending, {k: m for _, m, k in elements[i]}, divisors, budget, False)
-        monic = [(fld.mul(c, tables[i][2]), m, k) for c, m, k in rem]
-        out.append(_polynomial(monic, layout, fld, order, packing))
+        rem, _, _ = _reduce(pending, {k: m for _, m, k in elements[i]}, divisors, budget, False)
+        out.append(_polynomial(rem, rem[0][0], layout, fld, order, packing))
     return out
 
 

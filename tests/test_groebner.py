@@ -3,6 +3,7 @@
 
 import itertools
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,7 @@ from util import (
     reference_module_buchberger,
     reference_module_normal_form,
     reference_normal_form,
+    reference_s_polynomial,
     reference_s_vector,
     reference_vector_leading,
 )
@@ -379,22 +381,19 @@ def test_spair_reduction_equals_reference_division(field, layout, order, data):
     lcm = packing.lcm(leads[i], leads[j])
     lcm_key = -packing.key(packing.unpack(lcm))
 
-    def polynomial(packed):
-        return groebner._polynomial(packed, layout, field, order, packing)
+    def polynomial(packed, scale):
+        return groebner._polynomial(packed, scale, layout, field, order, packing)
 
     want_budget, got_budget = ComputeBudget(), ComputeBudget()
     spoly = s_polynomial(G[i], G[j], order)
     want_r, want_q = reference_normal_form(
         spoly, G, order, with_quotients=True, budget=want_budget
     )
-    rem, quots = _reduce_spair(basis, i, j, lcm, lcm_key, got_budget, with_quotients=True)
-    got_q = [
-        Polynomial.from_dict(layout, field, {packing.unpack(m): c for m, c in q.items()})
-        for q in quots
-    ]
-    assert (polynomial(rem), got_q) == (want_r, want_q)
+    rem, scale, quots = _reduce_spair(basis, i, j, lcm, lcm_key, got_budget, with_quotients=True)
+    got_q = groebner._quotients(quots, scale, basis, layout)
+    assert (polynomial(rem, scale), got_q) == (want_r, want_q)
     assert got_budget.work == want_budget.work
-    assert polynomial(_reduce_spair(basis, i, j, lcm, lcm_key, None)[0]) == want_r
+    assert polynomial(*_reduce_spair(basis, i, j, lcm, lcm_key, None)[:2]) == want_r
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
@@ -545,11 +544,12 @@ GB_ORDERS = {
 
 
 @st.composite
-def gens_sharing_leads(draw, layout, order, field):
+def gens_sharing_leads(draw, layout, order, field, coeff=None):
     """Generators whose leading monomials come from a pool of one to three,
-    so equal leading monomials, and pairs with equal lcms, are common."""
+    so equal leading monomials, and pairs with equal lcms, are common; the
+    coefficients are drawn from ``coeff``, by default small integers."""
     mono = st.tuples(*[st.integers(0, 2)] * layout.nvars)
-    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(field.coerce)
+    coeff = coeff if coeff is not None else st.sampled_from([-3, -2, -1, 1, 2, 3]).map(field.coerce)
     pool = draw(st.lists(mono, min_size=1, max_size=3))
     gens = []
     for _ in range(draw(st.integers(1, 4))):
@@ -569,6 +569,55 @@ def test_buchberger_equals_reference(field, name, data):
     gens = data.draw(gens_sharing_leads(layout, order, field))
     try:
         want = reference_buchberger(gens, order, ComputeBudget(pair_limit=200))
+    except ResourceLimitError:
+        return
+    assert buchberger(gens, order) == want
+
+
+# ---------------------------------------------------------------------------
+# rational coefficients: denominators, content, scaling, signs and big ints
+
+# numerators up to about 2^80 and denominators up to about 2^40, either sign
+RATIONALS = st.builds(Fraction, st.integers(-(2**80), 2**80).filter(bool), st.integers(1, 2**40))
+
+
+@st.composite
+def rational_polys(draw, layout, max_terms=4):
+    mono = st.tuples(*[st.integers(0, 2)] * layout.nvars)
+    return Polynomial.from_dict(layout, QQ, draw(st.dictionaries(mono, RATIONALS, max_size=max_terms)))
+
+
+@pytest.mark.parametrize("name", sorted(GB_ORDERS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rational_normal_form_equals_reference(name, data):
+    layout, order = GB_ORDERS[name]
+    f = data.draw(rational_polys(layout, max_terms=6))
+    basis = [g for g in data.draw(st.lists(rational_polys(layout), min_size=1, max_size=3)) if not g.is_zero]
+    want_budget, got_budget = ComputeBudget(), ComputeBudget()
+    want = reference_normal_form(f, basis, order, with_quotients=True, budget=want_budget)
+    assert normal_form(f, basis, order, with_quotients=True, budget=got_budget) == want
+    assert got_budget.work == want_budget.work
+
+
+@pytest.mark.parametrize("name", sorted(GB_ORDERS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rational_s_polynomial_equals_reference(name, data):
+    layout, order = GB_ORDERS[name]
+    f, g = (data.draw(rational_polys(layout).filter(lambda p: not p.is_zero)) for _ in range(2))
+    assert s_polynomial(f, g, order) == reference_s_polynomial(f, g, order)
+
+
+@pytest.mark.parametrize("name", sorted(GB_ORDERS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rational_buchberger_equals_reference(name, data):
+    layout, order = GB_ORDERS[name]
+    gens = data.draw(gens_sharing_leads(layout, order, QQ, RATIONALS))
+    try:
+        # the reference's Fraction arithmetic swells on large bases
+        want = reference_buchberger(gens, order, ComputeBudget(pair_limit=40))
     except ResourceLimitError:
         return
     assert buchberger(gens, order) == want

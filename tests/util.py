@@ -103,6 +103,15 @@ def reference_normal_form(f, basis, order, with_quotients=False, budget=None):
     return (r, quots) if with_quotients else r
 
 
+def reference_s_polynomial(f, g, order):
+    """(lcm/LT(f))*f - (lcm/LT(g))*g by term multiplication and subtraction;
+    ``s_polynomial`` must give the same polynomial."""
+    fld = f.field
+    (cf, mf), (cg, mg) = f.leading_term(order), g.leading_term(order)
+    lcm = mono_lcm(mf, mg)
+    return f.mul_term(fld.inv(cf), mono_div(lcm, mf)) - g.mul_term(fld.inv(cg), mono_div(lcm, mg))
+
+
 def reference_buchberger(gens, order, budget=None):
     """Reduced basis by a Buchberger loop with no criterion: every pair is
     reduced, first formed first, then the result is minimalized,
@@ -117,10 +126,7 @@ def reference_buchberger(gens, order, budget=None):
     while pairs:
         i, j = pairs.pop(0)
         budget.charge_pair()
-        (ci, mi), (cj, mj) = G[i].leading_term(order), G[j].leading_term(order)
-        lcm = mono_lcm(mi, mj)
-        s = G[i].mul_term(fld.inv(ci), mono_div(lcm, mi)) - G[j].mul_term(fld.inv(cj), mono_div(lcm, mj))
-        nf = reference_normal_form(s, G, order, budget=budget)
+        nf = reference_normal_form(reference_s_polynomial(G[i], G[j], order), G, order, budget=budget)
         if not nf.is_zero:
             pairs += [(k, len(G)) for k in range(len(G))]
             G.append(nf)
