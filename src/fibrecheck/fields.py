@@ -7,8 +7,8 @@ The Groebner engine's division kernel carries coefficients as ints over both
 fields; these hooks are all it knows of the field:
 
 - ``to_kernel(coeffs)``: ints i and a scale s with c = i/s, the ints primitive
-  over Q (no common factor, the first positive) and monic over F_p; ints
-  given as coefficients get their content removed (made monic);
+  over Q (no common factor, the first positive) and monic over F_p; given
+  ints, such as a remainder joining a basis, it removes their content;
 - ``from_kernel(ints, s)``: the values i/s;
 - ``step(c, lc)``: scalars (a, b) with a*c + b*lc = 0, fraction-free over Q,
   (lc/d, -c/d) with d = gcd(c, lc), and (1, -c/lc) over F_p;

@@ -63,14 +63,15 @@ Coefficients are ints over both fields, through the field's kernel hooks (see
 step is fraction-free, the primitive pseudo-remainder (Geddes, Czapor &
 Labahn 1992, *Algorithms for Computer Algebra*): at coefficient c, by an
 element with leading coefficient lc, with d = gcd(c, lc), the accumulator P
-becomes (lc/d)*P - (c/d)*t*g, and when lc/d is not 1 the pending entries, the
-remainder so far and the division's running scale are multiplied by it.  Over
-F_p elements are stored monic and the step is (1, -c/lc).  An S-polynomial
-remainder joins the basis with its content removed (made monic over F_p).
-Exact values are rebuilt only where they leave the engine: a remainder as R
-over the running scale, a quotient also over its divisor's scale, and each
-reduced basis element as c/lc.  Popped monomials, divisors and zero tests are
-those of division over the field, so counts and bases do not depend on this.
+becomes (lc/d)*P - (c/d)*t*g; when lc/d is not 1 the pending entries and the
+division's running scale are multiplied by it, and each remainder term is
+brought to the final scale when the division ends.  Over F_p elements are
+stored monic and the step is (1, -c/lc).  An S-polynomial remainder joins the
+basis with its content removed (made monic over F_p).  Exact values are
+rebuilt only where they leave the engine: a remainder as R over the running
+scale, a quotient also over its divisor's scale, and each reduced basis
+element as c/lc.  Popped monomials, divisors and zero tests are those of
+division over the field, so counts and bases do not depend on this.
 
 Each computation packs its inputs and unpacks what it returns; ``Exponents``
 tuples and field values stay the representation everywhere else.  Fields
@@ -306,7 +307,7 @@ def _reduce(pending, mono, basis, budget, with_quotients):
     heap = list(pending)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    rem = []  # popped in descending order
+    rem, at = [], []  # popped in descending order, and the scale each was popped at
     scale = 1
     quots = [{} for _ in leads] if with_quotients else None
     while heap:
@@ -326,7 +327,6 @@ def _reduce(pending, mono, basis, budget, with_quotients):
                     scale *= a
                     for key, old in pending.items():
                         pending[key] = old * a
-                    rem = [(rc * a, rm, rk) for rc, rm, rk in rem]
                 shift, shift_key = m - lead, k - lead_key
                 for tc, tm, tk in tail:
                     e_key = tk + shift_key
@@ -346,8 +346,11 @@ def _reduce(pending, mono, basis, budget, with_quotients):
                 break
         else:
             rem.append((c, m, k))
+            at.append(scale)
+    if scale != 1:  # bring every term to the final scale
+        rem = [(c * (scale // s), m, k) for (c, m, k), s in zip(rem, at)]
     if with_quotients:
-        quots = [{m: q * (scale // at) for m, (q, at) in qi.items()} for qi in quots]
+        quots = [{m: q * (scale // s) for m, (q, s) in qi.items()} for qi in quots]
     return rem, scale, quots
 
 
