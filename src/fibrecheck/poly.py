@@ -31,10 +31,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from operator import add, itemgetter, lshift, mul, neg, sub
 
-from .fields import RationalField
 
 Exponents = tuple
 
@@ -533,22 +532,11 @@ def render_poly(f: Polynomial) -> str:
 
 def integer_normalized(f: Polynomial) -> Polynomial:
     """Scale so integer coefficients are coprime and the leading one positive
-    (rationals); monic over F_p.  Used for reproducible witness rendering."""
-    if f.is_zero:
-        return f
-    if isinstance(f.field, RationalField):
-        den = 1
-        for c, _ in f.terms:
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c, _ in f.terms:
-            num = gcd(num, abs(c.numerator * den // c.denominator))
-        scale = Fraction(den, num)
-        g = f.scale(scale)
-        if g.leading_coefficient() < 0:
-            g = -g
-        return g
-    return f.monic()
+    (rationals); monic over F_p: the field's division-kernel form of f.  Used
+    for reproducible witness rendering."""
+    fld = f.field
+    ints, _ = fld.to_kernel([c for c, _ in f.terms])
+    return Polynomial(f.layout, fld, tuple((fld.coerce(i), e) for i, (_, e) in zip(ints, f.terms)))
 
 
 # ---------------------------------------------------------------------------
