@@ -653,7 +653,8 @@ def _forced_narrow(widths):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 @pytest.mark.parametrize("name", sorted(GB_ORDERS))
-@settings(max_examples=25, deadline=None, derandomize=True)
+# a missed width check fails many draws; shrinking one of them is enough
+@settings(max_examples=25, deadline=None, derandomize=True, report_multiple_bugs=False)
 @given(data=st.data())
 def test_widened_runs_equal_a_wide_run(field, name, data):
     # reruns at double width restore the budget, so bases, remainders and
