@@ -469,11 +469,6 @@ class Polynomial:
     def leading_coefficient(self, order: MonomialOrder | None = None):
         return self.leading_term(order)[0]
 
-    def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return self.scale(self.field.inv(self.leading_coefficient(order)))
-
     # rendering ------------------------------------------------------------
 
     def __str__(self):
