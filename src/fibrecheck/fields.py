@@ -104,13 +104,18 @@ class RationalField:
     canon = staticmethod(pos)
 
     def to_kernel(self, coeffs):
-        den = lcm(*[c.denominator for c in coeffs])
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        den = lcm(*[d for _, d in ratios])
+        ints = [n * (den // d) for n, d in ratios]
         content = -gcd(*ints) if ints and ints[0] < 0 else gcd(*ints) or 1
-        return (ints if content == 1 else [i // content for i in ints]), Fraction(den, content)
+        if content == 1:
+            return ints, den
+        return [i // content for i in ints], Fraction(den, content)
 
     def from_kernel(self, ints, scale):
-        num, den = scale.numerator, scale.denominator
+        num, den = scale.as_integer_ratio()
+        if num == 1:  # no gcd to take
+            return [Fraction(i * den) for i in ints]
         return [Fraction(i * den, num) for i in ints]
 
     def step(self, c, lc):
