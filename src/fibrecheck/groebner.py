@@ -212,11 +212,12 @@ def _widening(run, polys, order: MonomialOrder, budget):
 
 def _packed(f: Polynomial, packing) -> tuple:
     """(terms, scale): f's terms as (int coefficient, packed monomial, negated
-    key), descending, their coefficients those of f times the scale."""
+    key), descending, their coefficients those of f times the scale.  The
+    leading coefficient is positive over Q, so every step's scalar a is too."""
     pack, key = packing.pack, packing.key
-    ints, scale = f.field.to_kernel([c for c, _ in f.terms])
-    terms = [(i, pack(e), -key(e)) for i, (_, e) in zip(ints, f.terms)]
-    return sorted(terms, key=itemgetter(2)), scale
+    terms = sorted([(c, pack(e), -key(e)) for c, e in f.terms], key=itemgetter(2))
+    ints, scale = f.field.to_kernel([c for c, _, _ in terms])
+    return [(i, m, k) for i, (_, m, k) in zip(ints, terms)], scale
 
 
 def _polynomial(terms, scale, layout: RingLayout, fld, order: MonomialOrder, packing) -> Polynomial:
@@ -347,7 +348,7 @@ def _reduce(pending, mono, basis, budget, with_quotients):
         else:
             rem.append((c, m, k))
             at.append(scale)
-    if scale != 1:  # bring every term to the final scale
+    if scale != 1:  # bring every term to the final scale; a > 0, so it only grew
         rem = [(c * (scale // s), m, k) for (c, m, k), s in zip(rem, at)]
     if with_quotients:
         quots = [{m: q * (scale // s) for m, (q, s) in qi.items()} for qi in quots]

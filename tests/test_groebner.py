@@ -421,6 +421,18 @@ def test_remainder_under_other_order_is_stored_in_default_order(field, order):
     assert r == reference_normal_form(f, basis, order)
 
 
+def test_divisor_with_a_negative_lead_under_the_division_order():
+    # -x2^2 leads x2^2 - y1^2*x1 in storage, but under lex y1^2*x1 leads, with
+    # coefficient -1 once the stored lead is made positive; two steps by it,
+    # with a remainder term popped between them, must keep the signs
+    order = default_order(POW2, "lex")
+    basis = [_pow2("y2*x1*x2 + y1^2*x1"), _pow2("-x2^2 + y1^2*x1"), _pow2("x1^2 + x1")]
+    f = _pow2("y1^2*x1^2 - y2*x1*x2")
+    want = reference_normal_form(f, basis, order, with_quotients=True)
+    assert want[0] == _pow2("x1*x2^2 + x2^2")
+    assert normal_form(f, basis, order, with_quotients=True) == want
+
+
 def test_ideal_member_examples():
     assert ideal_member(_pow2("y1*x1 - y1*x2"), BLOWUP2)
     assert not ideal_member(_pow2("x1 - x2"), BLOWUP2)
