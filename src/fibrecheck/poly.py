@@ -529,9 +529,7 @@ def integer_normalized(f: Polynomial) -> Polynomial:
     """Scale so integer coefficients are coprime and the leading one positive
     (rationals); monic over F_p: the field's division-kernel form of f.  Used
     for reproducible witness rendering."""
-    fld = f.field
-    ints, _ = fld.to_kernel([c for c, _ in f.terms])
-    return Polynomial(f.layout, fld, tuple((fld.coerce(i), e) for i, (_, e) in zip(ints, f.terms)))
+    return f.scale(f.field.to_kernel([c for c, _ in f.terms])[1])
 
 
 # ---------------------------------------------------------------------------
