@@ -26,7 +26,6 @@ from .groebner import (
 from .idealops import (
     DimensionReport,
     contract_to_base,
-    eliminate,
     fibre_dim,
     krull_dim,
     module_saturate,
@@ -41,7 +40,6 @@ from .poly import (
     RingLayout,
     base_leading_coefficient,
     default_order,
-    elimination_order,
     integer_normalized,
     relabel,
     render_poly,

@@ -1,13 +1,17 @@
-"""Derived ideal and module operations: elimination, quotient, saturation,
-radical membership, contraction to the base, and dimension diagnostics.
+"""Derived ideal and module operations: contraction to the base, quotient,
+saturation, radical membership, and dimension diagnostics.
 
-Saturation and radical membership use the tag-variable constructions
-(single elimination basis and the Rabinowitsch trick); Krull dimension is
-computed combinatorially from independent sets of the leading-term ideal.
-A submodule is saturated as the ideal of its vectors encoded with position
-variables (see :mod:`fibrecheck.groebner`): :func:`saturate` multiplies
-1 - t*f by each position, and :func:`module_saturate` encodes, saturates and
-decodes.
+Quotient, saturation and radical membership remove one tag variable t, which
+``default_order`` ranks first (tag >> fibres >> base): the tag-free elements
+of a basis of I + (1 - t*f) are a basis of I : f^infinity, those of
+t*I + (1 - t)*f a basis of I ∩ (f), and 1 lies in I + (1 - t*f) iff f lies in
+the radical of I (the Rabinowitsch trick).  Contraction to the base keeps the
+base-only elements of the default basis, which ranks the fibres above the
+base.  Krull dimension is computed combinatorially from independent sets of
+the leading-term ideal.  A submodule is saturated as the ideal of its vectors
+encoded with position variables (see :mod:`fibrecheck.groebner`):
+:func:`saturate` multiplies 1 - t*f by each position, and
+:func:`module_saturate` encodes, saturates and decodes.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .groebner import (
 from .poly import (
     Polynomial,
     default_order,
-    elimination_order,
     substitute_base_point,
     transport,
 )
@@ -43,20 +46,15 @@ class DimensionReport:
 
 
 # ---------------------------------------------------------------------------
-# elimination
+# contraction, quotient and saturation
 
 
-def eliminate(I: Ideal, keep, within: str = "grevlex", budget: ComputeBudget | None = None) -> Ideal:
-    """Generators of I intersected with k[keep]; ``keep`` is a collection of
-    variable names.  The result stays in I's layout."""
-    layout = I.layout
-    keep_idx = {layout.index_of(n) for n in keep}
-    drop_idx = [i for i in range(layout.nvars) if i not in keep_idx]
-    order = elimination_order(layout, drop_idx, within)
-    gb = buchberger(I.gens, order, budget)
-    drop_set = set(drop_idx)
-    kept = [g for g in gb if not (g.support_indices() & drop_set)]
-    return Ideal(layout, I.field, tuple(kept))
+def _avoiding(gb, drop: set, layout) -> tuple:
+    """The elements of a basis that avoid the variables at the indices
+    ``drop``, transported to ``layout``.  Under an order ranking ``drop``
+    first they form a basis of the ideal's intersection with the ring of
+    the other variables (the elimination theorem)."""
+    return tuple(transport(g, layout) for g in gb if not (g.support_indices() & drop))
 
 
 def contract_to_base(I: Ideal, within: str = "grevlex", budget: ComputeBudget | None = None) -> Ideal:
@@ -65,58 +63,32 @@ def contract_to_base(I: Ideal, within: str = "grevlex", budget: ComputeBudget | 
     layout = I.layout
     gb = I.groebner_basis(default_order(layout, within), budget)
     non_base = set(range(len(layout.base_vars), layout.nvars))
-    base_layout = layout.base_only()
-    kept = [
-        transport(g, base_layout)
-        for g in gb
-        if not (g.support_indices() & non_base)
-    ]
-    return Ideal(base_layout, I.field, tuple(kept))
-
-
-# ---------------------------------------------------------------------------
-# quotient and saturation
+    return Ideal(layout.base_only(), I.field, _avoiding(gb, non_base, layout.base_only()))
 
 
 def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> Ideal:
-    """The ideal quotient I : f = {g : g*f in I}, via (I intersect (f)) / f."""
+    """The ideal quotient I : f = {g : g*f in I}, via (I ∩ (f)) / f, with
+    I ∩ (f) = (t*I + (1 - t)*f) ∩ k[vars]."""
     if f.is_zero:
         raise ValueError("quotient by the zero polynomial")
-    layout = I.layout
-    fld = I.field
-    ext = layout.with_tag()
-    t = Polynomial.variable(ext, fld, ext.tag_var)
-    one = Polynomial.constant(ext, fld, 1)
+    ext = I.layout.with_tag()
+    t = Polynomial.variable(ext, I.field, ext.tag_var)
     gens = [t * transport(g, ext) for g in I.gens]
-    gens.append((one - t) * transport(f, ext))
-    inter = eliminate(
-        Ideal(ext, fld, tuple(gens)),
-        [n for n in ext.var_names() if n != ext.tag_var],
-        within,
-        budget,
-    )
-    out = [exact_divide(transport(g, layout), f) for g in inter.gens]
-    return Ideal(layout, fld, tuple(out))
+    gens.append((Polynomial.constant(ext, I.field, 1) - t) * transport(f, ext))
+    gb = buchberger(gens, default_order(ext, within), budget)
+    inter = _avoiding(gb, {ext.tag_index}, I.layout)
+    return Ideal(I.layout, I.field, tuple(exact_divide(g, f) for g in inter))
 
 
 def saturate(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> Ideal:
     """I : f^infinity, via the tag construction (I + (1 - t*f)) ∩ k[vars]."""
     if f.is_zero:
         raise ValueError("saturation by the zero polynomial")
-    layout = I.layout
-    fld = I.field
     if f.is_constant:
-        return Ideal(layout, fld, I.gens)
+        return Ideal(I.layout, I.field, I.gens)
     ext, gens = _with_inverse(I, f)
-    ext_ideal = Ideal(ext, fld, tuple(gens))
-    gb = ext_ideal.groebner_basis(default_order(ext, within), budget)
-    tag_idx = ext.tag_index
-    kept = [
-        transport(g, layout)
-        for g in gb
-        if tag_idx not in g.support_indices()
-    ]
-    return Ideal(layout, fld, tuple(kept))
+    gb = buchberger(gens, default_order(ext, within), budget)
+    return Ideal(I.layout, I.field, _avoiding(gb, {ext.tag_index}, I.layout))
 
 
 def _with_inverse(I: Ideal, f: Polynomial):
@@ -155,7 +127,7 @@ def radical_member(f: Polynomial, I: Ideal, within: str = "grevlex", budget=None
     if f.is_zero:
         return True
     ext, gens = _with_inverse(I, f)
-    gb = buchberger(tuple(gens), default_order(ext, within), budget)
+    gb = buchberger(gens, default_order(ext, within), budget)
     return bool(gb) and gb[0].is_constant
 
 

@@ -284,14 +284,6 @@ def default_order(layout: RingLayout, within: str = "grevlex") -> MonomialOrder:
     return MonomialOrder(tuple(blocks), within)
 
 
-def elimination_order(layout: RingLayout, drop, within: str = "grevlex") -> MonomialOrder:
-    """Order placing the dropped variables ahead of the kept ones."""
-    drop = tuple(sorted(drop))
-    keep = tuple(i for i in range(layout.nvars) if i not in set(drop))
-    blocks = tuple(blk for blk in (drop, keep) if blk)
-    return MonomialOrder(blocks or ((),), within)
-
-
 # ---------------------------------------------------------------------------
 # monomial helpers
 

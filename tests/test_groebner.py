@@ -21,7 +21,6 @@ from fibrecheck import (
     RingLayout,
     buchberger,
     default_order,
-    elimination_order,
     fibred_power_ideal,
     ideal_member,
     module_buchberger,
@@ -328,7 +327,7 @@ TAGGED2 = POW2.with_tag()
     [
         (POW2, default_order(POW2)),
         (POW2, default_order(POW2, "lex")),
-        (POW2, elimination_order(POW2, POW2.base_indices)),
+        (POW2, MonomialOrder((POW2.base_indices, POW2.fibre_indices))),
         (TAGGED2, default_order(TAGGED2)),
     ],
     ids=["default", "lex", "elimination", "tagged"],
@@ -358,7 +357,7 @@ def test_normal_form_equals_reference_division(field, layout, order, data):
     [
         (POW2, default_order(POW2)),
         (POW2, default_order(POW2, "lex")),
-        (POW2, elimination_order(POW2, POW2.base_indices)),
+        (POW2, MonomialOrder((POW2.base_indices, POW2.fibre_indices))),
         (TAGGED2, default_order(TAGGED2)),
     ],
     ids=["default", "lex", "elimination", "tagged"],
@@ -399,7 +398,7 @@ def test_spair_reduction_equals_reference_division(field, layout, order, data):
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 @pytest.mark.parametrize(
     "order",
-    [default_order(POW2, "lex"), elimination_order(POW2, POW2.base_indices)],
+    [default_order(POW2, "lex"), MonomialOrder((POW2.base_indices, POW2.fibre_indices))],
     ids=["lex", "elimination"],
 )
 def test_remainder_under_other_order_is_stored_in_default_order(field, order):
@@ -550,7 +549,7 @@ L3 = RingLayout(("y",), ("x1", "x2"))
 GB_ORDERS = {
     "default": (L3, default_order(L3)),
     "lex": (L3, default_order(L3, "lex")),
-    "elimination": (L3, elimination_order(L3, L3.base_indices)),
+    "elimination": (L3, MonomialOrder((L3.base_indices, L3.fibre_indices))),
     "tagged": (L3.with_tag(), default_order(L3.with_tag())),
 }
 
@@ -687,7 +686,7 @@ NARROW_CASES = {
     "lex": (GROWING, default_order(XY2, "lex"), P(XY2, "x^5*y^4 + y^7")),
     "elimination": (
         A3_CHART.gens,
-        elimination_order(A3_CHART.layout, (3, 4)),
+        MonomialOrder((A3_CHART.layout.fibre_indices, A3_CHART.layout.base_indices)),
         P(A3_CHART.layout, "x1^5*y1^3 + x2^2*y3^4"),
     ),
     "tagged": (

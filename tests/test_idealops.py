@@ -1,16 +1,17 @@
-"""Derived ideal operations: elimination, quotient, saturation, radical
-membership, contraction, and dimension diagnostics."""
+"""Derived ideal operations: contraction to the base, quotient, saturation,
+radical membership, and dimension diagnostics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibrecheck import (
     QQ,
     Ideal,
     ModulePresentation,
     Polynomial,
+    PrimeField,
     RingLayout,
     contract_to_base,
-    eliminate,
     fibre_dim,
     fibred_power_ideal,
     krull_dim,
@@ -18,10 +19,12 @@ from fibrecheck import (
     quotient,
     radical_member,
     saturate,
+    transport,
 )
 
-from oracles import saturate_by_quotients
-from util import BLOWUP_LAYOUT, CUSP_LAYOUT, P, PW, ideal_equal, ideal_of
+from oracles import macaulay_member, saturate_by_quotients
+from test_poly import poly_strategy
+from util import BLOWUP_LAYOUT, CUSP_LAYOUT, LINE_LAYOUT, P, PW, ideal_equal, ideal_of
 
 XY2 = RingLayout((), ("x", "y"))
 BLOWUP_IDEAL = ideal_of(BLOWUP_LAYOUT, "y1*x - y2")
@@ -34,29 +37,7 @@ def _pw(text):
 
 
 # ---------------------------------------------------------------------------
-# elimination / contraction
-
-
-def test_eliminate_cusp_parameter():
-    I = ideal_of(CUSP_LAYOUT, "y1 - t^2", "y2 - t^3")
-    out = eliminate(I, ["y1", "y2"])
-    expected = ideal_of(CUSP_LAYOUT, "y1^3 - y2^2")
-    assert ideal_equal(out, expected)
-
-
-def test_eliminate_keeps_everything_when_nothing_dropped():
-    I = ideal_of(XY2, "x^2 - y")
-    out = eliminate(I, ["x", "y"])
-    assert ideal_equal(out, I)
-
-
-def test_eliminate_soundness_only_kept_variables_appear():
-    I = ideal_of(CUSP_LAYOUT, "y1 - t^2", "y2 - t^3")
-    out = eliminate(I, ["y1", "y2"])
-    drop = CUSP_LAYOUT.index_of("t")
-    for g in out.gens:
-        assert drop not in g.support_indices()
-        assert I.contains(g)
+# contraction
 
 
 def test_contract_to_base_cusp():
@@ -65,6 +46,8 @@ def test_contract_to_base_cusp():
     base = CUSP_LAYOUT.base_only()
     assert out.layout == base
     assert ideal_equal(out, ideal_of(base, "y1^3 - y2^2"))
+    for g in out.gens:
+        assert I.contains(transport(g, CUSP_LAYOUT))
 
 
 def test_contract_to_base_of_blowup_is_zero():
@@ -94,6 +77,25 @@ def test_quotient_defining_property():
     out = quotient(I, f)
     for g in out.gens:
         assert I.contains(g * f)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quotient_on_random_ideals(field, data):
+    """I ⊆ I : f, g*f ∈ I for every generator g of I : f (by the engine and by
+    the Macaulay oracle), and the grevlex and lex quotients are one ideal."""
+    polys = poly_strategy(LINE_LAYOUT, field, max_exp=2, max_terms=3)
+    gens = data.draw(st.lists(polys, min_size=1, max_size=3))
+    f = data.draw(polys.filter(lambda p: not p.is_zero))
+    I = Ideal(LINE_LAYOUT, field, tuple(gens))
+    by_order = {within: quotient(I, f, within) for within in ("grevlex", "lex")}
+    for Q in by_order.values():
+        assert all(Q.contains(h) for h in I.gens)
+        for g in Q.gens:
+            assert I.contains(g * f)
+            assert macaulay_member(g * f, I.gens, (g * f).total_degree() + 4)
+    assert ideal_equal(by_order["grevlex"], by_order["lex"])
 
 
 def test_quotient_by_zero_raises():

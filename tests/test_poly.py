@@ -16,7 +16,6 @@ from fibrecheck import (
     RingLayout,
     base_leading_coefficient,
     default_order,
-    elimination_order,
     integer_normalized,
     relabel,
     substitute_base_point,
@@ -186,7 +185,7 @@ Y2X2 = RingLayout(("y1", "y2"), ("x1", "x2"))
 PACKED_ORDERS = {
     "grevlex": (4, default_order(Y2X2)),
     "lex": (4, default_order(Y2X2, "lex")),
-    "elimination": (4, elimination_order(Y2X2, Y2X2.base_indices)),
+    "elimination": (4, MonomialOrder((Y2X2.base_indices, Y2X2.fibre_indices))),
     "tagged": (5, default_order(Y2X2.with_tag())),
     "positioned": (6, ModuleOrder(default_order(Y2X2)).on(Y2X2.with_positions(2))),
     "base-first": (3, MonomialOrder(((0, 1), (2,)))),
@@ -275,7 +274,7 @@ TAGGED = POW2.with_tag()
         (POW2, None),
         (POW2, default_order(POW2)),
         (POW2, default_order(POW2, "lex")),
-        (POW2, elimination_order(POW2, POW2.base_indices)),
+        (POW2, MonomialOrder((POW2.base_indices, POW2.fibre_indices))),
         (TAGGED, default_order(TAGGED)),
     ],
     ids=["none", "default", "lex", "elimination", "tagged"],
