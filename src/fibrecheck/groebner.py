@@ -544,14 +544,6 @@ class Ideal:
         self.gens = tuple(g for g in self.gens if not g.is_zero)
         self._gb_cache = {}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ideal)
-            and self.layout == other.layout
-            and self.field == other.field
-            and self.gens == other.gens
-        )
-
     def groebner_basis(self, order: MonomialOrder | None = None, budget: ComputeBudget | None = None):
         order = order or default_order(self.layout)
         if order not in self._gb_cache:
