@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 from . import __version__
@@ -543,12 +544,12 @@ def render_report(problem: Problem, checks: list, fmt: str = "text") -> str:
 # driver
 
 
-def _build_config(args, problem: Problem) -> CheckConfig:
+def _build_config(args, problem: Problem, started: float) -> CheckConfig:
     return CheckConfig(
         within=args.order,
         max_power=args.max_power if args.max_power is not None else problem.max_power,
         pair_limit=args.pair_limit,
-        timeout_seconds=args.timeout_seconds,
+        deadline=None if args.timeout_seconds is None else started + args.timeout_seconds,
         allow_char_p_flatness=args.allow_char_p_flatness,
     )
 
@@ -565,6 +566,7 @@ def _flag_error(args) -> str | None:
 
 
 def run(argv=None) -> int:
+    started = time.monotonic()  # --timeout-seconds bounds the whole run from here
     parser = argparse.ArgumentParser(
         prog="fibrecheck",
         description="Decide openness and flatness of Spec A -> Spec R by "
@@ -600,7 +602,7 @@ def run(argv=None) -> int:
         print(f"fibrecheck: {exc}", file=sys.stderr)
         return 1
 
-    config = _build_config(args, problem)
+    config = _build_config(args, problem, started)
     try:
         verdicts = [
             check_openness(problem, config) if kind == "open" else check_flatness(problem, config)

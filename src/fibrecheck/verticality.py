@@ -51,25 +51,21 @@ class WitnessSoundnessError(RuntimeError):
 @dataclass
 class CheckConfig:
     """Settings of a run.  Every budget it hands out carries the config's one
-    basis memo, so the checks of a run compute each basis once.  The memo is
-    owned state, not a setting: it lives as long as the config and keeps every
-    basis stored in it alive, so a caller checking many unrelated problems
-    should give each its own config."""
+    deadline, an absolute ``time.monotonic()`` instant, so that one clock
+    bounds every check of a run, and its one basis memo, so that the checks
+    compute each basis once.  The memo is owned state, not a setting: it lives
+    as long as the config and keeps every basis stored in it alive, so a
+    caller checking many unrelated problems should give each its own config."""
 
     within: str = "grevlex"
     max_power: int | None = None
     pair_limit: int = 100_000
-    timeout_seconds: float | None = None
+    deadline: float | None = None
     allow_char_p_flatness: bool = False
     memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def budget(self) -> ComputeBudget:
-        deadline = (
-            None
-            if self.timeout_seconds is None
-            else time.monotonic() + self.timeout_seconds
-        )
-        return ComputeBudget(pair_limit=self.pair_limit, deadline=deadline, memo=self.memo)
+        return ComputeBudget(pair_limit=self.pair_limit, deadline=self.deadline, memo=self.memo)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Input language parsing, report rendering, exit codes, and determinism."""
 
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -9,7 +10,7 @@ import time
 import pytest
 
 from fibrecheck import QQ, ComputeBudget, PrimeField
-from fibrecheck import cli
+from fibrecheck import cli, verticality
 from fibrecheck.cli import (
     COEFF_CHUNK_BITS,
     MAX_EXPANSION,
@@ -453,6 +454,33 @@ def test_exit_three_on_timeout(capsys):
     )
     assert code == 3
     assert "ABORTED" in out
+
+
+def test_one_deadline_bounds_the_whole_run(monkeypatch, capsys):
+    """--timeout-seconds starts one clock before the input is read: both
+    checks of a run get the same deadline, fixed before parsing.  The clock
+    is a counter, so no wall time is involved."""
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
+    parsed_at, deadlines = [], []
+    parse, budget = cli.parse_problem, verticality.CheckConfig.budget
+
+    def spied_parse(text):
+        parsed_at.append(time.monotonic())
+        return parse(text)
+
+    def spied_budget(config):
+        b = budget(config)
+        deadlines.append(b.deadline)
+        return b
+
+    monkeypatch.setattr(cli, "parse_problem", spied_parse)
+    monkeypatch.setattr(verticality.CheckConfig, "budget", spied_budget)
+    timeout = 10**9
+    code, out, _ = _run(capsys, "--input", str(FIXTURES / "blowup.alg"), "--timeout-seconds", str(timeout))
+    assert code == 0 and "ABORTED" not in out
+    assert len(deadlines) == 2 and deadlines[0] == deadlines[1]
+    assert deadlines[0] - timeout < parsed_at[0]
 
 
 # ---------------------------------------------------------------------------
