@@ -46,8 +46,19 @@ def test_contract_to_base_cusp():
     base = CUSP_LAYOUT.base_only()
     assert out.layout == base
     assert ideal_equal(out, ideal_of(base, "y1^3 - y2^2"))
+
+
+def test_eliminate_soundness_only_kept_variables_appear():
+    """Eliminating the fibre variable t: every generator of the contraction,
+    read back in the full ring, is free of t and lies in I."""
+    I = ideal_of(CUSP_LAYOUT, "y1 - t^2", "y2 - t^3")
+    out = contract_to_base(I)
+    assert out.gens
+    drop = CUSP_LAYOUT.index_of("t")
     for g in out.gens:
-        assert I.contains(transport(g, CUSP_LAYOUT))
+        back = transport(g, CUSP_LAYOUT)
+        assert drop not in back.support_indices()
+        assert I.contains(back)
 
 
 def test_contract_to_base_of_blowup_is_zero():
