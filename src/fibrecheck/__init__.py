@@ -13,11 +13,9 @@ from .fields import QQ, PrimeField, RationalField
 from .groebner import (
     ComputeBudget,
     Ideal,
-    ModuleOrder,
     ModulePresentation,
     ResourceLimitError,
     buchberger,
-    ideal_member,
     module_buchberger,
     module_normal_form,
     normal_form,

@@ -37,6 +37,7 @@ from .verticality import (
     CharacteristicGuardError,
     CheckConfig,
     Verdict,
+    characteristic_guard,
     check_flatness,
     check_openness,
 )
@@ -604,6 +605,8 @@ def run(argv=None) -> int:
 
     config = _build_config(args, problem, started)
     try:
+        if "flat" in problem.checks:
+            characteristic_guard(problem, config)
         verdicts = [
             check_openness(problem, config) if kind == "open" else check_flatness(problem, config)
             for kind in problem.checks

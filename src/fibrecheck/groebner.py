@@ -10,8 +10,8 @@ A submodule of a free module of rank r runs through the same code as an
 ideal.  Its vectors (p_1, ..., p_r) are encoded as polynomials
 p_1*e_1 + ... + p_r*e_r in a layout with r position variables (see
 :mod:`fibrecheck.poly`), so each term carries exactly one position at
-exponent 1.  ``default_order`` puts the position block last, which is the
-term-over-position order of :class:`ModuleOrder`.  Buchberger pairs two
+exponent 1.  ``default_order`` of that layout puts the position block last,
+which makes it the term-over-position order.  Buchberger pairs two
 elements only when their leading monomials have the same position; an ideal
 has no positions, so every pair qualifies.  Division needs nothing extra: a
 leading monomial divides only monomials in its own position, and every
@@ -558,26 +558,8 @@ class Ideal:
         return normal_form(f, list(gb), order, budget=budget).is_zero
 
 
-def ideal_member(f: Polynomial, I: Ideal, order=None, budget=None) -> bool:
-    return I.contains(f, order, budget)
-
-
 # ---------------------------------------------------------------------------
 # submodules of free modules, encoded with position variables
-
-
-@dataclass(frozen=True)
-class ModuleOrder:
-    """Term-over-position: compare monomials by the ring order, tie-break by
-    position ascending (lower position wins).  On encoded vectors it is the
-    ring order with the position block appended last."""
-
-    ring_order: MonomialOrder
-
-    def on(self, layout: RingLayout) -> MonomialOrder:
-        """The order on the monomials of ``layout``, a layout with positions."""
-        blocks = tuple(blk for blk in self.ring_order.blocks if blk)
-        return MonomialOrder(blocks + (layout.position_indices,), self.ring_order.within)
 
 
 def encode_vectors(vectors, layout: RingLayout, rank: int) -> list:
@@ -611,56 +593,55 @@ def _is_zero_vector(v) -> bool:
     return all(c.is_zero for c in v)
 
 
-def module_normal_form(v, basis, morder: ModuleOrder, budget=None):
-    """Remainder of the vector ``v`` on division by the basis vectors."""
+def module_normal_form(v, basis, order: MonomialOrder, budget=None):
+    """Remainder of the vector ``v`` on division by the basis vectors, under
+    ``order`` on the encoded layout."""
     if not basis:
         return v
     layout, rank = v[0].layout, len(v)
     f, *encoded = encode_vectors([v, *basis], layout, rank)
-    r = normal_form(f, encoded, morder.on(f.layout), budget=budget)
+    r = normal_form(f, encoded, order, budget=budget)
     return decode_vectors([r])[0]
 
 
-def module_buchberger(vectors, morder: ModuleOrder, budget: ComputeBudget | None = None):
-    """Reduced Groebner basis of the submodule generated by ``vectors``."""
+def module_buchberger(vectors, order: MonomialOrder, budget: ComputeBudget | None = None):
+    """Reduced Groebner basis of the submodule generated by ``vectors``, under
+    ``order`` on the encoded layout."""
     if not vectors:
         return []
     layout, rank = vectors[0][0].layout, len(vectors[0])
     encoded = encode_vectors(vectors, layout, rank)
-    order = morder.on(layout.with_positions(rank))
     return decode_vectors(buchberger(encoded, order, budget))
 
 
 @dataclass
 class ModulePresentation:
     """Finite presentation of a module: relation vectors inside a free module
-    of the given rank; the module itself is the cokernel."""
+    of the given rank; the module itself is the cokernel.  Its bases are
+    computed on the encoded vectors, by default under ``morder``, the default
+    order of the encoded layout."""
 
     layout: RingLayout
     field: object
     rank: int
     relations: tuple  # tuple of vectors (tuples of rank polynomials)
-    morder: ModuleOrder | None = None
 
     def __post_init__(self):
         for v in self.relations:
             if len(v) != self.rank:
                 raise ValueError("relation vector length differs from rank")
         self.relations = tuple(v for v in self.relations if not _is_zero_vector(v))
-        if self.morder is None:
-            self.morder = ModuleOrder(default_order(self.layout))
+        self.morder = default_order(self.layout.with_positions(self.rank))
         self._gb_cache = {}
 
-    def groebner_basis(self, morder: ModuleOrder | None = None, budget=None):
-        morder = morder or self.morder
-        if morder not in self._gb_cache:
-            self._gb_cache[morder] = tuple(
-                module_buchberger(self.relations, morder, budget)
-            )
-        return self._gb_cache[morder]
+    def groebner_basis(self, order: MonomialOrder | None = None, budget=None):
+        order = order or self.morder
+        if order not in self._gb_cache:
+            self._gb_cache[order] = tuple(module_buchberger(self.relations, order, budget))
+        return self._gb_cache[order]
 
-    def contains(self, v, morder=None, budget=None) -> bool:
-        gb = self.groebner_basis(morder, budget)
+    def contains(self, v, order=None, budget=None) -> bool:
+        gb = self.groebner_basis(order, budget)
         if not gb:
             return _is_zero_vector(v)
-        return _is_zero_vector(module_normal_form(v, list(gb), morder or self.morder, budget))
+        return _is_zero_vector(module_normal_form(v, list(gb), order or self.morder, budget))

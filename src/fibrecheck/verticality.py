@@ -18,13 +18,10 @@ from .fields import RationalField
 from .groebner import (
     ComputeBudget,
     Ideal,
-    ModuleOrder,
     ModulePresentation,
     ResourceLimitError,
-    buchberger,
     decode_vectors,
     encode_vectors,
-    exact_divide,
 )
 from .idealops import contract_to_base, module_saturate, quotient, radical_member, saturate
 from .poly import (
@@ -32,7 +29,6 @@ from .poly import (
     base_leading_coefficient,
     default_order,
     integer_normalized,
-    mono_div,
     transport,
 )
 from .power import Problem, fibred_power_ideal, tensor_power_presentation
@@ -95,29 +91,11 @@ class Verdict:
 # generic denominator and dominant part
 
 
-def _univariate_squarefree(f: Polynomial, var_index: int) -> Polynomial:
-    """f / gcd(f, f'), the gcd being the one element of the reduced basis of
-    (f, f').  Over F_p this is used only when deg f < p, so that every
-    multiplicity is below p and the quotient keeps each irreducible factor;
-    otherwise f itself is returned, which also covers a vanishing derivative."""
-    fld = f.field
-    if fld.characteristic and max(e[var_index] for _, e in f.terms) >= fld.characteristic:
-        return f
-    unit = tuple(int(i == var_index) for i in range(f.layout.nvars))
-    deriv = {
-        mono_div(e, unit): fld.mul(c, fld.coerce(e[var_index]))
-        for c, e in f.terms
-        if e[var_index]
-    }
-    (g,) = buchberger([f, Polynomial.from_dict(f.layout, fld, deriv)], default_order(f.layout))
-    return exact_divide(f, g)
-
-
 def squarefree_part(f: Polynomial) -> Polynomial:
-    """Squarefree reduction that keeps every irreducible factor: exponent
-    truncation for monomials, f / gcd(f, f') for a polynomial in one
-    variable (over F_p only when deg f < p), identity otherwise.  Saturation
-    is insensitive to multiplicities, so this only limits degree growth."""
+    """A monomial with every exponent truncated to 1 (and coefficient 1); any
+    other f itself.  Saturation depends only on the radical, I : h^infinity =
+    I : (h_red)^infinity, so this only limits degree growth, and it keeps
+    every irreducible factor of f."""
     if f.is_zero or f.is_constant:
         return f
     if len(f.terms) == 1:
@@ -125,15 +103,13 @@ def squarefree_part(f: Polynomial) -> Polynomial:
         return Polynomial.from_dict(
             f.layout, f.field, {tuple(min(x, 1) for x in e): f.field.one}
         )
-    support = f.support_indices()
-    if len(support) == 1:
-        return _univariate_squarefree(f, next(iter(support)))
     return f
 
 
 def generic_denominator(basis, layout, fld, order=None) -> Polynomial:
-    """Squarefree-reduced product of the distinct base leading coefficients of
-    the basis elements; saturation by it contracts from K(R)[x] back to R[x].
+    """Product of the distinct base leading coefficients of the basis
+    elements, each through :func:`squarefree_part`; saturation by it
+    contracts from K(R)[x] back to R[x].
     The basis may be of encoded vectors (``layout`` then has positions); the
     product has no position variables either way."""
     order = order or default_order(layout)
@@ -211,22 +187,20 @@ def has_torsion_module(pres: ModulePresentation, within: str = "grevlex", budget
     """R-torsion in the cokernel of the presentation: a saturation generator v
     outside N, with r = h^k the smallest power pushing it back in."""
     layout, fld = pres.layout, pres.field
-    morder = ModuleOrder(default_order(layout, within))
-    gb = pres.groebner_basis(morder, budget)
     positioned = layout.with_positions(pres.rank)
-    h = generic_denominator(
-        encode_vectors(gb, layout, pres.rank), positioned, fld, morder.on(positioned)
-    )
+    order = default_order(positioned, within)
+    gb = pres.groebner_basis(order, budget)
+    h = generic_denominator(encode_vectors(gb, layout, pres.rank), positioned, fld, order)
     h = transport(h, layout)
     S = module_saturate(pres, h, within, budget)
     for v in S.relations:
-        if pres.contains(v, morder, budget):
+        if pres.contains(v, order, budget):
             continue
         power = Polynomial.constant(layout, fld, 1)
         for _ in range(TORSION_POWER_BOUND):
             power = power * h
             scaled = tuple(power * c for c in v)
-            if pres.contains(scaled, morder, budget):
+            if pres.contains(scaled, order, budget):
                 return True, (integer_normalized(power), v)
         raise WitnessSoundnessError("saturation element resists every tested power")
     return False, None
@@ -351,8 +325,9 @@ def _verify_flat_ideal_certificate(Jk, r, v, within, budget):
 
 
 def _verify_flat_module_certificate(pres, r, v, within, budget):
-    """The ideal re-check on the encoded relations and vector; its order,
-    default_order of the positioned layout, is the module order there."""
+    """The ideal re-check on the encoded relations and vector, under
+    default_order of the positioned layout, the order the torsion search
+    used."""
     *relations, encoded = encode_vectors([*pres.relations, v], pres.layout, pres.rank)
     N = Ideal(encoded.layout, pres.field, tuple(relations))
     _verify_flat_ideal_certificate(N, transport(r, encoded.layout), encoded, within, budget)
@@ -374,8 +349,15 @@ def check_flatness(problem: Problem, config: CheckConfig | None = None) -> Verdi
     in the tensor powers k = 1..n.  Over F_p the check requires an explicit
     acknowledgment flag."""
     config = config or CheckConfig()
+    characteristic_guard(problem, config)
+    return _run_power_loop(problem, config, "flat")
+
+
+def characteristic_guard(problem: Problem, config: CheckConfig) -> None:
+    """CharacteristicGuardError when flatness over F_p lacks the
+    acknowledgment flag; a caller running several checks calls it first, so
+    that a refused run computes nothing."""
     if not isinstance(problem.field, RationalField) and not config.allow_char_p_flatness:
         raise CharacteristicGuardError(
             "flatness over a prime field requires --allow-char-p-flatness"
         )
-    return _run_power_loop(problem, config, "flat")

@@ -430,6 +430,18 @@ def test_exit_two_on_charp_flatness_without_flag(capsys):
         path.unlink()
 
 
+def test_refused_flatness_runs_no_check(monkeypatch, capsys):
+    # over F_p without the flag, "check both" is refused before the openness
+    # check starts: nothing is computed for a report that is never printed
+    calls = []
+    monkeypatch.setattr(cli, "check_openness", lambda *args: calls.append(args))
+    text = (FIXTURES / "oversized.alg").read_text().replace("field Q", "field F 32003")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = _run(capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err == "fibrecheck: unsupported: flatness over a prime field requires --allow-char-p-flatness\n"
+
+
 def test_charp_openness_needs_no_flag(capsys):
     code, out, _ = _run(capsys, "--input", str(FIXTURES / "charp_open.alg"))
     assert code == 0
@@ -577,6 +589,22 @@ def test_check_both_equals_open_then_flat(capsys, monkeypatch, limit, aborted_at
         c["kind"]: c["powers"][-1]["k"] for c in both if c["outcome"] == "aborted"
     } == aborted_at
     assert (False in afforded) == unaffordable
+
+
+def test_pair_limit_bounds_each_check(monkeypatch, capsys):
+    # --pair-limit bounds each check, while --timeout-seconds bounds the run:
+    # the memo charges replayed pairs again so that a check's pairs and aborts
+    # do not depend on the checks before it, and a run-wide limit would undo that
+    text = (FIXTURES / "oversized.alg").read_text()
+    runs = {}
+    for check in ("both", "flat"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text.replace("check both", f"check {check}")))
+        code, out, _ = _run(capsys, "--json", "--pair-limit", "30")
+        runs[check] = code, json.loads(out)["checks"]
+    (both_code, both), (flat_code, flat) = runs["both"], runs["flat"]
+    assert both_code == flat_code == 3
+    assert both[1] == flat[0]
+    assert [c["powers"][-1]["pairs"] for c in both] == [31, 31]
 
 
 def test_trace_adds_millis(capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from fibrecheck import (
     QQ,
     LayoutMismatchError,
-    ModuleOrder,
     MonomialOrder,
     Polynomial,
     PrimeField,
@@ -187,7 +186,7 @@ PACKED_ORDERS = {
     "lex": (4, default_order(Y2X2, "lex")),
     "elimination": (4, MonomialOrder((Y2X2.base_indices, Y2X2.fibre_indices))),
     "tagged": (5, default_order(Y2X2.with_tag())),
-    "positioned": (6, ModuleOrder(default_order(Y2X2)).on(Y2X2.with_positions(2))),
+    "positioned": (6, default_order(Y2X2.with_positions(2))),
     "base-first": (3, MonomialOrder(((0, 1), (2,)))),
 }
 

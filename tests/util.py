@@ -146,15 +146,16 @@ def reference_buchberger(gens, order, budget=None):
     return sorted((g.scale(fld.inv(g.leading_term(order)[0])) for g in kept), key=key, reverse=True)
 
 
-def reference_vector_leading(v, morder):
+def reference_vector_leading(v, ring_order):
     """(position, coefficient, monomial) of a vector's leading term under the
-    term-over-position order: the ring order first, then the lower position."""
+    term-over-position order: ``ring_order`` (an order on the vector's ring)
+    first, then the lower position."""
     best = None
     for pos, comp in enumerate(v):
         if comp.is_zero:
             continue
-        c, m = comp.leading_term(morder.ring_order)
-        key = (morder.ring_order.key(m), -pos)
+        c, m = comp.leading_term(ring_order)
+        key = (ring_order.key(m), -pos)
         if best is None or key > best[0]:
             best = (key, pos, c, m)
     if best is None:
@@ -162,11 +163,11 @@ def reference_vector_leading(v, morder):
     return best[1], best[2], best[3]
 
 
-def reference_s_vector(u, v, morder):
+def reference_s_vector(u, v, ring_order):
     """S-vector of two vectors leading in the same position; the leading
     terms cancel."""
-    pu, cu, mu = reference_vector_leading(u, morder)
-    pv, cv, mv = reference_vector_leading(v, morder)
+    pu, cu, mu = reference_vector_leading(u, ring_order)
+    pv, cv, mv = reference_vector_leading(v, ring_order)
     assert pu == pv
     fld = u[0].field
     lcm = mono_lcm(mu, mv)
@@ -180,20 +181,20 @@ def _is_zero_vector(v) -> bool:
     return all(c.is_zero for c in v)
 
 
-def reference_module_normal_form(v, basis, morder, budget=None):
+def reference_module_normal_form(v, basis, ring_order, budget=None):
     """Module division written vector by vector: rebuild the whole dividend
     after every step.  ``module_normal_form`` must agree with it on the
     remainder."""
     if not basis:
         return v
     layout, fld = basis[0][0].layout, basis[0][0].field
-    lead = [reference_vector_leading(g, morder) for g in basis]
+    lead = [reference_vector_leading(g, ring_order) for g in basis]
     rem = [dict() for _ in v]
     p = v
     while not _is_zero_vector(p):
         if budget is not None:
             budget.charge_work()
-        pos, c, m = reference_vector_leading(p, morder)
+        pos, c, m = reference_vector_leading(p, ring_order)
         for i, (gpos, gc, gm) in enumerate(lead):
             if gpos == pos and mono_divides(gm, m):
                 fc, fm = fld.div(c, gc), mono_div(m, gm)
@@ -206,7 +207,7 @@ def reference_module_normal_form(v, basis, morder, budget=None):
     return tuple(Polynomial.from_dict(layout, fld, d) for d in rem)
 
 
-def reference_module_buchberger(vectors, morder, budget=None):
+def reference_module_buchberger(vectors, ring_order, budget=None):
     """Reduced basis of a submodule by a Buchberger loop with no criterion:
     every pair of vectors leading in the same position is reduced, then the
     result is minimalized, interreduced, made monic and sorted descending.
@@ -215,8 +216,7 @@ def reference_module_buchberger(vectors, morder, budget=None):
     if not G:
         return []
     budget = budget or ComputeBudget()
-    lead = [reference_vector_leading(g, morder) for g in G]
-    ring_order = morder.ring_order
+    lead = [reference_vector_leading(g, ring_order) for g in G]
 
     def rank(i, j):
         lcm = mono_lcm(lead[i][2], lead[j][2])
@@ -227,25 +227,25 @@ def reference_module_buchberger(vectors, morder, budget=None):
     while queue:
         *_, i, j = heapq.heappop(queue)
         budget.charge_pair()
-        nf = reference_module_normal_form(reference_s_vector(G[i], G[j], morder), G, morder, budget)
+        nf = reference_module_normal_form(reference_s_vector(G[i], G[j], ring_order), G, ring_order, budget)
         if _is_zero_vector(nf):
             continue
         G.append(nf)
-        lead.append(reference_vector_leading(nf, morder))
+        lead.append(reference_vector_leading(nf, ring_order))
         for k in range(len(G) - 1):
             if lead[k][0] == lead[-1][0]:
                 heapq.heappush(queue, rank(k, len(G) - 1))
 
     def key(v):
-        pos, _, m = reference_vector_leading(v, morder)
+        pos, _, m = reference_vector_leading(v, ring_order)
         return (ring_order.key(m), -pos)
 
     kept = []
     for v in sorted(G, key=key):
-        pos, _, m = reference_vector_leading(v, morder)
+        pos, _, m = reference_vector_leading(v, ring_order)
         if not any(
-            reference_vector_leading(w, morder)[0] == pos
-            and mono_divides(reference_vector_leading(w, morder)[2], m)
+            reference_vector_leading(w, ring_order)[0] == pos
+            and mono_divides(reference_vector_leading(w, ring_order)[2], m)
             for w in kept
         ):
             kept.append(v)
@@ -256,7 +256,7 @@ def reference_module_buchberger(vectors, morder, budget=None):
             others = kept[:i] + kept[i + 1 :]
             if not others:
                 continue
-            nf = reference_module_normal_form(kept[i], others, morder)
+            nf = reference_module_normal_form(kept[i], others, ring_order)
             if nf != kept[i]:
                 kept[i] = nf
                 changed = True
@@ -265,7 +265,7 @@ def reference_module_buchberger(vectors, morder, budget=None):
                 break
     out = []
     for v in kept:
-        inv = v[0].field.inv(reference_vector_leading(v, morder)[1])
+        inv = v[0].field.inv(reference_vector_leading(v, ring_order)[1])
         out.append(tuple(c.scale(inv) for c in v))
     return sorted(out, key=key, reverse=True)
 
