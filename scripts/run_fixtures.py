@@ -18,8 +18,6 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 SPECIAL_FLAGS = {
     "oversized.alg": ["--pair-limit", "200", "--timeout-seconds", "2"],
-    "charp_open.alg": [],
-    "module_structure.alg": [],
 }
 
 

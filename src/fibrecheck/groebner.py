@@ -55,8 +55,11 @@ each monomial's negated key to its coefficient and its packed monomial, and a
 heap of those keys pops the largest monomial first (skipping cancelled ones).
 Each step divides by the first basis element whose leading monomial divides
 it.  These are the steps of textbook division; the remainder comes out
-sorted.  Buchberger never builds an S-polynomial: :func:`_reduce_spair` writes
-its terms straight into the division's accumulator.
+sorted, and it is all the kernel returns.  Buchberger never builds an
+S-polynomial: :func:`_spair` writes its terms straight into the division's
+accumulator.  Exact division g / f divides the encoded vector (g; 0) by
+(f; -1): under term-over-position the remainder is (g - q*f; q), q the
+quotient of g by f.
 
 Coefficients are ints over both fields, through the field's kernel hooks (see
 :mod:`fibrecheck.fields`).  Over Q every element is stored primitive and each
@@ -69,9 +72,9 @@ brought to the final scale when the division ends.  Over F_p elements are
 stored monic and the step is (1, -c/lc).  An S-polynomial remainder joins the
 basis with its content removed (made monic over F_p).  Exact values are
 rebuilt only where they leave the engine: a remainder as R over the running
-scale, a quotient also over its divisor's scale, and each reduced basis
-element as c/lc.  Popped monomials, divisors and zero tests are those of
-division over the field, so counts and bases do not depend on this.
+scale, and each reduced basis element as c/lc.  Popped monomials, divisors and
+zero tests are those of division over the field, so counts and bases do not
+depend on this.
 
 Each computation packs its inputs and unpacks what it returns; ``Exponents``
 tuples and field values stay the representation everywhere else.  Fields
@@ -237,15 +240,13 @@ def _table(terms) -> tuple:
 
 
 class _Tables(dict):
-    """The :func:`_table` of each of ``polys``, made on first use; ``scales``
-    holds the scale of each table made (see :func:`_packed`)."""
+    """The :func:`_table` of each of ``polys``, made on first use."""
 
     def __init__(self, polys, packing):
-        self.polys, self.packing, self.scales = polys, packing, {}
+        self.polys, self.packing = polys, packing
 
     def __missing__(self, i):
-        terms, self.scales[i] = _packed(self.polys[i], self.packing)
-        table = self[i] = _table(terms)
+        table = self[i] = _table(_packed(self.polys[i], self.packing)[0])
         return table
 
 
@@ -260,49 +261,39 @@ def _divisors(basis, order: MonomialOrder, fld, packing) -> tuple:
 # division and S-polynomials
 
 
-def normal_form(f: Polynomial, basis, order: MonomialOrder, with_quotients=False, budget=None):
+def normal_form(f: Polynomial, basis, order: MonomialOrder, budget=None):
     """Remainder of multivariate division of f by the basis; no remainder term
-    is divisible by any basis leading monomial.  With ``with_quotients``,
-    also the quotient per basis element."""
+    is divisible by any basis leading monomial."""
     layout, fld = f.layout, f.field
 
     def run(packing):
         (terms, scale), divisors = _packed(f, packing), _divisors(basis, order, fld, packing)
         pending, mono = {k: c for c, _, k in terms}, {k: m for _, m, k in terms}
-        rem, steps_scale, quots = _reduce(pending, mono, divisors, budget, with_quotients)
-        scale = fld.mul(scale, steps_scale)
-        r = _polynomial(rem, scale, layout, fld, order, packing)
-        return (r, _quotients(quots, scale, divisors, layout)) if with_quotients else r
+        rem, steps_scale = _reduce(pending, mono, divisors, budget)
+        return _polynomial(rem, fld.mul(scale, steps_scale), layout, fld, order, packing)
 
     return _widening(run, [f, *basis], order, budget)
 
 
-def _quotients(quots, scale, divisors, layout: RingLayout) -> list:
-    """The quotients of :func:`_reduce` by ``divisors`` (see :func:`_divisors`)
-    as polynomials, for a division whose remainder has the given scale."""
-    _, tables, fld, packing = divisors
-    out = []
-    for i, q in enumerate(quots):
-        coeffs = fld.from_kernel(list(q.values()), fld.div(scale, tables.scales[i])) if q else ()
-        out.append(Polynomial.from_dict(layout, fld, dict(zip(map(packing.unpack, q), coeffs))))
-    return out
-
-
-def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
-    """g / f; ArithmeticError when f does not divide g."""
-    r, quots = normal_form(g, [f], default_order(g.layout), with_quotients=True)
+def exact_divide(g: Polynomial, f: Polynomial, budget=None) -> Polynomial:
+    """g / f; ArithmeticError when f does not divide g.  Under
+    term-over-position the remainder of (g; 0) by (f; -1) is (g - q*f; q),
+    g - q*f the remainder of g by f."""
+    zero, one = Polynomial.zero(g.layout, g.field), Polynomial.constant(g.layout, g.field, 1)
+    v, d = encode_vectors([(g, zero), (f, -one)], g.layout, 2)
+    r, q = decode_vectors([normal_form(v, [d], default_order(v.layout), budget)])[0]
     if not r.is_zero:
         raise ArithmeticError("inexact division")
-    return quots[0]
+    return q
 
 
-def _reduce(pending, mono, basis, budget, with_quotients):
+def _reduce(pending, mono, basis, budget):
     """Division by ``basis`` (see :func:`_divisors`) of the accumulator that
     maps negated keys to int coefficients (``pending``, zeros allowed) and to
     packed monomials (``mono``), both consumed.  Returns the remainder R as
-    packed terms, descending; the scale S, the product of the steps' scalars
-    a; and the quotients Q_i as ``{monomial: int}``, or None.  S times the
-    accumulator equals R + sum of Q_i*g_i, g_i as the tables hold them."""
+    packed terms, descending, and the scale S, the product of the steps'
+    scalars a: S times the accumulator equals R plus a combination of the
+    basis elements."""
     leads, tables, fld, packing = basis
     step, canon, guards = fld.step, fld.canon, packing.guards
     heap = list(pending)
@@ -310,7 +301,6 @@ def _reduce(pending, mono, basis, budget, with_quotients):
     pop, push = heapq.heappop, heapq.heappush
     rem, at = [], []  # popped in descending order, and the scale each was popped at
     scale = 1
-    quots = [{} for _ in leads] if with_quotients else None
     while heap:
         k = pop(heap)
         c = canon(pending.pop(k))
@@ -342,17 +332,13 @@ def _reduce(pending, mono, basis, budget, with_quotients):
                         push(heap, e_key)
                     else:
                         pending[e_key] = old + b * tc
-                if with_quotients:
-                    quots[i][shift] = (-b, scale)  # times the steps' scalars still to come
                 break
         else:
             rem.append((c, m, k))
             at.append(scale)
     if scale != 1:  # bring every term to the final scale; a > 0, so it only grew
         rem = [(c * (scale // s), m, k) for (c, m, k), s in zip(rem, at)]
-    if with_quotients:
-        quots = [{m: q * (scale // s) for m, (q, s) in qi.items()} for qi in quots]
-    return rem, scale, quots
+    return rem, scale
 
 
 def _spair(basis, i, j, lcm, lcm_key):
@@ -394,16 +380,6 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
         return Polynomial.from_dict(f.layout, f.field, dict(zip([packing.unpack(mono[k]) for k in pending], coeffs)))
 
     return _widening(run, [f, g], order, None)
-
-
-def _reduce_spair(basis, i, j, lcm, lcm_key, budget, with_quotients=False):
-    """:func:`_reduce` of the S-polynomial of elements i and j (leading
-    monomial lcm, of negated key ``lcm_key``) by the basis, the scale S such
-    that R/S is the S-polynomial's remainder.  The difference goes straight
-    into the division's accumulator: no S-polynomial is built."""
-    pending, mono, scale = _spair(basis, i, j, lcm, lcm_key)
-    rem, steps_scale, quots = _reduce(pending, mono, basis, budget, with_quotients)
-    return rem, scale * steps_scale, quots
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +475,8 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
     while queue:
         pair_sugar, _, lcm_key, i, j, lcm = heapq.heappop(queue)
         budget.charge_pair()
-        rem, _, _ = _reduce_spair(basis, i, j, lcm, -lcm_key, budget)
+        pending, mono, _ = _spair(basis, i, j, lcm, -lcm_key)
+        rem, _ = _reduce(pending, mono, basis, budget)
         if rem:
             ints, _ = fld.to_kernel([c for c, _, _ in rem])  # content removed
             insert([(i, m, k) for i, (_, m, k) in zip(ints, rem)], pair_sugar)
@@ -523,7 +500,7 @@ def _interreduce(elements, basis, order: MonomialOrder, layout, budget):
         others = [j for j in kept if j != i]
         divisors = [leads[j] for j in others], [tables[j] for j in others], fld, packing
         pending = {k: c for c, _, k in elements[i]}
-        rem, _, _ = _reduce(pending, {k: m for _, m, k in elements[i]}, divisors, budget, False)
+        rem, _ = _reduce(pending, {k: m for _, m, k in elements[i]}, divisors, budget)
         out.append(_polynomial(rem, rem[0][0], layout, fld, order, packing))
     return out
 

@@ -77,7 +77,7 @@ def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> I
     gens.append((Polynomial.constant(ext, I.field, 1) - t) * transport(f, ext))
     gb = buchberger(gens, default_order(ext, within), budget)
     inter = _avoiding(gb, {ext.tag_index}, I.layout)
-    return Ideal(I.layout, I.field, tuple(exact_divide(g, f) for g in inter))
+    return Ideal(I.layout, I.field, tuple(exact_divide(g, f, budget) for g in inter))
 
 
 def saturate(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> Ideal:

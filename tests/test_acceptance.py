@@ -191,7 +191,7 @@ def test_criterion_7_dimension_diagnostics():
     _report("7 (dimension diagnostics and Nagata equality)")
 
 
-def test_criterion_8_cli_conformance(capsys):
+def test_criterion_8_cli_conformance(capsys, tmp_path):
     # byte-identical JSON across repeated runs on the fixture corpus
     for name in ("blowup", "cusp", "double_cover", "vertical_union", "module_torsion"):
         outs = []
@@ -207,15 +207,11 @@ def test_criterion_8_cli_conformance(capsys):
     capsys.readouterr()
     assert run(["--input", str(FIXTURES / "malformed.alg")]) == 1
     capsys.readouterr()
-    charp_flat = FIXTURES / "module_structure.alg"
     # unsupported: flatness over F_p without the acknowledgment flag
-    tmp = FIXTURES.parent / "acceptance_charp_tmp.alg"
-    tmp.write_text("field F 5\nbase y\nvars x\nideal: x^2 - y\ncheck flat\n")
-    try:
-        assert run(["--input", str(tmp)]) == 2
-    finally:
-        capsys.readouterr()
-        tmp.unlink()
+    charp = tmp_path / "charp_flat.alg"
+    charp.write_text("field F 5\nbase y\nvars x\nideal: x^2 - y\ncheck flat\n")
+    assert run(["--input", str(charp)]) == 2
+    capsys.readouterr()
     assert run(["--input", str(FIXTURES / "oversized.alg"), "--pair-limit", "20"]) == 3
     capsys.readouterr()
     _report("8 (CLI determinism and exit-code matrix)")

@@ -27,7 +27,7 @@ from fibrecheck import (
     s_polynomial,
 )
 from fibrecheck import groebner
-from fibrecheck.groebner import _reduce_spair, decode_vectors, encode_vectors
+from fibrecheck.groebner import decode_vectors, encode_vectors, exact_divide
 
 from oracles import macaulay_member
 from test_poly import poly_strategy
@@ -341,11 +341,8 @@ def test_normal_form_equals_reference_division(field, layout, order, data):
         if not g.is_zero
     ]
     want_budget, got_budget = ComputeBudget(), ComputeBudget()
-    want_r, want_q = reference_normal_form(
-        f, basis, order, with_quotients=True, budget=want_budget
-    )
-    got_r, got_q = normal_form(f, basis, order, with_quotients=True, budget=got_budget)
-    assert (got_r, got_q) == (want_r, want_q)
+    want = reference_normal_form(f, basis, order, budget=want_budget)
+    assert normal_form(f, basis, order, budget=got_budget) == want
     assert got_budget.work == want_budget.work
 
 
@@ -381,16 +378,16 @@ def test_spair_reduction_equals_reference_division(field, layout, order, data):
     def polynomial(packed, scale):
         return groebner._polynomial(packed, scale, layout, field, order, packing)
 
+    def reduced(budget):
+        pending, mono, scale = groebner._spair(basis, i, j, lcm, lcm_key)
+        rem, steps_scale = groebner._reduce(pending, mono, basis, budget)
+        return polynomial(rem, scale * steps_scale)
+
     want_budget, got_budget = ComputeBudget(), ComputeBudget()
-    spoly = s_polynomial(G[i], G[j], order)
-    want_r, want_q = reference_normal_form(
-        spoly, G, order, with_quotients=True, budget=want_budget
-    )
-    rem, scale, quots = _reduce_spair(basis, i, j, lcm, lcm_key, got_budget, with_quotients=True)
-    got_q = groebner._quotients(quots, scale, basis, layout)
-    assert (polynomial(rem, scale), got_q) == (want_r, want_q)
+    want = reference_normal_form(s_polynomial(G[i], G[j], order), G, order, budget=want_budget)
+    assert reduced(got_budget) == want
     assert got_budget.work == want_budget.work
-    assert polynomial(*_reduce_spair(basis, i, j, lcm, lcm_key, None)[:2]) == want_r
+    assert reduced(None) == want
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
@@ -425,9 +422,36 @@ def test_divisor_with_a_negative_lead_under_the_division_order():
     order = default_order(POW2, "lex")
     basis = [_pow2("y2*x1*x2 + y1^2*x1"), _pow2("-x2^2 + y1^2*x1"), _pow2("x1^2 + x1")]
     f = _pow2("y1^2*x1^2 - y2*x1*x2")
-    want = reference_normal_form(f, basis, order, with_quotients=True)
-    assert want[0] == _pow2("x1*x2^2 + x2^2")
-    assert normal_form(f, basis, order, with_quotients=True) == want
+    want = reference_normal_form(f, basis, order)
+    assert want == _pow2("x1*x2^2 + x2^2")
+    assert normal_form(f, basis, order) == want
+
+
+# ---------------------------------------------------------------------------
+# exact division
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("layout", [POW2, TAGGED2], ids=["plain", "tagged"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_divide_returns_the_quotient_or_refuses(field, layout, data):
+    # q comes back from q*f, a constant divisor included; adding a monomial
+    # that LM(f) does not divide leaves a remainder, so the division refuses
+    nonzero = poly_strategy(layout, field, max_terms=3).filter(lambda p: not p.is_zero)
+    q, f = data.draw(nonzero), data.draw(nonzero)
+    c = Polynomial.constant(layout, field, field.coerce(data.draw(st.sampled_from([1, -1, 2, 3]))))
+    assert exact_divide(q * f, f) == q
+    assert exact_divide(q * c, c) == q
+    lead = f.leading_monomial(default_order(layout))
+    support = [i for i, e in enumerate(lead) if e]
+    if not support:
+        return
+    i = data.draw(st.sampled_from(support))
+    m = list(data.draw(st.tuples(*[st.integers(0, 3)] * layout.nvars)))
+    m[i] = data.draw(st.integers(0, lead[i] - 1))
+    with pytest.raises(ArithmeticError):
+        exact_divide(q * f + Polynomial.from_dict(layout, field, {tuple(m): field.one}), f)
 
 
 def test_ideal_member_examples():
@@ -603,8 +627,8 @@ def test_rational_normal_form_equals_reference(name, data):
     f = data.draw(rational_polys(layout, max_terms=6))
     basis = [g for g in data.draw(st.lists(rational_polys(layout), min_size=1, max_size=3)) if not g.is_zero]
     want_budget, got_budget = ComputeBudget(), ComputeBudget()
-    want = reference_normal_form(f, basis, order, with_quotients=True, budget=want_budget)
-    assert normal_form(f, basis, order, with_quotients=True, budget=got_budget) == want
+    want = reference_normal_form(f, basis, order, budget=want_budget)
+    assert normal_form(f, basis, order, budget=got_budget) == want
     assert got_budget.work == want_budget.work
 
 
@@ -642,7 +666,7 @@ def _basis_and_remainder(gens, f, order):
     ResourceLimitError rather than a hang."""
     gb_budget, nf_budget = ComputeBudget(pair_limit=100), ComputeBudget(pair_limit=100)
     basis = buchberger(gens, order, gb_budget)
-    r = normal_form(f, basis, order, with_quotients=True, budget=nf_budget) if basis else None
+    r = normal_form(f, basis, order, budget=nf_budget) if basis else None
     counts = [(b.pairs, b.work, b.max_basis) for b in (gb_budget, nf_budget)]
     return basis, r, counts
 

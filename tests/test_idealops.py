@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fibrecheck import (
     QQ,
+    ComputeBudget,
     Ideal,
     ModulePresentation,
     Polynomial,
@@ -21,6 +22,7 @@ from fibrecheck import (
     saturate,
     transport,
 )
+from fibrecheck import idealops
 
 from oracles import macaulay_member, saturate_by_quotients
 from test_poly import poly_strategy
@@ -107,6 +109,23 @@ def test_quotient_on_random_ideals(field, data):
             assert I.contains(g * f)
             assert macaulay_member(g * f, I.gens, (g * f).total_degree() + 4)
     assert ideal_equal(by_order["grevlex"], by_order["lex"])
+
+
+def test_quotient_charges_its_exact_divisions(monkeypatch):
+    """Dividing I ∩ (f) by f charges reduction steps to the budget, beyond
+    those of the tagged basis."""
+    build, after_basis = idealops.buchberger, []
+
+    def spy(gens, order, budget):
+        basis = build(gens, order, budget)
+        after_basis.append(budget.work)
+        return basis
+
+    monkeypatch.setattr(idealops, "buchberger", spy)
+    budget = ComputeBudget()
+    out = quotient(ideal_of(CUSP_LAYOUT, "y1 - t^2", "y2 - t^3"), P(CUSP_LAYOUT, "t"), budget=budget)
+    assert out.gens and len(after_basis) == 1
+    assert budget.work > after_basis[0]
 
 
 def test_quotient_by_zero_raises():
