@@ -375,13 +375,10 @@ def test_spair_reduction_equals_reference_division(field, layout, order, data):
     lcm = packing.lcm(leads[i], leads[j])
     lcm_key = -packing.key(packing.unpack(lcm))
 
-    def polynomial(packed, scale):
-        return groebner._polynomial(packed, scale, layout, field, order, packing)
-
     def reduced(budget):
         pending, mono, scale = groebner._spair(basis, i, j, lcm, lcm_key)
         rem, steps_scale = groebner._reduce(pending, mono, basis, budget)
-        return polynomial(rem, scale * steps_scale)
+        return groebner._polynomial(rem, scale * steps_scale, layout, field, order, packing)
 
     want_budget, got_budget = ComputeBudget(), ComputeBudget()
     want = reference_normal_form(s_polynomial(G[i], G[j], order), G, order, budget=want_budget)
