@@ -30,6 +30,7 @@ from fibrecheck import (
 )
 
 from fibrecheck.groebner import encode_vectors, exact_divide
+from fibrecheck.poly import MonomialOrder
 from fibrecheck.verticality import (
     _verify_flat_ideal_certificate,
     _verify_flat_module_certificate,
@@ -37,6 +38,7 @@ from fibrecheck.verticality import (
 )
 
 from corpus import full_corpus, named_fixtures
+from test_poly import poly_strategy
 from util import (
     BLOWUP_LAYOUT,
     CUSP_LAYOUT,
@@ -45,6 +47,7 @@ from util import (
     count_computations,
     ideal_equal,
     ideal_of,
+    reference_generic_denominator,
 )
 
 BLOWUP_IDEAL = ideal_of(BLOWUP_LAYOUT, "y1*x - y2")
@@ -107,6 +110,39 @@ def test_generic_denominator_cusp_contains_discriminant():
     # coefficient of the fibre-over-base basis)
     disc = ideal_of(CUSP_LAYOUT, "y1^3 - y2^2")
     assert disc.contains(h) or radical_member(P(CUSP_LAYOUT, "y1^3 - y2^2"), ideal_of(CUSP_LAYOUT, str(h)))
+
+
+TWO_FIBRES = RingLayout(("y1", "y2"), ("x1", "x2"))
+
+
+@pytest.mark.parametrize("encoded", [False, True], ids=["plain", "encoded"])
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generic_denominator_equals_reference(field, within, encoded, data):
+    """The one-pass denominator equals the element-by-element reference term
+    for term, coefficients included, on lists with repeated and rescaled
+    elements, whose leading coefficients repeat with and without scaling."""
+    polys = poly_strategy(TWO_FIBRES, field, max_exp=2, max_terms=4)
+    if encoded:
+        vectors = st.tuples(polys, polys).filter(lambda v: not all(c.is_zero for c in v))
+        basis = encode_vectors(data.draw(st.lists(vectors, min_size=1, max_size=4)), TWO_FIBRES, 2)
+        layout = TWO_FIBRES.with_positions(2)
+    else:
+        basis = data.draw(st.lists(polys.filter(lambda p: not p.is_zero), min_size=1, max_size=4))
+        layout = TWO_FIBRES
+    scales = data.draw(st.lists(st.sampled_from([1, -1, 2, 3]), max_size=len(basis)))
+    basis += [g.scale(c) for g, c in zip(basis, scales)]
+    for order in (default_order(layout, within), None):
+        h = generic_denominator(basis, layout, field, order)
+        expected = reference_generic_denominator(basis, layout, field, order)
+        assert h.terms == expected.terms
+        assert [type(c) for c, _ in h.terms] == [type(c) for c, _ in expected.terms]
+    base_first = MonomialOrder((TWO_FIBRES.base_indices, TWO_FIBRES.fibre_indices), within)
+    if not encoded:
+        with pytest.raises(ValueError):
+            generic_denominator(basis, layout, field, base_first)
 
 
 # ---------------------------------------------------------------------------

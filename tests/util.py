@@ -8,7 +8,8 @@ from operator import le
 
 from fibrecheck import QQ, ComputeBudget, Ideal, Polynomial, RingLayout, groebner
 from fibrecheck.cli import _parse_polyexpr, _Tokens
-from fibrecheck.poly import mono_div
+from fibrecheck.poly import base_leading_coefficient, default_order, integer_normalized, mono_div
+from fibrecheck.verticality import squarefree_part
 
 
 def mono_divides(a, b) -> bool:
@@ -268,6 +269,25 @@ def reference_module_buchberger(vectors, ring_order, budget=None):
         inv = v[0].field.inv(reference_vector_leading(v, ring_order)[1])
         out.append(tuple(c.scale(inv) for c in v))
     return sorted(out, key=key, reverse=True)
+
+
+def reference_generic_denominator(basis, layout, fld, order=None) -> Polynomial:
+    """The generic denominator element by element: each base leading
+    coefficient built by ``base_leading_coefficient``, through
+    ``squarefree_part`` and ``integer_normalized``, multiplied in once."""
+    order = order or default_order(layout)
+    h = Polynomial.constant(layout, fld, 1)
+    seen = set()
+    for g in basis:
+        c = base_leading_coefficient(g, order)
+        if c.is_constant:
+            continue
+        c = integer_normalized(squarefree_part(c))
+        if c.terms in seen:
+            continue
+        seen.add(c.terms)
+        h = h * c
+    return h
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
