@@ -155,10 +155,13 @@ def dominant_part(J: Ideal, within: str = "grevlex", budget=None) -> Ideal:
 
 def has_vertical_component(J: Ideal, within: str = "grevlex", budget=None):
     """Whether V(J) strictly contains V(dominant_part(J)): some generator of
-    the dominant part escapes the radical of J."""
+    the dominant part escapes the radical of J.  J lies in its dominant part,
+    so a generator is first reduced by the basis of J that the dominant part
+    cached; only one outside J costs a Rabinowitsch basis."""
     D = dominant_part(J, within, budget)
+    order = default_order(J.layout, within)
     for g in D.gens:
-        if not radical_member(g, J, within, budget):
+        if not J.contains(g, order, budget) and not radical_member(g, J, within, budget):
             return True, g
     return False, None
 

@@ -586,7 +586,7 @@ def test_blowup_a3_pair_counts_pinned(capsys, monkeypatch):
         c["kind"]: [(p["basis_size"], p["pairs"]) for p in c["powers"]]
         for c in json.loads(out)["checks"]
     }
-    assert stats == {"open": [(7, 20), (15, 137)], "flat": [(7, 13), (15, 93)]}
+    assert stats == {"open": [(7, 13), (15, 137)], "flat": [(7, 13), (15, 93)]}
 
 
 def test_rank2_module_pair_counts_pinned(capsys):
@@ -599,21 +599,25 @@ def test_rank2_module_pair_counts_pinned(capsys):
 
 
 A3_CHART = "base y1 y2 y3\nvars x1 x2\nideal: y1*x1 - y2, y1*x2 - y3\n"
+# F = A/(x) = R is flat and cheap, while the open check pays a radical
+# membership at power 1 for x, which lies in the dominant part but not in J
+FREE_QUOTIENT = "base y1 y2\nvars x\nideal: y1*x, x^2\nmodule 1: (x)\n"
 
 
 @pytest.mark.parametrize(
-    "limit, aborted_at, unaffordable",
+    "text, limit, aborted_at, unaffordable",
     [
-        # open charges 20 then 137 pairs, flat 13 then 93
-        (10, {"open": 1, "flat": 1}, False),
-        (16, {"open": 1, "flat": 2}, False),
-        (60, {"open": 2, "flat": 2}, False),
+        # the A^3 chart: open charges 13 then 137 pairs, flat 13 then 93
+        (A3_CHART, 10, {"open": 1, "flat": 1}, False),
+        # open charges 11 then 30 pairs, flat 2 then 4
+        (FREE_QUOTIENT, 4, {"open": 1, "flat": 2}, False),
+        (A3_CHART, 60, {"open": 2, "flat": 2}, False),
         # a memoized saturation costs more than the open check has left
-        (115, {"open": 2}, True),
-        (100_000, {}, False),
+        (A3_CHART, 110, {"open": 2}, True),
+        (A3_CHART, 100_000, {}, False),
     ],
 )
-def test_check_both_equals_open_then_flat(capsys, monkeypatch, limit, aborted_at, unaffordable):
+def test_check_both_equals_open_then_flat(capsys, monkeypatch, text, limit, aborted_at, unaffordable):
     # The checks of one run share a basis memo; it must not show in any
     # report, so each check reads exactly as if it had run alone.
     afforded = []
@@ -626,7 +630,7 @@ def test_check_both_equals_open_then_flat(capsys, monkeypatch, limit, aborted_at
     monkeypatch.setattr(ComputeBudget, "can_afford", spy)
     runs = {}
     for check in ("both", "open", "flat"):
-        monkeypatch.setattr("sys.stdin", io.StringIO(A3_CHART + f"check {check}\n"))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text + f"check {check}\n"))
         code, out, _ = _run(capsys, "--json", "--pair-limit", str(limit))
         runs[check] = code, json.loads(out)["checks"]
     both_code, both = runs["both"]

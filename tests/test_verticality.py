@@ -8,6 +8,7 @@ from fibrecheck import (
     QQ,
     CharacteristicGuardError,
     CheckConfig,
+    Ideal,
     ModulePresentation,
     Polynomial,
     PrimeField,
@@ -29,6 +30,7 @@ from fibrecheck import (
     vertical_witness,
 )
 
+from fibrecheck import verticality
 from fibrecheck.groebner import encode_vectors, exact_divide
 from fibrecheck.poly import MonomialOrder
 from fibrecheck.verticality import (
@@ -52,6 +54,7 @@ from util import (
 
 BLOWUP_IDEAL = ideal_of(BLOWUP_LAYOUT, "y1*x - y2")
 BLOWUP2 = fibred_power_ideal(BLOWUP_IDEAL, 2)
+A3_CHART = ideal_of(RingLayout(("y1", "y2", "y3"), ("x1", "x2")), "y1*x1 - y2", "y1*x2 - y3")
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +212,84 @@ def test_vertical_union_detects_at_power_one():
     assert radical_member(r * g, J1) and not radical_member(g, J1)
 
 
+def _spy_radical_member(monkeypatch) -> list:
+    """A list that gains (f, I, whether the memo is bypassed) for every
+    radical membership the checks ask for."""
+    calls, real = [], verticality.radical_member
+
+    def spy(f, I, within="grevlex", budget=None):
+        calls.append((f, I, budget is not None and budget.memo is None))
+        return real(f, I, within, budget)
+
+    monkeypatch.setattr(verticality, "radical_member", spy)
+    return calls
+
+
+def test_open_check_runs_rabinowitsch_only_outside_jk(monkeypatch):
+    # generators of the dominant part that lie in J_k are decided by a normal
+    # form; the re-check keeps its own two radical memberships
+    problem = Problem(QQ, ("y1", "y2", "y3"), ("x1", "x2"), A3_CHART.gens)
+    skipped = 0
+    for k in (1, 2):
+        J = fibred_power_ideal(A3_CHART, k)
+        skipped += sum(J.contains(g) for g in dominant_part(J).gens)
+    assert skipped  # the search has members of J_k to skip
+    calls = _spy_radical_member(monkeypatch)
+    verdict = check_openness(problem)
+    assert verdict.outcome == "fail" and verdict.failing_power == 2
+    search = [(f, I) for f, I, bypassed in calls if not bypassed]
+    recheck = [f for f, _, bypassed in calls if bypassed]
+    assert search
+    assert not any(Ideal(I.layout, I.field, I.gens).contains(f) for f, I in search)
+    assert recheck == [verdict.witness_r * verdict.witness_g, verdict.witness_g]
+
+
+def test_noether_cover_passes_without_radical_membership(monkeypatch):
+    # h = 1, so the dominant part is J_k itself at every power
+    lay = RingLayout(("y1", "y2", "y3"), ("x1", "x2", "x3"))
+    gens = tuple(P(lay, f"x{i}^2 - y{i}") for i in (1, 2, 3))
+    calls = _spy_radical_member(monkeypatch)
+    verdict = check_openness(Problem(QQ, lay.base_vars, lay.fibre_vars, gens))
+    assert verdict.outcome == "pass" and verdict.conclusive
+    assert [(p.k, p.pairs) for p in verdict.powers] == [(1, 0), (2, 0), (3, 0)]
+    assert calls == []
+
+
+def _reference_vertical_component(J, within):
+    """A radical membership for every generator of the dominant part."""
+    for g in dominant_part(J, within).gens:
+        if not radical_member(g, J, within):
+            return True, g
+    return False, None
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_vertical_component_equals_radical_membership_of_every_generator(field, within, data):
+    # one to three generators c*m + (a term of lower fibre degree), c a base
+    # monomial and m a fibre monomial, some times x1; the draws give passes
+    # with the dominant part equal to J and larger than J, and failures at
+    # the first generator tested and after members of J were skipped
+    x1 = Polynomial.variable(TWO_FIBRES, field, "x1")
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        c = data.draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+        m = data.draw(st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]))
+        acc = {c + m: field.one}
+        for _ in range(data.draw(st.integers(0, 1))):
+            e = data.draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+            if sum(e) < sum(m):
+                exps = (data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))) + e
+                acc[exps] = field.add(acc.get(exps, field.zero), field.coerce(data.draw(st.integers(-3, 3))))
+        g = Polynomial.from_dict(TWO_FIBRES, field, acc)
+        gens.append(g * x1 if data.draw(st.booleans()) else g)
+    J = fibred_power_ideal(Ideal(TWO_FIBRES, field, tuple(gens)), data.draw(st.sampled_from([1, 2])))
+    fresh = Ideal(J.layout, field, J.gens)
+    assert has_vertical_component(J, within) == _reference_vertical_component(fresh, within)
+
+
 # ---------------------------------------------------------------------------
 # torsion
 
@@ -336,9 +417,10 @@ def test_char_p_flatness_guard():
 
 
 def test_resource_abort_is_reported_not_raised():
-    lay = RingLayout(("y1", "y2"), ("x1", "x2"))
-    gens = (P(lay, "x1^3 + y1*x2^2 - y2"), P(lay, "x2^3 + y2*x1^2 - y1"))
-    problem = Problem(QQ, ("y1", "y2"), ("x1", "x2"), gens)
+    # the A^3 chart charges 13 pairs at power 1
+    lay = RingLayout(("y1", "y2", "y3"), ("x1", "x2"))
+    gens = (P(lay, "y1*x1 - y2"), P(lay, "y1*x2 - y3"))
+    problem = Problem(QQ, ("y1", "y2", "y3"), ("x1", "x2"), gens)
     v = check_openness(problem, CheckConfig(pair_limit=5))
     assert v.outcome == "aborted"
     assert not v.conclusive
