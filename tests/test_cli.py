@@ -599,9 +599,9 @@ def test_rank2_module_pair_counts_pinned(capsys):
 
 
 A3_CHART = "base y1 y2 y3\nvars x1 x2\nideal: y1*x1 - y2, y1*x2 - y3\n"
-# F = A/(x) = R is flat and cheap, while the open check pays a radical
-# membership at power 1 for x, which lies in the dominant part but not in J
-FREE_QUOTIENT = "base y1 y2\nvars x\nideal: y1*x, x^2\nmodule 1: (x)\n"
+# F = A/(x2) is the A^2 blow-up chart, while the open check pays a radical
+# membership at power 1 for x2, which lies in the dominant part but not in J
+CHART_QUOTIENT = "base y1 y2\nvars x1 x2\nideal: y1*x1 - y2, y1*x2, x2^2\nmodule 1: (x2)\n"
 
 
 @pytest.mark.parametrize(
@@ -609,13 +609,16 @@ FREE_QUOTIENT = "base y1 y2\nvars x\nideal: y1*x, x^2\nmodule 1: (x)\n"
     [
         # the A^3 chart: open charges 13 then 137 pairs, flat 13 then 93
         (A3_CHART, 10, {"open": 1, "flat": 1}, False),
-        # open charges 11 then 30 pairs, flat 2 then 4
-        (FREE_QUOTIENT, 4, {"open": 1, "flat": 2}, False),
+        # open charges 23 then 122 pairs, flat 6 then 45
+        (CHART_QUOTIENT, 16, {"open": 1, "flat": 2}, False),
         (A3_CHART, 60, {"open": 2, "flat": 2}, False),
         # a memoized saturation costs more than the open check has left
-        (A3_CHART, 110, {"open": 2}, True),
+        (A3_CHART, 115, {"open": 2}, True),
         (A3_CHART, 100_000, {}, False),
     ],
+    # named by limit and row, not by input text
+    ids=["10-aborted_at0-False", "16-aborted_at1-False", "60-aborted_at2-False",
+         "115-aborted_at3-True", "100000-aborted_at4-False"],
 )
 def test_check_both_equals_open_then_flat(capsys, monkeypatch, text, limit, aborted_at, unaffordable):
     # The checks of one run share a basis memo; it must not show in any
