@@ -269,9 +269,9 @@ def _reference_vertical_component(J, within):
 @given(data=st.data())
 def test_vertical_component_equals_radical_membership_of_every_generator(field, within, data):
     # one to three generators c*m + (a term of lower fibre degree), c a base
-    # monomial and m a fibre monomial, some times x1; the draws give passes
-    # with the dominant part equal to J and larger than J, and failures at
-    # the first generator tested and after members of J were skipped
+    # monomial and m a fibre monomial, some multiplied by x1; the draws give
+    # passes with the dominant part equal to J and larger than J, and
+    # failures at the first generator tested and after members of J
     x1 = Polynomial.variable(TWO_FIBRES, field, "x1")
     gens = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -418,9 +418,7 @@ def test_char_p_flatness_guard():
 
 def test_resource_abort_is_reported_not_raised():
     # the A^3 chart charges 13 pairs at power 1
-    lay = RingLayout(("y1", "y2", "y3"), ("x1", "x2"))
-    gens = (P(lay, "y1*x1 - y2"), P(lay, "y1*x2 - y3"))
-    problem = Problem(QQ, ("y1", "y2", "y3"), ("x1", "x2"), gens)
+    problem = Problem(QQ, ("y1", "y2", "y3"), ("x1", "x2"), A3_CHART.gens)
     v = check_openness(problem, CheckConfig(pair_limit=5))
     assert v.outcome == "aborted"
     assert not v.conclusive
