@@ -23,7 +23,6 @@ Exit codes: 0 verdicts computed, 1 parse/semantic error, 2 unsupported input,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -567,10 +566,8 @@ def _flag_error(args) -> str | None:
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first run and reused by every later
-    run of the process; parsing leaves it unchanged."""
+def run(argv=None) -> int:
+    started = time.monotonic()  # --timeout-seconds bounds the whole run from here
     parser = argparse.ArgumentParser(
         prog="fibrecheck",
         description="Decide openness and flatness of Spec A -> Spec R by "
@@ -584,12 +581,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--pair-limit", type=int, default=100_000)
     parser.add_argument("--timeout-seconds", type=float, default=None)
     parser.add_argument("--trace", action="store_true", help="per-power statistics incl. timing")
-    return parser
-
-
-def run(argv=None) -> int:
-    started = time.monotonic()  # --timeout-seconds bounds the whole run from here
-    args = _parser().parse_args(argv)
+    args = parser.parse_args(argv)
     flag_error = _flag_error(args)
     if flag_error:
         print(f"fibrecheck: {flag_error}", file=sys.stderr)

@@ -1,15 +1,11 @@
 """Input language parsing, report rendering, exit codes, and determinism."""
 
-import argparse
 import io
 import itertools
 import json
-import os
 import pathlib
-import subprocess
 import sys
 import time
-import types
 
 import pytest
 
@@ -530,49 +526,6 @@ def test_json_byte_identical_across_runs(capsys):
     code, out_cusp, _ = _run(capsys, "--input", str(FIXTURES / "cusp.alg"), "--json")
     code2, out_cusp2, _ = _run(capsys, "--input", str(FIXTURES / "cusp.alg"), "--json")
     assert out_cusp == out_cusp2
-
-
-def _separate_run(*argv):
-    """(exit code, stdout, stderr) of the CLI in a process of its own."""
-    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "fibrecheck", *argv], capture_output=True, text=True, env=env
-    )
-    return proc.returncode, proc.stdout, proc.stderr
-
-
-def test_reused_parser_gives_each_run_its_own_flags(capsys):
-    # the parser is built once per process; no flag of one run may carry
-    # over into the next
-    path = str(GOLDEN / "huge_exponent.alg")
-    sequence = [
-        ("--input", path, "--order", "lex"),
-        ("--input", path),
-        ("--input", path, "--json"),
-        ("--input", path),
-    ]
-    in_process = [_run(capsys, *argv) for argv in sequence]
-    assert in_process == [_separate_run(*argv) for argv in sequence]
-    assert len(set(in_process)) == 3  # lex and grevlex differ in their pair counts
-
-
-def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    built = []
-
-    def counting_parser(*args, **kwargs):
-        built.append(1)
-        return argparse.ArgumentParser(*args, **kwargs)
-
-    # argparse itself stays untouched: its methods look their class up by name
-    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting_parser))
-    cli._parser.cache_clear()
-    try:
-        for argv in (("--json",), ("--order", "lex"), ()):
-            monkeypatch.setattr("sys.stdin", io.StringIO("base y\nvars x\nideal: x - y\n"))
-            assert _run(capsys, *argv)[0] == 0
-    finally:
-        cli._parser.cache_clear()  # later runs build the real parser again
-    assert len(built) == 1
 
 
 def test_blowup_a3_pair_counts_pinned(capsys, monkeypatch):
