@@ -197,17 +197,13 @@ class MonomialOrder:
     def base_is_last(self, layout: RingLayout) -> bool:
         """True when every fibre and tag variable outranks every base
         variable; position variables are skipped."""
-        base = set(layout.base_indices)
-        positions = set(layout.position_indices)
+        nb, top = len(layout.base_vars), layout.nvars - layout.positions
         seen_base = False
         for blk in self.blocks:
-            blk = [i for i in blk if i not in positions]
-            if any(i in base for i in blk):
-                if not all(i in base for i in blk):
-                    return False
-                seen_base = True
-            elif seen_base and blk:
+            kinds = {i < nb for i in blk if i < top}  # True for a base variable
+            if len(kinds) > 1 or (seen_base and False in kinds):
                 return False
+            seen_base = seen_base or True in kinds
         return True
 
 
@@ -607,10 +603,8 @@ def base_leading_coefficient(f: Polynomial, order: MonomialOrder | None = None) 
     if not order.base_is_last(layout):
         raise ValueError("order must place fibre blocks above the base block")
     nb = len(layout.base_vars)
-    _, lm = f.leading_term(order)
-    lead_fibre = lm[nb:]
-    acc = {}
-    for c, e in f.terms:
-        if e[nb:] == lead_fibre:
-            acc[e[:nb] + (0,) * (layout.nvars - nb)] = c
-    return Polynomial.from_dict(layout, f.field, acc)
+    lead_fibre = f.leading_monomial(order)[nb:]
+    pad = (0,) * (layout.nvars - nb)
+    # the stored order compares terms with equal non-base parts by their
+    # base parts alone, so the kept terms need no sort once padded
+    return Polynomial(layout, f.field, tuple((c, e[:nb] + pad) for c, e in f.terms if e[nb:] == lead_fibre))

@@ -26,6 +26,7 @@ from .groebner import (
 from .idealops import contract_to_base, module_saturate, quotient, radical_member, saturate
 from .poly import (
     Polynomial,
+    base_leading_coefficient,
     default_order,
     integer_normalized,
     transport,
@@ -98,48 +99,30 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     if f.is_zero or f.is_constant:
         return f
     if len(f.terms) == 1:
-        c, e = f.terms[0]
-        return Polynomial.from_dict(
-            f.layout, f.field, {tuple(min(x, 1) for x in e): f.field.one}
-        )
+        e = f.terms[0][1]
+        return Polynomial(f.layout, f.field, ((f.field.one, tuple(min(x, 1) for x in e)),))
     return f
 
 
 def generic_denominator(basis, layout, fld, order=None) -> Polynomial:
     """Product of the distinct base leading coefficients of the basis
-    elements, each through the rule of :func:`squarefree_part` and then
+    elements, each through :func:`squarefree_part` and then
     integer-normalized; saturation by it contracts from K(R)[x] back to R[x].
     The basis may be of encoded vectors (``layout`` then has positions); the
-    product has no position variables either way.
-
-    One pass over the stored terms: the terms sharing the lead's non-base
-    part keep their stored order once padded, so no factor is sorted, and a
-    coefficient already seen is skipped before it is built or normalized."""
+    product has no position variables either way.  A coefficient already
+    seen is skipped before it is normalized."""
     order = order or default_order(layout)
-    if not order.base_is_last(layout):
-        raise ValueError("order must place fibre blocks above the base block")
-    stored = order == default_order(layout)
-    nb = len(layout.base_vars)
-    pad = (0,) * (layout.nvars - nb)
     h = Polynomial.constant(layout, fld, 1)
     seen, factors = set(), set()  # coefficients as found, and normalized
     for g in basis:
-        lead = g.terms[0][1] if stored else max(g.terms, key=lambda t: order.key(t[1]))[1]
-        rest = lead[nb:]
-        terms = tuple((c, e[:nb] + pad) for c, e in g.terms if e[nb:] == rest)
-        if len(terms) == 1:
-            if not any(terms[0][1]):
-                continue
-            terms = ((fld.one, tuple(min(x, 1) for x in terms[0][1])),)
-        if terms in seen:
+        c = base_leading_coefficient(g, order)
+        if c.is_constant or c.terms in seen:
             continue
-        seen.add(terms)
-        c = Polynomial(layout, fld, terms)
-        if len(terms) > 1:
-            c = integer_normalized(c)
-            if c.terms in factors:
-                continue
-            factors.add(c.terms)
+        seen.add(c.terms)
+        c = integer_normalized(squarefree_part(c))
+        if c.terms in factors:
+            continue
+        factors.add(c.terms)
         h = h * c
     return h
 

@@ -21,7 +21,7 @@ from fibrecheck import (
 )
 from fibrecheck.poly import power_products
 
-from util import BLOWUP_LAYOUT, P, mono_divides, mono_lcm, reference_order_key
+from util import BLOWUP_LAYOUT, P, mono_divides, mono_lcm, reference_base_leading_coefficient, reference_order_key
 
 XY = RingLayout(("y",), ("x",))
 F5 = PrimeField(5)
@@ -338,6 +338,20 @@ def test_base_leading_coefficient_extraction_identity():
             BLOWUP_LAYOUT, QQ, {e: c for c, e in f.terms if e[2:] == lm[2:]}
         )
         assert blc * fibre_poly - extracted == Polynomial.zero(BLOWUP_LAYOUT, QQ)
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_base_leading_coefficient_keeps_stored_order(field, within, data):
+    # the coefficient is built from the kept terms without a sort; it must
+    # equal, term for term, the one gathered in a dict and sorted, also with
+    # a tag and with position variables
+    for layout in (TAGGED, Y2X2.with_positions(2)):
+        f = data.draw(poly_strategy(layout, field).filter(lambda p: not p.is_zero))
+        for order in (default_order(layout, within), None):
+            assert base_leading_coefficient(f, order).terms == reference_base_leading_coefficient(f, order).terms
 
 
 def test_base_leading_coefficient_rejects_base_first_order():

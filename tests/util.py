@@ -8,8 +8,7 @@ from operator import le
 
 from fibrecheck import QQ, ComputeBudget, Ideal, Polynomial, RingLayout, groebner
 from fibrecheck.cli import _parse_polyexpr, _Tokens
-from fibrecheck.poly import base_leading_coefficient, default_order, integer_normalized, mono_div
-from fibrecheck.verticality import squarefree_part
+from fibrecheck.poly import default_order, integer_normalized, mono_div
 
 
 def mono_divides(a, b) -> bool:
@@ -271,18 +270,31 @@ def reference_module_buchberger(vectors, ring_order, budget=None):
     return sorted(out, key=key, reverse=True)
 
 
+def reference_base_leading_coefficient(f: Polynomial, order=None) -> Polynomial:
+    """The terms of f at its lead's non-base part, non-base exponents zeroed,
+    gathered in a dict and sorted by ``Polynomial.from_dict``."""
+    layout = f.layout
+    order = order or default_order(layout)
+    nb = len(layout.base_vars)
+    lead = max(f.terms, key=lambda t: order.key(t[1]))[1]
+    pad = (0,) * (layout.nvars - nb)
+    return Polynomial.from_dict(layout, f.field, {e[:nb] + pad: c for c, e in f.terms if e[nb:] == lead[nb:]})
+
+
 def reference_generic_denominator(basis, layout, fld, order=None) -> Polynomial:
     """The generic denominator element by element: each base leading
-    coefficient built by ``base_leading_coefficient``, through
-    ``squarefree_part`` and ``integer_normalized``, multiplied in once."""
+    coefficient built through a dict, a monomial one truncated to its
+    exponent support, integer-normalized, and multiplied in once."""
     order = order or default_order(layout)
     h = Polynomial.constant(layout, fld, 1)
     seen = set()
     for g in basis:
-        c = base_leading_coefficient(g, order)
+        c = reference_base_leading_coefficient(g, order)
         if c.is_constant:
             continue
-        c = integer_normalized(squarefree_part(c))
+        if len(c.terms) == 1:
+            c = Polynomial.from_dict(layout, fld, {tuple(min(x, 1) for x in c.terms[0][1]): fld.one})
+        c = integer_normalized(c)
         if c.terms in seen:
             continue
         seen.add(c.terms)
