@@ -525,22 +525,34 @@ def integer_normalized(f: Polynomial) -> Polynomial:
 
 
 def transport(f: Polynomial, new_layout: RingLayout) -> Polynomial:
-    """Re-express f in another layout, matching variables by display name."""
-    names = f.layout.var_names()
+    """Re-express f in another layout, matching variables by display name.
+
+    When both layouts have the same base variables, and f is pure-base or
+    both have the same fibre variables and copies, every variable of f keeps
+    its block and its place in it (adding or dropping a tag or positions
+    does not move it), so the terms keep their stored order unsorted."""
+    old = f.layout
+    names = old.var_names()
+    support = f.support_indices()
     idx = {}
-    for i in f.support_indices():
+    for i in support:
         try:
             idx[i] = new_layout.index_of(names[i])
         except KeyError:
             raise LayoutMismatchError(f"variable {names[i]!r} absent from target layout") from None
-    acc = {}
+    terms = []
     for c, e in f.terms:
         new_e = [0] * new_layout.nvars
         for i, x in enumerate(e):
             if x:
                 new_e[idx[i]] = x
-        acc[tuple(new_e)] = c
-    return Polynomial.from_dict(new_layout, f.field, acc)
+        terms.append((c, tuple(new_e)))
+    if old.base_vars == new_layout.base_vars and (
+        all(i < len(old.base_vars) for i in support)
+        or (old.fibre_vars, old.copies) == (new_layout.fibre_vars, new_layout.copies)
+    ):
+        return Polynomial(new_layout, f.field, tuple(terms))
+    return Polynomial.from_dict(new_layout, f.field, {e: c for c, e in terms})
 
 
 def relabel(f: Polynomial, target_layout: RingLayout, copy_index: int) -> Polynomial:

@@ -18,6 +18,7 @@ from fibrecheck import (
     integer_normalized,
     relabel,
     substitute_base_point,
+    transport,
 )
 from fibrecheck.poly import power_products
 
@@ -316,6 +317,42 @@ def test_mul_term_keeps_stored_order(field, data):
         keys = [order.key(e) for _, e in got.terms]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
+
+
+def _transport_by_names(f, layout):
+    """transport through a dict and a sort."""
+    names = f.layout.var_names()
+    acc = {}
+    for c, e in f.terms:
+        new_e = [0] * layout.nvars
+        for i, x in enumerate(e):
+            if x:
+                new_e[layout.index_of(names[i])] = x
+        acc[tuple(new_e)] = c
+    return Polynomial.from_dict(layout, f.field, acc)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_transport_keeps_stored_order(field, data):
+    # adding or dropping a tag or positions, and moving a pure-base
+    # polynomial between rings with the same base, keep the stored order
+    # without a sort; other moves sort.  Both must equal the result gathered
+    # in a dict and sorted, term for term, and move back to f.
+    positioned = Y2X2.with_positions(2)
+    moves = (
+        (POW2, TAGGED),
+        (positioned, positioned.with_tag()),
+        (Y2X2.base_only(), TAGGED),
+        (RingLayout(("y1",), ("x1", "x2")), RingLayout(("y1",), ("x2", "x1"))),  # fibre reordered
+        (RingLayout(("x1",), ("y1",)), RingLayout(("y1",), ("x1",))),  # base and fibre swapped
+    )
+    for src, dst in moves:
+        f = data.draw(poly_strategy(src, field))
+        there = transport(f, dst)
+        assert there.terms == _transport_by_names(f, dst).terms
+        assert transport(there, src).terms == f.terms
 
 
 def test_base_leading_coefficient_examples():
