@@ -545,10 +545,10 @@ def render_report(problem: Problem, checks: list, fmt: str = "text") -> str:
 # driver
 
 
-def _build_config(args, problem: Problem, started: float) -> CheckConfig:
+def _build_config(args, started: float) -> CheckConfig:
     return CheckConfig(
         within=args.order,
-        max_power=args.max_power if args.max_power is not None else problem.max_power,
+        max_power=args.max_power,
         pair_limit=args.pair_limit,
         deadline=None if args.timeout_seconds is None else started + args.timeout_seconds,
         allow_char_p_flatness=args.allow_char_p_flatness,
@@ -603,7 +603,7 @@ def run(argv=None) -> int:
         print(f"fibrecheck: {exc}", file=sys.stderr)
         return 1
 
-    config = _build_config(args, problem, started)
+    config = _build_config(args, started)
     try:
         if "flat" in problem.checks:
             characteristic_guard(problem, config)

@@ -1,19 +1,22 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields F_p.
 
-Coefficient values are plain Python objects (``fractions.Fraction`` for Q,
-``int`` in [0, p) for F_p); the field object supplies the arithmetic.
+Coefficients are canonical values: a ``fractions.Fraction`` over Q and an
+``int`` in [0, p) over F_p.  Polynomials and the Groebner engine's division
+kernel alike combine them with Python operators and bring each result to
+canonical form with ``canon``; a canonical value is zero exactly when it is
+falsy.  Besides ``name``, ``characteristic``, ``zero``, ``one``, ``coerce``
+(an int or Fraction to its canonical value) and ``inv``, a field has the
+hooks the division kernel uses, which carries coefficients as ints:
 
-The Groebner engine's division kernel carries coefficients as ints over both
-fields; these hooks are all it knows of the field:
-
+- ``canon(c)``: the canonical form of a sum or product of canonical values or
+  kernel ints: c itself over Q and c mod p over F_p, where sums grow
+  unreduced;
 - ``to_kernel(coeffs)``: ints i and a scale s with c = i/s, the ints primitive
   over Q (no common factor, the first positive) and monic over F_p; given
   ints, such as a remainder joining a basis, it removes their content;
 - ``from_kernel(ints, s)``: the values i/s;
 - ``step(c, lc)``: scalars (a, b) with a*c + b*lc = 0, fraction-free over Q,
-  (lc/d, -c/d) with d = gcd(c, lc), and (1, -c/lc) over F_p;
-- ``canon(i)``: an int whose zero test is exact, i itself over Q and i mod p
-  over F_p, where the kernel's sums grow unreduced.
+  (lc/d, -c/d) with d = gcd(c, lc), and (1, -c/lc) over F_p.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import pos
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below
@@ -58,6 +60,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _same(value):
+    """Q's ``canon``: the value itself (``operator.pos`` would copy a Fraction)."""
+    return value
+
+
+@dataclass(frozen=True)
 class RationalField:
     """The field of exact rationals (characteristic 0)."""
 
@@ -73,35 +81,14 @@ class RationalField:
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return a * self.inv(b)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def to_str(self, a) -> str:
-        return str(a)
-
     # division kernel hooks (see the module docstring)
 
-    canon = staticmethod(pos)
+    canon = staticmethod(_same)
 
     def to_kernel(self, coeffs):
         ratios = [c.as_integer_ratio() for c in coeffs]
@@ -125,12 +112,6 @@ class RationalField:
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("fibrecheck.QQ")
-
 
 QQ = RationalField()
 
@@ -140,6 +121,8 @@ class PrimeField:
     """The prime field F_p; elements are ints reduced into [0, p)."""
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -153,47 +136,18 @@ class PrimeField:
     def characteristic(self) -> int:
         return self.p
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def coerce(self, value):
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):
-            return self.mul(value.numerator % self.p, self.inv(value.denominator % self.p))
+            return value.numerator * self.inv(value.denominator) % self.p
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def to_str(self, a) -> str:
-        return str(a % self.p)
 
     # division kernel hooks (see the module docstring)
 

@@ -270,7 +270,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder, budget=None):
         (terms, scale), divisors = _packed(f, packing), _divisors(basis, order, fld, packing)
         pending, mono = {k: c for c, _, k in terms}, {k: m for _, m, k in terms}
         rem, steps_scale = _reduce(pending, mono, divisors, budget)
-        return _polynomial(rem, fld.mul(scale, steps_scale), layout, fld, order, packing)
+        return _polynomial(rem, fld.canon(scale * steps_scale), layout, fld, order, packing)
 
     return _widening(run, [f, *basis], order, budget)
 

@@ -8,7 +8,10 @@ e_1..e_r.  A vector (p_1, ..., p_r) of a free module of rank r is encoded as
 the polynomial p_1*e_1 + ... + p_r*e_r, so that each of its terms carries
 exactly one position variable, at exponent 1.  Monomials are exponent tuples
 indexed by the layout; polynomials are immutable sorted term sequences over
-an exact coefficient field.
+an exact coefficient field.  Coefficients are the field's canonical values
+(see :mod:`fibrecheck.fields`): arithmetic combines them with Python
+operators and brings each result to canonical form with ``field.canon``, and
+:meth:`Polynomial.from_dict` does so with the values it is given.
 
 A :class:`MonomialOrder` compares monomials through a flat key: one tuple of
 ints per monomial, so that the order is plain tuple comparison.  Every block
@@ -96,13 +99,6 @@ class RingLayout:
     @property
     def base_indices(self) -> tuple:
         return tuple(range(len(self.base_vars)))
-
-    def copy_indices(self, i: int) -> tuple:
-        if not 1 <= i <= self.copies:
-            raise ValueError(f"copy index {i} out of range 1..{self.copies}")
-        m = len(self.fibre_vars)
-        start = len(self.base_vars) + (i - 1) * m
-        return tuple(range(start, start + m))
 
     @property
     def fibre_indices(self) -> tuple:
@@ -306,9 +302,7 @@ class Polynomial:
     @staticmethod
     def from_dict(layout: RingLayout, field, mapping) -> "Polynomial":
         order = default_order(layout)
-        items = [
-            (c, e) for e, c in mapping.items() if not field.is_zero(c)
-        ]
+        items = [(c, e) for e, c in zip(mapping, map(field.canon, mapping.values())) if c]
         items.sort(key=lambda t: order.key(t[1]), reverse=True)
         return Polynomial(layout, field, tuple(items))
 
@@ -319,7 +313,7 @@ class Polynomial:
     @staticmethod
     def constant(layout: RingLayout, field, value) -> "Polynomial":
         c = field.coerce(value)
-        if field.is_zero(c):
+        if not c:
             return Polynomial.zero(layout, field)
         return Polynomial(layout, field, ((c, (0,) * layout.nvars),))
 
@@ -362,37 +356,27 @@ class Polynomial:
         other = self._coerce_operand(other)
         self._check(other)
         acc = {e: c for c, e in self.terms}
-        f = self.field
         for c, e in other.terms:
-            s = f.add(acc.get(e, f.zero), c)
-            if f.is_zero(s):
-                acc.pop(e, None)
-            else:
-                acc[e] = s
-        return Polynomial.from_dict(self.layout, f, acc)
+            acc[e] = acc[e] + c if e in acc else c
+        return Polynomial.from_dict(self.layout, self.field, acc)
 
     def __sub__(self, other):
         other = self._coerce_operand(other)
         return self + (-other)
 
     def __neg__(self):
-        f = self.field
-        return Polynomial(self.layout, f, tuple((f.neg(c), e) for c, e in self.terms))
+        canon = self.field.canon
+        return Polynomial(self.layout, self.field, tuple((canon(-c), e) for c, e in self.terms))
 
     def __mul__(self, other):
         other = self._coerce_operand(other)
         self._check(other)
-        f = self.field
         acc = {}
         for c1, e1 in self.terms:
             for c2, e2 in other.terms:
                 e = tuple(map(add, e1, e2))
-                s = f.add(acc.get(e, f.zero), f.mul(c1, c2))
-                if f.is_zero(s):
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
-        return Polynomial.from_dict(self.layout, f, acc)
+                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+        return Polynomial.from_dict(self.layout, self.field, acc)
 
     def __rmul__(self, other):
         return self * other
@@ -424,14 +408,13 @@ class Polynomial:
         No sort is needed: a monomial order is multiplicative, so the products
         keep the stored order, and a field has no zero divisors, so no
         product coefficient vanishes."""
-        f = self.field
-        if f.is_zero(coeff):
+        f, canon = self.field, self.field.canon
+        if not canon(coeff):
             return Polynomial.zero(self.layout, f)
-        mul = f.mul
         return Polynomial(
             self.layout,
             f,
-            tuple((mul(c, coeff), tuple(map(add, e, exps))) for c, e in self.terms),
+            tuple((canon(c * coeff), tuple(map(add, e, exps))) for c, e in self.terms),
         )
 
     def scale(self, coeff) -> "Polynomial":
@@ -497,7 +480,7 @@ def render_poly(f: Polynomial) -> str:
                 factors.append(names[i])
             elif x > 1:
                 factors.append(f"{names[i]}^{x}")
-        cs = f.field.to_str(c)
+        cs = str(c)
         neg = cs.startswith("-")
         mag = cs[1:] if neg else cs
         if factors and mag == "1":
@@ -557,26 +540,21 @@ def transport(f: Polynomial, new_layout: RingLayout) -> Polynomial:
 
 def relabel(f: Polynomial, target_layout: RingLayout, copy_index: int) -> Polynomial:
     """Send the (single) fibre block of f to copy ``copy_index`` of the target
-    layout, keeping base variables fixed."""
+    layout, keeping base variables fixed.
+
+    ``default_order`` ranks all fibre copies as one grevlex block, so the
+    terms keep their stored order when every one moves into the same copy."""
     src = f.layout
-    if src.copies != 1 or src.tag_var is not None:
-        raise ValueError("relabel expects a single-copy, tag-free source layout")
+    if src.copies != 1 or src.tag_var is not None or src.positions:
+        raise ValueError("relabel expects a single-copy source layout without tag or positions")
     if src.base_vars != target_layout.base_vars or src.fibre_vars != target_layout.fibre_vars:
         raise LayoutMismatchError("source and target layouts disagree on variable names")
     if not 1 <= copy_index <= target_layout.copies:
         raise ValueError(f"copy index {copy_index} out of range 1..{target_layout.copies}")
-    nb = len(src.base_vars)
-    dest = target_layout.copy_indices(copy_index)
-    acc = {}
-    for c, e in f.terms:
-        new_e = [0] * target_layout.nvars
-        for i in range(nb):
-            new_e[i] = e[i]
-        for j, x in enumerate(e[nb:]):
-            if x:
-                new_e[dest[j]] = x
-        acc[tuple(new_e)] = c
-    return Polynomial.from_dict(target_layout, f.field, acc)
+    nb, m = len(src.base_vars), len(src.fibre_vars)
+    before = (0,) * ((copy_index - 1) * m)
+    after = (0,) * (target_layout.nvars - nb - copy_index * m)
+    return Polynomial(target_layout, f.field, tuple((c, e[:nb] + before + e[nb:] + after) for c, e in f.terms))
 
 
 def substitute_base_point(f: Polynomial, point) -> Polynomial:
@@ -588,19 +566,16 @@ def substitute_base_point(f: Polynomial, point) -> Polynomial:
     nb = len(layout.base_vars)
     if len(point) != nb:
         raise ValueError(f"expected {nb} coordinates, got {len(point)}")
-    field = f.field
+    field, canon = f.field, f.field.canon
     coords = [field.coerce(p) for p in point]
-    new_layout = layout.fibre_only()
     acc = {}
     for c, e in f.terms:
-        val = c
         for i in range(nb):
             for _ in range(e[i]):
-                val = field.mul(val, coords[i])
+                c = canon(c * coords[i])
         new_e = e[nb:]
-        s = field.add(acc.get(new_e, field.zero), val)
-        acc[new_e] = s
-    return Polynomial.from_dict(new_layout, field, acc)
+        acc[new_e] = acc[new_e] + c if new_e in acc else c
+    return Polynomial.from_dict(layout.fibre_only(), field, acc)
 
 
 def base_leading_coefficient(f: Polynomial, order: MonomialOrder | None = None) -> Polynomial:

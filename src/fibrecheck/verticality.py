@@ -215,7 +215,9 @@ def has_torsion_module(pres: ModulePresentation, within: str = "grevlex", budget
 
 def _run_power_loop(problem: Problem, config: CheckConfig, kind: str) -> Verdict:
     n = problem.n
-    kmax = config.max_power if config.max_power is not None else n
+    # the config's bound overrides the statement's ``power k``; without
+    # either, the powers 1..n decide
+    kmax = next(b for b in (config.max_power, problem.max_power, n) if b is not None)
     budget = config.budget()
     verdict = Verdict(kind=kind, outcome="pass", max_power_tested=kmax)
     for k in range(1, kmax + 1):

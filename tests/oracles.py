@@ -48,8 +48,8 @@ def macaulay_member(f: Polynomial, gens, degree_bound: int) -> bool:
             other = echelon[pivot]
             c = row[pivot]
             for m, oc in other.items():
-                s = fld.sub(row.get(m, fld.zero), fld.mul(c, oc))
-                if fld.is_zero(s):
+                s = fld.canon(row.get(m, fld.zero) - c * oc)
+                if not s:
                     row.pop(m, None)
                 else:
                     row[m] = s
@@ -67,7 +67,7 @@ def macaulay_member(f: Polynomial, gens, degree_bound: int) -> bool:
             if row:
                 pivot = max(row, key=mono_key)
                 inv = fld.inv(row[pivot])
-                echelon[pivot] = {k: fld.mul(v, inv) for k, v in row.items()}
+                echelon[pivot] = {k: fld.canon(v * inv) for k, v in row.items()}
 
     residual = reduce_row({e: c for c, e in f.terms})
     return not residual

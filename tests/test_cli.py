@@ -4,12 +4,13 @@ import io
 import itertools
 import json
 import pathlib
+import re
 import sys
 import time
 
 import pytest
 
-from fibrecheck import QQ, ComputeBudget, PrimeField
+from fibrecheck import QQ, CheckConfig, ComputeBudget, PrimeField, check_flatness, check_openness
 from fibrecheck import cli, verticality
 from fibrecheck.cli import (
     COEFF_CHUNK_BITS,
@@ -630,6 +631,35 @@ def test_max_power_flag_overrides(capsys):
     )
     assert code == 0
     assert "INCONCLUSIVE-PASS" in out
+
+
+def test_statement_power_bounds_the_library_and_the_config_overrides_it():
+    # `power 1` bounds check_openness and check_flatness as it bounds the CLI
+    problem = parse_problem((FIXTURES / "blowup.alg").read_text() + "power 1\n")
+    for check in (check_openness, check_flatness):
+        v = check(problem)
+        assert (v.outcome, v.max_power_tested, len(v.powers), v.conclusive) == ("pass", 1, 1, False)
+        v = check(problem, CheckConfig(max_power=2))
+        assert (v.outcome, v.failing_power, len(v.powers)) == ("fail", 2, 2)
+
+
+def _check_summaries(monkeypatch, capsys, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = _run(capsys, "--json", "--allow-char-p-flatness")
+    assert code == 0
+    return [(c["kind"], c["outcome"], c.get("failing_power"), len(c["powers"])) for c in json.loads(out)["checks"]]
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in FIXTURES.glob("*.alg") if p.name not in ("malformed.alg", "oversized.alg")),
+)
+def test_fixture_verdicts_agree_over_q_and_f32003(monkeypatch, capsys, name):
+    text = (FIXTURES / name).read_text()
+    assert re.search(r"^field .*$", text, flags=re.M)
+    over_q = _check_summaries(monkeypatch, capsys, re.sub(r"^field .*$", "field Q", text, flags=re.M))
+    over_p = _check_summaries(monkeypatch, capsys, re.sub(r"^field .*$", "field F 32003", text, flags=re.M))
+    assert over_p == over_q
 
 
 def test_module_fixture_flatness(capsys):

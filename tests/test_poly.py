@@ -37,8 +37,7 @@ def poly_strategy(layout, field=QQ, max_exp=2, max_terms=4):
         for _ in range(draw(st.integers(0, max_terms))):
             exps = tuple(draw(st.integers(0, max_exp)) for _ in range(nv))
             c = field.coerce(draw(st.integers(-3, 3)))
-            s = field.add(acc.get(exps, field.zero), c)
-            acc[exps] = s
+            acc[exps] = field.canon(acc.get(exps, field.zero) + c)
         return Polynomial.from_dict(layout, field, acc)
 
     return build()
@@ -305,8 +304,8 @@ def test_mul_term_keeps_stored_order(field, data):
     coeff = field.coerce(data.draw(st.integers(-7, 7)))
     exps = tuple(data.draw(st.integers(0, 2)) for _ in range(layout.nvars))
     acc = {}
-    if not field.is_zero(coeff):
-        acc = {tuple(a + b for a, b in zip(e, exps)): field.mul(c, coeff) for c, e in f.terms}
+    if coeff:
+        acc = {tuple(a + b for a, b in zip(e, exps)): field.canon(c * coeff) for c, e in f.terms}
     expected = Polynomial.from_dict(layout, field, acc)
     order = default_order(layout)
     for got, want in (
@@ -317,6 +316,85 @@ def test_mul_term_keeps_stored_order(field, data):
         keys = [order.key(e) for _, e in got.terms]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
+
+
+F32003 = PrimeField(32003)
+
+
+def _raw_coefficients(p):
+    """Coefficients as a caller may hand them in: Fractions over Q (p = 0),
+    ints of either sign and past p over F_p."""
+    if not p:
+        return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    return st.one_of(st.integers(-2 * p - 3, 2 * p + 3), st.integers(-3, 3))
+
+
+def _raw_dict(layout, p):
+    monos = st.tuples(*[st.integers(0, 2)] * layout.nvars)
+    return st.dictionaries(monos, _raw_coefficients(p), max_size=4)
+
+
+def _reference_terms(acc, layout, p):
+    """The terms of a {monomial: value} dict: values taken mod p over F_p,
+    zeros dropped, sorted descending by the reference order key."""
+    order = default_order(layout)
+    terms = [(c % p if p else c, e) for e, c in acc.items()]
+    return sorted([t for t in terms if t[0]], key=lambda t: reference_order_key(order, t[1]), reverse=True)
+
+
+def _reference_sum(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _reference_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F32003], ids=["Q", "F5", "F32003"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_arithmetic_matches_plain_dict_reference(field, data):
+    # every operation must give, term for term, what Fraction or int
+    # arithmetic on dicts gives with an explicit reduction mod p at the end
+    p, layout = field.characteristic, Y2X2
+    a, b = data.draw(_raw_dict(layout, p)), data.draw(_raw_dict(layout, p))
+    f, g = Polynomial.from_dict(layout, field, a), Polynomial.from_dict(layout, field, b)
+    coeff = data.draw(_raw_coefficients(p))
+    exps = data.draw(st.tuples(*[st.integers(0, 2)] * layout.nvars))
+    n = data.draw(st.integers(0, 4))
+    negated = {e: -c for e, c in b.items()}
+    power = {(0,) * layout.nvars: Fraction(1) if not p else 1}
+    for _ in range(n):
+        power = _reference_product(power, a)
+    cases = [
+        (f + g, _reference_sum(a, b)),
+        (f - g, _reference_sum(a, negated)),
+        (-g, negated),
+        (f * g, _reference_product(a, b)),
+        (f.mul_term(coeff, exps), _reference_product(a, {exps: coeff})),
+        (f.scale(coeff), _reference_product(a, {(0,) * layout.nvars: coeff})),
+        (f**n, power),
+    ]
+    for got, acc in cases:
+        want = _reference_terms(acc, layout, p)
+        assert [(type(c), c, e) for c, e in got.terms] == [(type(c), c, e) for c, e in want]
+
+
+def test_from_dict_stores_canonical_prime_field_values():
+    e = (1, 0)
+    assert Polynomial.from_dict(XY, F5, {e: 7}).terms == ((2, e),)
+    assert Polynomial.from_dict(XY, F5, {e: 5}).is_zero
+    f = Polynomial.from_dict(XY, F5, {e: -1})
+    assert f.terms == ((4, e),)
+    assert str(f) == "4*y"
 
 
 def _transport_by_names(f, layout):
@@ -433,6 +511,39 @@ def test_relabel_single_copy():
     lay = RingLayout((), ("x",))
     target = lay.powered(1)
     assert str(relabel(P(lay, "x^2"), target, 1)) == "x^2"
+
+
+def _relabel_by_names(f, target, i):
+    """relabel through variable names, a dict and a sort."""
+    nb, names = len(f.layout.base_vars), f.layout.var_names()
+    moved = [n if j < nb or target.copies == 1 else f"{n}({i})" for j, n in enumerate(names)]
+    acc = {}
+    for c, e in f.terms:
+        new_e = [0] * target.nvars
+        for name, x in zip(moved, e):
+            new_e[target.index_of(name)] = x
+        acc[tuple(new_e)] = c
+    return Polynomial.from_dict(target, f.field, acc)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_relabel_keeps_stored_order(field, data):
+    # relabel shifts the fibre block into copy i without a sort; it must
+    # equal, term for term, the polynomial gathered by name and sorted
+    src = data.draw(st.sampled_from([Y2X2, RingLayout(("y1",), ("x1", "x2", "x3"))]))
+    f = data.draw(poly_strategy(src, field))
+    k = data.draw(st.integers(1, 3))
+    for target in (src.powered(k), src.powered(k).with_tag(), src.powered(k).with_positions(2)):
+        for i in range(1, k + 1):
+            assert relabel(f, target, i).terms == _relabel_by_names(f, target, i).terms
+
+
+def test_relabel_rejects_tag_and_positions():
+    for src in (Y2X2.with_tag(), Y2X2.with_positions(2)):
+        with pytest.raises(ValueError, match="without tag or positions"):
+            relabel(Polynomial.zero(src, QQ), Y2X2.powered(2), 1)
 
 
 def test_relabel_copy_out_of_range():

@@ -89,7 +89,7 @@ def reference_normal_form(f, basis, order, with_quotients=False, budget=None):
         c, m = p.leading_term(order)
         for i, (gc, gm) in enumerate(lead):
             if mono_divides(gm, m):
-                factor_c = fld.div(c, gc)
+                factor_c = fld.canon(c * fld.inv(gc))
                 factor_m = mono_div(m, gm)
                 p = p - basis[i].mul_term(factor_c, factor_m)
                 if with_quotients:
@@ -197,7 +197,7 @@ def reference_module_normal_form(v, basis, ring_order, budget=None):
         pos, c, m = reference_vector_leading(p, ring_order)
         for i, (gpos, gc, gm) in enumerate(lead):
             if gpos == pos and mono_divides(gm, m):
-                fc, fm = fld.div(c, gc), mono_div(m, gm)
+                fc, fm = fld.canon(c * fld.inv(gc)), mono_div(m, gm)
                 p = tuple(a - b.mul_term(fc, fm) for a, b in zip(p, basis[i]))
                 break
         else:
