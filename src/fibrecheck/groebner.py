@@ -19,7 +19,9 @@ quotient is free of positions.  The Gebauer-Moeller rules stay valid: two
 leads in one position share e_i, so they are never coprime, and a leading
 monomial that divides an lcm lies in the lcm's position.
 :func:`module_buchberger` and :func:`module_normal_form` encode, run the ideal
-path and decode.
+path and decode.  A :class:`ModulePresentation` encodes its relations once
+and keeps each basis it computes encoded next to its vectors, so a
+membership test encodes only the vector it tests.
 
 Every element joins the basis through the Gebauer-Moeller update (Gebauer &
 Moeller 1988, *On an installation of Buchberger's algorithm*), the input
@@ -34,15 +36,20 @@ t joins:
 - an element whose leading monomial t divides retires: it stays in the basis
   and still divides, but no later element pairs with it.
 
+The update tests divisibility and takes lcms as int expressions on packed
+monomials (see below).  A coprime pair's lcm stays among the lcms that rule
+out proper multiples, although the pair itself is dropped.
+
 Pending pairs wait in a binary heap ranked
 ``(sugar, deg lcm, order key of lcm, i, j)``, the sugar strategy of Giovini et
 al. 1991 (*"One sugar cube, please"*).  An input generator's sugar is its
 total degree; a pair's is the larger of sugar(g) + deg(lcm/LM(g)) over its
 two elements; an S-polynomial remainder joins with its pair's sugar.  Ranks
-are unique by ``(i, j)``, so the order of reductions is deterministic.  The
-budget is charged one pair per S-polynomial actually reduced: a pair dropped
-or deleted by the update costs nothing, so a report's ``pairs`` counts
-reductions.
+are unique by ``(i, j)``, so the order of reductions is deterministic, and
+the heap's shape does not matter: new pairs are pushed onto it, and it is
+rebuilt only when the update deleted a pending pair.  The budget is charged
+one pair per S-polynomial actually reduced: a pair dropped or deleted by the
+update costs nothing, so a report's ``pairs`` counts reductions.
 
 Division (:func:`_reduce`) is the package's one division kernel: normal
 forms, S-pair remainders, interreduction and exact division all run through
@@ -57,9 +64,11 @@ Each step divides by the first basis element whose leading monomial divides
 it.  These are the steps of textbook division; the remainder comes out
 sorted, and it is all the kernel returns.  Buchberger never builds an
 S-polynomial: :func:`_spair` writes its terms straight into the division's
-accumulator.  Exact division g / f divides the encoded vector (g; 0) by
-(f; -1): under term-over-position the remainder is (g - q*f; q), q the
-quotient of g by f.
+accumulator.  Interreduction divides the tail of each minimal element by one
+table of all the minimal elements: a lead divides no monomial below it, so
+each step takes the divisor that division by the others would.  Exact
+division g / f divides the encoded vector (g; 0) by (f; -1): under
+term-over-position the remainder is (g - q*f; q), q the quotient of g by f.
 
 Coefficients are ints over both fields, through the field's kernel hooks (see
 :mod:`fibrecheck.fields`).  Over Q every element is stored primitive and each
@@ -91,6 +100,7 @@ import heapq
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -218,7 +228,9 @@ def _packed(f: Polynomial, packing) -> tuple:
     key), descending, their coefficients those of f times the scale.  The
     leading coefficient is positive over Q, so every step's scalar a is too."""
     pack, key = packing.pack, packing.key
-    terms = sorted([(c, pack(e), -key(e)) for c, e in f.terms], key=itemgetter(2))
+    terms = [(c, pack(e), -key(e)) for c, e in f.terms]
+    if packing.order != default_order(f.layout):  # else already descending
+        terms.sort(key=itemgetter(2))
     ints, scale = f.field.to_kernel([c for c, _, _ in terms])
     return [(i, m, k) for i, (_, m, k) in zip(ints, terms)], scale
 
@@ -416,9 +428,10 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
 
 def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
     layout, fld = gens[0].layout, gens[0].field
-    divides, lcm_of, unpack, key = packing.divides, packing.lcm, packing.unpack, packing.key
+    unpack, key, guards, width = packing.unpack, packing.key, packing.guards, packing.width
+    push = heapq.heappush
     rank = layout.positions
-    positions = packing.pack((0,) * (layout.nvars - rank) + ((1 << packing.width) - 1,) * rank)
+    positions = packing.pack((0,) * (layout.nvars - rank) + ((1 << width) - 1,) * rank)
     leads, tables = [], []
     basis = leads, tables, fld, packing
     elements = []  # packed terms of each element, leading term first
@@ -426,6 +439,11 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
     live = []  # the elements new ones pair with: no later leading monomial divides theirs
     # pending pairs (sugar, deg lcm, order key of lcm, i, j, packed lcm), a heap
     queue = []
+
+    # On packed monomials (see Packing), a divides b when
+    # ((b | guards) - a) & guards == guards, and the fields where a >= b are
+    # those whose guard bit survives ((a | guards) - b) & guards; the lcm
+    # takes a's fields under the mask that bit spans.
 
     def insert(terms, sugar):
         """Append the packed ``terms`` to the basis by the Gebauer-Moeller update."""
@@ -435,14 +453,22 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
         leads.append(hm)
         tables.append(_table(terms))
         elements.append(terms)
-        surplus.append(sugar - hdeg)
+        h_over = sugar - hdeg
+        surplus.append(h_over)
         # a pending pair whose lcm hm divides, and differs from the lcms of
         # both its elements with h, reduces through those two pairs
-        kept = [
-            p for p in queue
-            if p[1] < hdeg or not divides(hm, p[5])
-            or lcm_of(leads[p[3]], hm) == p[5] or lcm_of(leads[p[4]], hm) == p[5]
-        ]
+        deleted = set()
+        for p in queue:
+            lcm = p[5]
+            if p[1] >= hdeg and ((lcm | guards) - hm) & guards == guards:
+                for k in p[3], p[4]:
+                    km = leads[k]
+                    at_least = ((km | guards) - hm) & guards
+                    at_least -= at_least >> width
+                    if (km & at_least) | (hm & ~at_least) == lcm:
+                        break
+                else:
+                    deleted.add(p)
         # the pairs (k, h), one per lcm: the least sugar, then the least k
         where = hm & positions  # 0 for an ideal
         best, coprime = {}, set()
@@ -450,23 +476,36 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
             km = leads[k]
             if where and km & positions != where:
                 continue
-            lcm = lcm_of(km, hm)
+            at_least = ((km | guards) - hm) & guards
+            at_least -= at_least >> width
+            lcm = (km & at_least) | (hm & ~at_least)
             if lcm == km + hm:
-                coprime.add(lcm)
-            over = max(surplus[k], surplus[h])  # the pair's sugar less deg lcm
+                coprime.add(lcm)  # stays a candidate below
+            over = surplus[k] if surplus[k] > h_over else h_over  # the pair's sugar less deg lcm
             if lcm not in best or over < best[lcm][0]:
                 best[lcm] = (over, k)
         # no pair whose lcm is that of a coprime pair, or a proper multiple of
         # another new pair's lcm
+        new = []
         for lcm, (over, k) in best.items():
-            if lcm in coprime or any(other != lcm and divides(other, lcm) for other in best):
+            if lcm in coprime:
                 continue
-            exps = unpack(lcm)
-            deg = sum(exps)
-            kept.append((deg + over, deg, key(exps), k, h, lcm))
-        heapq.heapify(kept)
-        queue[:] = kept
-        live[:] = [k for k in live if not divides(hm, leads[k])]
+            guarded = lcm | guards
+            for other in best:
+                if (guarded - other) & guards == guards and other != lcm:
+                    break
+            else:
+                exps = unpack(lcm)
+                deg = sum(exps)
+                new.append((deg + over, deg, key(exps), k, h, lcm))
+        # ranks are unique, so the heap's shape never changes the pop order
+        if deleted:
+            queue[:] = [p for p in queue if p not in deleted] + new
+            heapq.heapify(queue)
+        else:
+            for pair in new:
+                push(queue, pair)
+        live[:] = [k for k in live if ((leads[k] | guards) - hm) & guards != guards]
         live.append(h)
         budget.note_basis(len(leads))
 
@@ -488,20 +527,28 @@ def _interreduce(elements, basis, order: MonomialOrder, layout, budget):
     minimal elements, each divided once by the others, made monic (c/lc),
     sorted descending.  The minimal leading monomials are those of the reduced basis,
     and division by a Groebner basis has a unique remainder, so one pass is
-    enough."""
+    enough.
+
+    Each element's tail is divided by one table of all the minimal elements,
+    and its lead put back in front at the division's scale.  No minimal lead
+    divides another, and a lead divides no monomial below it, so the element
+    itself never divides: every step and every divisor chosen is that of
+    division by the others."""
     leads, tables, fld, packing = basis
+    guards = packing.guards
     # drop elements whose leading monomial is divisible by another's
     kept = []
     for i in sorted(range(len(leads)), key=lambda i: tables[i][0], reverse=True):
-        if not any(packing.divides(leads[j], leads[i]) for j in kept):
+        guarded = leads[i] | guards
+        if not any((guarded - leads[j]) & guards == guards for j in kept):
             kept.append(i)
+    divisors = [leads[j] for j in kept], [tables[j] for j in kept], fld, packing
     out = []
     for i in reversed(kept):
-        others = [j for j in kept if j != i]
-        divisors = [leads[j] for j in others], [tables[j] for j in others], fld, packing
-        pending = {k: c for c, _, k in elements[i]}
-        rem, _ = _reduce(pending, {k: m for _, m, k in elements[i]}, divisors, budget)
-        out.append(_polynomial(rem, rem[0][0], layout, fld, order, packing))
+        (c, m, k), *tail = elements[i]
+        budget.charge_work()  # the lead, a remainder term
+        rem, scale = _reduce({k: c for c, _, k in tail}, {k: m for _, m, k in tail}, divisors, budget)
+        out.append(_polynomial([(c * scale, m, k), *rem], c * scale, layout, fld, order, packing))
     return out
 
 
@@ -543,11 +590,16 @@ def encode_vectors(vectors, layout: RingLayout, rank: int) -> list:
     """Each vector (p_1, ..., p_r) of polynomials in ``layout`` as the
     polynomial p_1*e_1 + ... + p_r*e_r in ``layout.with_positions(rank)``."""
     target = layout.with_positions(rank)
+    key = default_order(target).key
     units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     out = []
     for v in vectors:
-        acc = {e + unit: c for comp, unit in zip(v, units) for c, e in comp.terms}
-        out.append(Polynomial.from_dict(target, v[0].field, acc))
+        # each component is stored in the ring's order, so one position's
+        # terms keep their order; only the merge of several needs a sort
+        terms = [(c, e + unit) for comp, unit in zip(v, units) for c, e in comp.terms]
+        if rank > 1:
+            terms.sort(key=lambda t: key(t[1]), reverse=True)
+        out.append(Polynomial(target, v[0].field, tuple(terms)))
     return out
 
 
@@ -596,7 +648,12 @@ class ModulePresentation:
     """Finite presentation of a module: relation vectors inside a free module
     of the given rank; the module itself is the cokernel.  Its bases are
     computed on the encoded vectors, by default under ``morder``, the default
-    order of the encoded layout."""
+    order of the encoded layout.
+
+    The presentation encodes its relations once (``encoded``, made on first
+    use) and keeps each basis encoded next to its vectors
+    (:meth:`encoded_basis`), so that a membership test encodes only the
+    vector it tests."""
 
     layout: RingLayout
     field: object
@@ -610,6 +667,12 @@ class ModulePresentation:
         self.relations = tuple(v for v in self.relations if not _is_zero_vector(v))
         self.morder = default_order(self.layout.with_positions(self.rank))
         self._gb_cache = {}
+        self._encoded_gb = {}  # order -> the basis of _gb_cache[order], encoded
+
+    @cached_property
+    def encoded(self) -> tuple:
+        """The relations encoded with position variables."""
+        return tuple(encode_vectors(self.relations, self.layout, self.rank))
 
     def groebner_basis(self, order: MonomialOrder | None = None, budget=None):
         order = order or self.morder
@@ -617,8 +680,18 @@ class ModulePresentation:
             self._gb_cache[order] = tuple(module_buchberger(self.relations, order, budget))
         return self._gb_cache[order]
 
-    def contains(self, v, order=None, budget=None) -> bool:
+    def encoded_basis(self, order: MonomialOrder | None = None, budget=None) -> tuple:
+        """The basis :meth:`groebner_basis` gives, encoded once."""
+        order = order or self.morder
         gb = self.groebner_basis(order, budget)
+        if order not in self._encoded_gb:
+            self._encoded_gb[order] = tuple(encode_vectors(gb, self.layout, self.rank))
+        return self._encoded_gb[order]
+
+    def contains(self, v, order=None, budget=None) -> bool:
+        order = order or self.morder
+        gb = self.encoded_basis(order, budget)
         if not gb:
             return _is_zero_vector(v)
-        return _is_zero_vector(module_normal_form(v, list(gb), order or self.morder, budget))
+        (f,) = encode_vectors([v], self.layout, self.rank)
+        return normal_form(f, list(gb), order, budget=budget).is_zero

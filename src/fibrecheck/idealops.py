@@ -25,7 +25,6 @@ from .groebner import (
     ModulePresentation,
     buchberger,
     decode_vectors,
-    encode_vectors,
     exact_divide,
 )
 from .poly import (
@@ -96,12 +95,18 @@ def _with_inverse(I: Ideal, f: Polynomial):
     I's layout has positions, I is an encoded submodule, and 1 - t*f is added
     at every position: (1 - t*f)*e_i."""
     ext = I.layout.with_tag()
-    fld = I.field
-    t = Polynomial.variable(ext, fld, ext.tag_var)
-    unit = Polynomial.constant(ext, fld, 1) - t * transport(f, ext)
+    fld, t, nvars = I.field, ext.tag_index, ext.nvars
+    # t leads the default order, so the terms of -t*f, in f's stored order,
+    # come before the constant 1
+    unit = Polynomial(
+        ext,
+        fld,
+        tuple((fld.canon(-c), e[:t] + (1,) + e[t + 1 :]) for c, e in transport(f, ext).terms)
+        + ((fld.one, (0,) * nvars),),
+    )
     gens = [transport(g, ext) for g in I.gens]
     if ext.positions:
-        gens += [unit * Polynomial.variable(ext, fld, e) for e in ext.position_vars]
+        gens += [unit.mul_term(fld.one, tuple(int(i == j) for j in range(nvars))) for i in ext.position_indices]
     else:
         gens.append(unit)
     return ext, gens
@@ -113,7 +118,7 @@ def module_saturate(
     """N : f^infinity inside the ambient free module: :func:`saturate` on the
     encoded relations."""
     layout, fld, rank = pres.layout, pres.field, pres.rank
-    N = Ideal(layout.with_positions(rank), fld, tuple(encode_vectors(pres.relations, layout, rank)))
+    N = Ideal(layout.with_positions(rank), fld, pres.encoded)
     S = saturate(N, f, within, budget)
     return ModulePresentation(layout, fld, rank, tuple(decode_vectors(S.gens)))
 

@@ -11,7 +11,8 @@ indexed by the layout; polynomials are immutable sorted term sequences over
 an exact coefficient field.  Coefficients are the field's canonical values
 (see :mod:`fibrecheck.fields`): arithmetic combines them with Python
 operators and brings each result to canonical form with ``field.canon``, and
-:meth:`Polynomial.from_dict` does so with the values it is given.
+:meth:`Polynomial.from_dict` brings the values it is given to canonical form
+with ``field.coerce``, so that an int becomes a Fraction over Q.
 
 A :class:`MonomialOrder` compares monomials through a flat key: one tuple of
 ints per monomial, so that the order is plain tuple comparison.  Every block
@@ -82,6 +83,8 @@ class RingLayout:
         # made once; equality and hashing stay on the declared fields
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_index", index)
+        # derived layouts, by their fields, and default orders, by ``within``
+        object.__setattr__(self, "_made", {})
 
     def var_names(self) -> tuple:
         return self._names
@@ -121,27 +124,36 @@ class RingLayout:
             raise KeyError(f"unknown variable {name!r}") from None
 
     # derived layouts ------------------------------------------------------
+    #
+    # Each derived layout is made once and kept on the layout that made it.
+    # A derived layout holds no reference back, so a layout and the layouts
+    # derived from it are freed together.
+
+    def _derived(self, *fields) -> "RingLayout":
+        layout = self._made.get(fields)
+        if layout is None:
+            layout = self._made[fields] = RingLayout(*fields)
+        return layout
 
     def powered(self, k: int) -> "RingLayout":
-        return RingLayout(self.base_vars, self.fibre_vars, k, self.tag_var, self.positions)
+        return self._derived(self.base_vars, self.fibre_vars, k, self.tag_var, self.positions)
 
     def with_tag(self) -> "RingLayout":
         if self.tag_var is not None:
             raise ValueError("layout already carries a tag variable")
         tag = "_t"
-        taken = set(self.var_names())
-        while tag in taken:
+        while tag in self._index:
             tag += "_"
-        return RingLayout(self.base_vars, self.fibre_vars, self.copies, tag, self.positions)
+        return self._derived(self.base_vars, self.fibre_vars, self.copies, tag, self.positions)
 
     def with_positions(self, rank: int) -> "RingLayout":
-        return RingLayout(self.base_vars, self.fibre_vars, self.copies, self.tag_var, rank)
+        return self._derived(self.base_vars, self.fibre_vars, self.copies, self.tag_var, rank)
 
     def base_only(self) -> "RingLayout":
-        return RingLayout(self.base_vars, (), 1, None)
+        return self._derived(self.base_vars, (), 1, None, 0)
 
     def fibre_only(self) -> "RingLayout":
-        return RingLayout((), self.fibre_vars, self.copies, None)
+        return self._derived((), self.fibre_vars, self.copies, None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +178,6 @@ class MonomialOrder:
         else:
             picks = tuple(_picker(tuple(reversed(blk))) for blk in self.blocks)
         object.__setattr__(self, "_picks", picks)
-        object.__setattr__(self, "_packings", {})
 
     def key(self, exps: Exponents) -> tuple:
         """Flat tuple of ints; a monomial is greater exactly when its key is.
@@ -185,10 +196,9 @@ class MonomialOrder:
         return tuple(out)
 
     def packing(self, width: int) -> "Packing":
-        """This order's :class:`Packing` of exponents below 2^width, made once."""
-        if width not in self._packings:
-            self._packings[width] = Packing(self, width)
-        return self._packings[width]
+        """This order's :class:`Packing` of exponents below 2^width, made once
+        for equal orders (each layout makes its own default order)."""
+        return _packing(self, width)
 
     def base_is_last(self, layout: RingLayout) -> bool:
         """True when every fibre and tag variable outranks every base
@@ -219,7 +229,7 @@ class Packing:
         nvars = sum(map(len, order.blocks))
         if sorted(i for blk in order.blocks for i in blk) != list(range(nvars)):
             raise ValueError("a packed order's blocks must partition its variables")
-        self.width, self._mask = width, (1 << (width + 1)) - 1
+        self.order, self.width, self._mask = order, width, (1 << (width + 1)) - 1
         self.shifts = tuple(range(0, (width + 1) * nvars, width + 1))
         self.guards = sum(1 << (shift + width) for shift in self.shifts)
         # digit j of the order key is the sum of columns[i][j] * e[i], with
@@ -237,13 +247,14 @@ class Packing:
     def key(self, exps: Exponents) -> int:
         return sum(map(mul, self.weights, exps))
 
-    def divides(self, a: int, b: int) -> bool:
-        return ((b | self.guards) - a) & self.guards == self.guards
-
     def lcm(self, a: int, b: int) -> int:
         at_least = ((a | self.guards) - b) & self.guards  # guard bits where a >= b
         take_a = at_least - (at_least >> self.width)
         return (a & take_a) | (b & ~take_a)
+
+
+# the packings made last, so that a long-running process keeps a bounded number
+_packing = functools.lru_cache(maxsize=64)(Packing)
 
 
 def _picker(indices: tuple):
@@ -255,13 +266,16 @@ def _picker(indices: tuple):
     return itemgetter(*indices) if indices else lambda exps: ()
 
 
-@functools.lru_cache(maxsize=None)
 def default_order(layout: RingLayout, within: str = "grevlex") -> MonomialOrder:
-    """Tag >> all fibre blocks jointly >> base block >> positions.
+    """Tag >> all fibre blocks jointly >> base block >> positions, made once
+    per layout and kept on it.
 
     The position block comes last, so on encoded vectors this is the
     term-over-position order: the ring order decides, and between equal ring
     monomials the lower position is greater (under lex and grevlex alike)."""
+    order = layout._made.get(within)
+    if order is not None:
+        return order
     blocks = []
     if layout.tag_index is not None:
         blocks.append((layout.tag_index,))
@@ -273,7 +287,8 @@ def default_order(layout: RingLayout, within: str = "grevlex") -> MonomialOrder:
         blocks.append(layout.position_indices)
     if not blocks:
         blocks.append(())
-    return MonomialOrder(tuple(blocks), within)
+    order = layout._made[within] = MonomialOrder(tuple(blocks), within)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +317,7 @@ class Polynomial:
     @staticmethod
     def from_dict(layout: RingLayout, field, mapping) -> "Polynomial":
         order = default_order(layout)
-        items = [(c, e) for e, c in zip(mapping, map(field.canon, mapping.values())) if c]
+        items = [(c, e) for e, c in zip(mapping, map(field.coerce, mapping.values())) if c]
         items.sort(key=lambda t: order.key(t[1]), reverse=True)
         return Polynomial(layout, field, tuple(items))
 
@@ -322,6 +337,14 @@ class Polynomial:
         i = layout.index_of(name)
         exps = tuple(1 if j == i else 0 for j in range(layout.nvars))
         return Polynomial(layout, field, ((field.one, exps),))
+
+    def __hash__(self):
+        # made once: a memo key hashes every generator of a basis request
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.layout, self.field, self.terms)))
+            return self._hash
 
     # predicates -----------------------------------------------------------
 

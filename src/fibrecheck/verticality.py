@@ -192,8 +192,7 @@ def has_torsion_module(pres: ModulePresentation, within: str = "grevlex", budget
     layout, fld = pres.layout, pres.field
     positioned = layout.with_positions(pres.rank)
     order = default_order(positioned, within)
-    gb = pres.groebner_basis(order, budget)
-    h = generic_denominator(encode_vectors(gb, layout, pres.rank), positioned, fld, order)
+    h = generic_denominator(pres.encoded_basis(order, budget), positioned, fld, order)
     h = transport(h, layout)
     S = module_saturate(pres, h, within, budget)
     for v in S.relations:

@@ -552,6 +552,32 @@ def test_rank2_module_pair_counts_pinned(capsys):
     assert [(p["basis_size"], p["pairs"]) for p in check["powers"]] == [(7, 8), (25, 75)]
 
 
+A4_CHART = "base y1 y2 y3 y4\nvars x1 x2 x3\nideal: y1*x1 - y2, y1*x2 - y3, y1*x3 - y4\ncheck both\n"
+G1 = "base y1 y2 y3\nvars x1 x2 x3\nideal: x1*x2 - y1, x2*x3 - y2, x1*x3 - y3*x2 + y1\ncheck both\n"
+
+
+@pytest.mark.parametrize(
+    "text, order, want",
+    [
+        (A4_CHART, "grevlex", {"open": [(1, 14, 45), (2, 29, 358)], "flat": [(1, 14, 45), (2, 29, 282)]}),
+        (A4_CHART, "lex", {"open": [(1, 14, 45), (2, 29, 358)], "flat": [(1, 14, 45), (2, 29, 282)]}),
+        (G1, "grevlex", {"open": [(1, 13, 40), (2, 87, 1131)], "flat": [(1, 13, 40), (2, 87, 916)]}),
+        (G1, "lex", {"open": [(1, 17, 57), (2, 107, 1443)], "flat": [(1, 17, 57), (2, 107, 1127)]}),
+    ],
+    ids=["A4-grevlex", "A4-lex", "g1-grevlex", "g1-lex"],
+)
+def test_larger_chart_pair_counts_pinned(capsys, monkeypatch, text, order, want):
+    # Pins (k, basis_size, pairs) on inputs larger than any golden: both
+    # checks fail at power 2, so the second power's bases are the largest
+    # the engine builds on a test input.
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = _run(capsys, "--json", "--order", order)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [(c["outcome"], c["failing_power"]) for c in checks] == [("fail", 2), ("fail", 2)]
+    assert {c["kind"]: [(p["k"], p["basis_size"], p["pairs"]) for p in c["powers"]] for c in checks} == want
+
+
 A3_CHART = "base y1 y2 y3\nvars x1 x2\nideal: y1*x1 - y2, y1*x2 - y3\n"
 # F = A/(x2) is the A^2 blow-up chart, while the open check pays a radical
 # membership at power 1 for x2, which lies in the dominant part but not in J

@@ -43,6 +43,7 @@ from util import (
     reference_normal_form,
     reference_s_polynomial,
     reference_s_vector,
+    reference_update_buchberger,
     reference_vector_leading,
 )
 
@@ -493,6 +494,23 @@ def test_module_disjoint_positions_untouched():
     assert sorted(basis, key=str) == sorted([(x, zero), (zero, x)], key=str)
 
 
+def test_presentation_contains_encodes_only_the_vector(monkeypatch):
+    x, zero = P(XY2, "x"), Polynomial.zero(XY2, QQ)
+    pres = ModulePresentation(XY2, QQ, 2, ((x, zero), (zero, x)))
+    assert pres.contains((x * x, x))
+    real, calls = groebner.encode_vectors, []
+
+    def spy(vectors, layout, rank):
+        calls.append(len(vectors))
+        return real(vectors, layout, rank)
+
+    monkeypatch.setattr(groebner, "encode_vectors", spy)
+    assert not pres.contains((P(XY2, "y"), zero))
+    assert calls == [1]
+    assert pres.encoded_basis() == tuple(real(pres.groebner_basis(), XY2, 2))
+    assert pres.encoded == tuple(real(pres.relations, XY2, 2))
+
+
 def test_module_buchberger_s_vectors_reduce_to_zero():
     y1x = P(BLOWUP_LAYOUT, "y1*x - y2")
     y1 = P(BLOWUP_LAYOUT, "y1")
@@ -601,6 +619,52 @@ def test_buchberger_equals_reference(field, name, data):
     except ResourceLimitError:
         return
     assert buchberger(gens, order) == want
+
+
+def test_m_criterion_keeps_coprime_lcms():
+    # When x - y joins, its pair with w - 1 is coprime, with lcm x*w; that
+    # lcm divides x*w*z, the lcm of its pair with x*w*z - y, so the chain
+    # criterion drops that pair too, and only (w - 1, x*w*z - y) is reduced.
+    # An update that forgot coprime lcms as candidates would reduce both
+    # (2 pairs, 11 steps).
+    layout = RingLayout(("y",), ("x", "z", "w"))
+    gens = [P(layout, "w - 1"), P(layout, "x*w*z - y"), P(layout, "x - y")]
+    budget = ComputeBudget()
+    basis = buchberger(gens, default_order(layout), budget)
+    assert [str(g) for g in basis] == ["x - y", "y*z - y", "w - 1"]
+    assert (budget.pairs, budget.work) == (1, 9)
+
+
+UPDATE_LAYOUTS = {"plain": L3, "tagged": L3.with_tag(), "positions": L3.with_positions(2)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("name", sorted(UPDATE_LAYOUTS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_buchberger_update_equals_reference(field, within, name, data):
+    # the packed update must take the steps of the plain one: same basis,
+    # pairs, reduction steps and largest basis, and the same abort
+    layout = UPDATE_LAYOUTS[name]
+    order = default_order(layout, within)
+    if layout.positions:
+        vec = st.tuples(*[poly_strategy(L3, field, max_terms=3)] * layout.positions)
+        gens = encode_vectors(data.draw(st.lists(vec, min_size=1, max_size=3)), L3, layout.positions)
+    else:
+        gens = data.draw(gens_sharing_leads(layout, order, field))
+    if all(g.is_zero for g in gens):
+        return
+    want_budget, got_budget = ComputeBudget(pair_limit=200), ComputeBudget(pair_limit=200)
+    try:
+        want = reference_update_buchberger(gens, order, want_budget)
+    except ResourceLimitError:
+        with pytest.raises(ResourceLimitError):
+            buchberger(gens, order, got_budget)
+        return
+    assert buchberger(gens, order, got_budget) == want
+    got = (got_budget.pairs, got_budget.work, got_budget.max_basis)
+    assert got == (want_budget.pairs, want_budget.work, want_budget.max_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,23 @@ def test_saturate_by_constant_is_identity():
     assert ideal_equal(saturate(I, P(XY2, "7")), I)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("rank", [0, 2])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_with_inverse_equals_arithmetic(field, rank, data):
+    # 1 - t*f built term by term, and placed at every position of an encoded
+    # submodule, must equal the polynomial computed by arithmetic
+    layout = BLOWUP_LAYOUT.with_positions(rank)
+    f = data.draw(poly_strategy(BLOWUP_LAYOUT, field, max_terms=4).filter(lambda f: not f.is_zero))
+    I = Ideal(layout, field, (Polynomial.variable(layout, field, "x"),))
+    ext, gens = idealops._with_inverse(I, f)
+    t = Polynomial.variable(ext, field, ext.tag_var)
+    unit = Polynomial.constant(ext, field, 1) - t * transport(f, ext)
+    units = [unit * Polynomial.variable(ext, field, e) for e in ext.position_vars] if rank else [unit]
+    assert gens == [transport(g, ext) for g in I.gens] + units
+
+
 def test_module_saturate_torsion_example():
     # presentation of R^2 / <(y; 0)>: saturating by y exposes (1; 0)
     lay = RingLayout(("y",), ("x",))

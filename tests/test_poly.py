@@ -207,7 +207,8 @@ def test_packing_agrees_with_tuple_monomials(name, data):
     ab = tuple(x + y for x, y in zip(a, b))
     pa, pb = packing.pack(a), packing.pack(b)
     assert packing.unpack(pa) == a
-    assert packing.divides(pa, pb) == mono_divides(a, b)
+    # a divides b when no field of (b | guards) - a borrows its guard bit
+    assert (((pb | packing.guards) - pa) & packing.guards == packing.guards) == mono_divides(a, b)
     assert packing.unpack(packing.lcm(pa, pb)) == mono_lcm(a, b)
     # keys order like the order's keys, ties included, on vectors and on
     # products of two vectors, and a product's key is the sum of the keys
@@ -395,6 +396,32 @@ def test_from_dict_stores_canonical_prime_field_values():
     f = Polynomial.from_dict(XY, F5, {e: -1})
     assert f.terms == ((4, e),)
     assert str(f) == "4*y"
+
+
+def test_from_dict_stores_fractions_over_q():
+    # int values become Fractions through QQ.coerce, in products and sums too
+    layout = RingLayout(("y1", "y2"), ("x",))
+    g = Polynomial.from_dict(layout, QQ, {(1, 0, 1): 1, (0, 1, 0): -1})
+    for f, text in [(g, "y1*x - y2"), (g * g, "y1^2*x^2 - 2*y1*y2*x + y2^2"), (g + g, "2*y1*x - 2*y2")]:
+        assert all(type(c) is Fraction for c, _ in f.terms)
+        assert str(f) == text
+
+
+def test_derived_layouts_are_made_once():
+    layout = RingLayout(("y1", "y2"), ("x",))
+    positioned = layout.with_positions(2)
+    assert layout.with_positions(2) is positioned
+    assert positioned.with_positions(0) is positioned.with_positions(0)
+    assert positioned.with_positions(0) == layout
+    assert layout.with_tag() is layout.with_tag()
+    assert layout.powered(2) is layout.powered(2)
+    assert layout.base_only() is layout.base_only()
+    assert layout.fibre_only() is layout.fibre_only()
+    # equality and hashing stay on the declared fields
+    twin = RingLayout(("y1", "y2"), ("x",), 1, None, 2)
+    assert twin is not positioned and twin == positioned and hash(twin) == hash(positioned)
+    f = P(layout, "y1*x - y2")
+    assert hash(f) == hash(f) == hash(Polynomial(layout, QQ, f.terms))
 
 
 def _transport_by_names(f, layout):

@@ -146,6 +146,75 @@ def reference_buchberger(gens, order, budget=None):
     return sorted((g.scale(fld.inv(g.leading_term(order)[0])) for g in kept), key=key, reverse=True)
 
 
+def reference_update_buchberger(gens, order, budget):
+    """The engine's Buchberger loop written plainly on exponent tuples: the
+    sugar strategy, and the Gebauer-Moeller update with the whole queue
+    filtered and re-heapified at every insertion.  An element pairs only
+    with live elements whose leading monomial has the same positions.
+    ``buchberger`` must give the same basis and charge the budget the same
+    pairs, reduction steps and largest basis."""
+    G = [g for g in gens if not g.is_zero]
+    nvars, rank = G[0].layout.nvars, G[0].layout.positions
+    held, leads, surplus, live, queue = [], [], [], [], []
+
+    def insert(g, sugar):
+        h, hm = len(held), g.leading_monomial(order)
+        held.append(g)
+        leads.append(hm)
+        surplus.append(sugar - sum(hm))
+        # B: a pending pair whose lcm hm divides, and differs from the lcms
+        # of both its elements with hm, is deleted
+        kept = [
+            p for p in queue
+            if not mono_divides(hm, p[-1])
+            or mono_lcm(leads[p[3]], hm) == p[-1] or mono_lcm(leads[p[4]], hm) == p[-1]
+        ]
+        # the pairs (k, h), one per lcm: the least sugar, then the least k
+        best, coprime = {}, set()
+        for k in live:
+            if leads[k][nvars - rank :] != hm[nvars - rank :]:
+                continue
+            lcm = mono_lcm(leads[k], hm)
+            if all(not (a and b) for a, b in zip(leads[k], hm)):
+                coprime.add(lcm)
+            over = max(surplus[k], surplus[h])
+            if lcm not in best or over < best[lcm][0]:
+                best[lcm] = (over, k)
+        # M and F: no pair whose lcm is a coprime pair's, or a proper multiple
+        # of another candidate's (a coprime pair's lcm is a candidate too)
+        for lcm, (over, k) in best.items():
+            if lcm in coprime or any(o != lcm and mono_divides(o, lcm) for o in best):
+                continue
+            kept.append((sum(lcm) + over, sum(lcm), order.key(lcm), k, h, lcm))
+        heapq.heapify(kept)
+        queue[:] = kept
+        live[:] = [k for k in live if not mono_divides(hm, leads[k])]
+        live.append(h)
+        budget.note_basis(len(held))
+
+    for g in G:
+        insert(g, g.total_degree())
+    while queue:
+        sugar, *_, i, j, _ = heapq.heappop(queue)
+        budget.charge_pair()
+        s = reference_s_polynomial(held[i], held[j], order)
+        nf = reference_normal_form(s, held, order, budget=budget)
+        if not nf.is_zero:
+            insert(nf, sugar)
+
+    # the minimal elements, least lead first, each divided by the others
+    fld = G[0].field
+    kept = []
+    for i in sorted(range(len(held)), key=lambda i: order.key(leads[i])):
+        if not any(mono_divides(leads[j], leads[i]) for j in kept):
+            kept.append(i)
+    out = []
+    for i in kept:
+        r = reference_normal_form(held[i], [held[j] for j in kept if j != i], order, budget=budget)
+        out.append(r.scale(fld.inv(r.leading_coefficient(order))))
+    return sorted(out, key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+
+
 def reference_vector_leading(v, ring_order):
     """(position, coefficient, monomial) of a vector's leading term under the
     term-over-position order: ``ring_order`` (an order on the vector's ring)
