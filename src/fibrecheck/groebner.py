@@ -124,13 +124,13 @@ class ResourceLimitError(RuntimeError):
         self.pairs = pairs
 
 
-class BasisRecord(NamedTuple):
-    """A memoized reduced basis and what computing it charged."""
+class Record(NamedTuple):
+    """A memoized result and what computing it charged."""
 
-    basis: tuple
+    value: object
     pairs: int
     work: int
-    peak: int  # largest basis held: the input size when nothing was appended
+    peak: int  # largest basis held: for a basis, the input size when nothing was appended
 
 
 @dataclass
@@ -140,13 +140,16 @@ class ComputeBudget:
     inputs abort deterministically even inside a single division; the
     deadline is checked at every pair and reduction step, membership tests too.
 
-    ``memo`` (None: no memo) maps ``(nonzero generators in input order,
-    MonomialOrder)`` to a :class:`BasisRecord`.  :func:`buchberger` serves a
-    hit only when the recorded pairs and reduction steps still fit under the
-    limits, and charges them again, so counts and aborts never depend on
-    which computations ran before.  Aborted computations are never stored;
-    module bases are encoded polynomials and share the memo.  Re-verification
-    runs inside :meth:`memo_bypassed` and recomputes every basis it needs."""
+    ``memo`` (None: no memo) maps a key to a :class:`Record`, made and
+    replayed by :meth:`memoized`.  It records bases (keyed by ``(nonzero
+    generators in input order, MonomialOrder)``; module bases are encoded
+    polynomials and share the memo), dominant parts (``("dominant part",
+    generators, order)``) and membership answers (``(generators, order,
+    f)``).  A hit is served only when the recorded pairs and reduction steps
+    still fit under the limits, and they are charged again, so counts and
+    aborts never depend on which computations ran before.  Aborted
+    computations are never stored.  Re-verification runs inside
+    :meth:`memo_bypassed` and recomputes everything it needs."""
 
     pair_limit: int = 100_000
     deadline: float | None = None  # absolute time.monotonic() deadline
@@ -180,18 +183,34 @@ class ComputeBudget:
         if size > self.max_basis:
             self.max_basis = size
 
-    def can_afford(self, record: BasisRecord) -> bool:
+    def can_afford(self, record: Record) -> bool:
         return (
             self.pairs + record.pairs <= self.pair_limit
             and self.work + record.work <= 200 * self.pair_limit
         )
 
-    def charge_again(self, record: BasisRecord):
-        """Charge what computing the record's basis charged when it ran."""
-        self.pairs += record.pairs
-        self.work += record.work
-        self.note_basis(record.peak)
-        self._check_deadline()
+    def memoized(self, key, compute):
+        """``compute()``, or the memo's record of it under ``key``: a hit that
+        the limits can afford charges what the computation charged and
+        returns its value; any other call computes, and records the result
+        unless the computation aborted."""
+        if self.memo is None:
+            return compute()
+        record = self.memo.get(key)
+        if record is not None and self.can_afford(record):
+            self.pairs += record.pairs
+            self.work += record.work
+            self.note_basis(record.peak)
+            self._check_deadline()
+            return record.value
+        pairs, work, held = self.pairs, self.work, self.max_basis
+        self.max_basis = 0  # the computation's own largest basis
+        try:
+            value = compute()
+        finally:
+            peak, self.max_basis = self.max_basis, max(held, self.max_basis)
+        self.memo[key] = Record(value, self.pairs - pairs, self.work - work, peak)
+        return value
 
     @contextmanager
     def memo_bypassed(self):
@@ -406,23 +425,12 @@ def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None):
     if not gens:
         return []
     budget = budget or ComputeBudget()
-    if budget.memo is None:
-        return _buchberger(gens, order, budget)[0]
-    key = (tuple(gens), order)
-    record = budget.memo.get(key)
-    if record is not None and budget.can_afford(record):
-        budget.charge_again(record)
-        return list(record.basis)
-    pairs, work = budget.pairs, budget.work
-    basis, peak = _buchberger(gens, order, budget)
-    budget.memo[key] = BasisRecord(
-        tuple(basis), budget.pairs - pairs, budget.work - work, peak
-    )
-    return basis
+    basis = budget.memoized((tuple(gens), order), lambda: tuple(_buchberger(gens, order, budget)))
+    return list(basis)
 
 
 def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
-    """(basis, largest basis held) of nonzero ``gens``."""
+    """The reduced basis of nonzero ``gens``."""
     return _widening(lambda packing: _buchberger_at(gens, order, packing, budget), gens, order, budget)
 
 
@@ -519,7 +527,7 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
         if rem:
             ints, _ = fld.to_kernel([c for c, _, _ in rem])  # content removed
             insert([(i, m, k) for i, (_, m, k) in zip(ints, rem)], pair_sugar)
-    return _interreduce(elements, basis, order, layout, budget), len(leads)
+    return _interreduce(elements, basis, order, layout, budget)
 
 
 def _interreduce(elements, basis, order: MonomialOrder, layout, budget):
@@ -575,11 +583,17 @@ class Ideal:
         return self._gb_cache[order]
 
     def contains(self, f: Polynomial, order=None, budget=None) -> bool:
+        """Whether f lies in the ideal; the answer is kept in the budget's
+        memo, if it has one, under ``(gens, order, f)``."""
         gb = self.groebner_basis(order, budget)
         if not gb:
             return f.is_zero
         order = order or default_order(self.layout)
-        return normal_form(f, list(gb), order, budget=budget).is_zero
+
+        def member():
+            return normal_form(f, list(gb), order, budget=budget).is_zero
+
+        return budget.memoized((self.gens, order, f), member) if budget else member()
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,9 @@ class Problem:
             raise ValueError("max power must be >= 1")
         if any(g.is_zero for g in self.ideal_gens):
             raise ValueError("zero generator")
-
-    @property
-    def layout(self) -> RingLayout:
-        return RingLayout(self.base_vars, self.fibre_vars, 1, None)
+        # made once, so that every check and power shares its derived
+        # layouts and default orders; colliding names are rejected here
+        self.layout = RingLayout(self.base_vars, self.fibre_vars, 1, None)
 
     @property
     def ideal(self) -> Ideal:

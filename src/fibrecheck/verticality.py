@@ -48,10 +48,12 @@ class WitnessSoundnessError(RuntimeError):
 class CheckConfig:
     """Settings of a run.  Every budget it hands out carries the config's one
     deadline, an absolute ``time.monotonic()`` instant, so that one clock
-    bounds every check of a run, and its one basis memo, so that the checks
-    compute each basis once.  The memo is owned state, not a setting: it lives
-    as long as the config and keeps every basis stored in it alive, so a
-    caller checking many unrelated problems should give each its own config."""
+    bounds every check of a run, and its one memo, so that the checks compute
+    each basis, dominant part and membership answer once: under ``check
+    both`` the flatness check replays what the openness check recorded for
+    the same J_k.  The memo is owned state, not a setting: it lives as long as
+    the config and keeps everything stored in it alive, so a caller checking
+    many unrelated problems should give each its own config."""
 
     within: str = "grevlex"
     max_power: int | None = None
@@ -129,11 +131,16 @@ def generic_denominator(basis, layout, fld, order=None) -> Polynomial:
 
 def dominant_part(J: Ideal, within: str = "grevlex", budget=None) -> Ideal:
     """J : h^infinity; its minimal primes are exactly the dominant minimal
-    primes of J."""
+    primes of J.  J's basis is asked for on every call; the denominator and
+    the saturation are kept in the budget's memo, if it has one."""
     order = default_order(J.layout, within)
     gb = J.groebner_basis(order, budget)
-    h = generic_denominator(gb, J.layout, J.field, order)
-    return saturate(J, h, within, budget)
+
+    def compute():
+        return saturate(J, generic_denominator(gb, J.layout, J.field, order), within, budget).gens
+
+    gens = budget.memoized(("dominant part", J.gens, order), compute) if budget else compute()
+    return Ideal(J.layout, J.field, gens)
 
 
 def has_vertical_component(J: Ideal, within: str = "grevlex", budget=None):
@@ -295,9 +302,9 @@ def _is_pure_base(f: Polynomial) -> bool:
     return not f.is_zero and all(i < nb for i in f.support_indices())
 
 
-# Every re-check recomputes the bases it needs: it runs inside
-# budget.memo_bypassed(), and it asks a fresh object, whose per-object basis
-# cache is empty, rather than the Jk or pres that the search filled.
+# Every re-check recomputes the bases and membership answers it needs: it runs
+# inside budget.memo_bypassed(), and it asks a fresh object, whose per-object
+# basis cache is empty, rather than the Jk or pres that the search filled.
 # _verify_open_witness builds new ideals in radical_member; the flat re-check
 # copies Jk, or encodes the relations of pres afresh.
 

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from fibrecheck import QQ, CheckConfig, ComputeBudget, PrimeField, check_flatness, check_openness
-from fibrecheck import cli, verticality
+from fibrecheck import cli, groebner, verticality
 from fibrecheck.cli import (
     COEFF_CHUNK_BITS,
     MAX_EXPANSION,
@@ -623,6 +623,25 @@ def test_check_both_equals_open_then_flat(capsys, monkeypatch, text, limit, abor
         c["kind"]: c["powers"][-1]["k"] for c in both if c["outcome"] == "aborted"
     } == aborted_at
     assert (False in afforded) == unaffordable
+
+
+@pytest.mark.parametrize("check, want", [("both", (2, 3, 9)), ("open", (2, 3, 4))])
+def test_second_check_replays(capsys, monkeypatch, check, want):
+    # The flat check of `check both` replays each J_k's generic denominator,
+    # saturation and membership answers from the open check's records; it
+    # computes only its annihilator witness and its re-check afresh.
+    calls = {}
+    for module, name in ((verticality, "generic_denominator"), (verticality, "saturate"), (groebner, "normal_form")):
+
+        def spy(*args, real=getattr(module, name), name=name, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr("sys.stdin", io.StringIO(A3_CHART + f"check {check}\n"))
+    code, _, _ = _run(capsys, "--json")
+    assert code == 0
+    assert (calls["generic_denominator"], calls["saturate"], calls["normal_form"]) == want
 
 
 def test_pair_limit_bounds_each_check(monkeypatch, capsys):

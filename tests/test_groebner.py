@@ -28,6 +28,7 @@ from fibrecheck import (
 )
 from fibrecheck import groebner
 from fibrecheck.groebner import decode_vectors, encode_vectors, exact_divide
+from fibrecheck.verticality import dominant_part
 
 from oracles import macaulay_member
 from test_poly import poly_strategy
@@ -188,31 +189,85 @@ def test_basis_memo_misses_on_other_order_or_generators(monkeypatch):
     assert len(computed) == 2
 
 
-@pytest.mark.parametrize("over", ["pairs", "work"])
-def test_basis_memo_unaffordable_hit_aborts_like_a_computation(monkeypatch, over):
-    order = default_order(XY2)
+@pytest.mark.parametrize(
+    "record, over",
+    [("basis", "pairs"), ("basis", "work"), ("dominant part", "pairs"), ("dominant part", "work")],
+    ids=["pairs", "work", "dominant-part-pairs", "dominant-part-work"],
+)
+def test_basis_memo_unaffordable_hit_aborts_like_a_computation(monkeypatch, record, over):
+    if record == "basis":
+        order = default_order(XY2)
+        key = (GROWING, order)
+
+        def run(budget):
+            return buchberger(GROWING, order, budget)
+
+    else:
+        # J's basis is affordable and replayed; the saturation is not
+        order = default_order(POW2)
+        key = ("dominant part", BLOWUP2.gens, order)
+
+        def run(budget):
+            return dominant_part(Ideal(POW2, QQ, BLOWUP2.gens), "grevlex", budget)
+
     plain = ComputeBudget()
-    buchberger(GROWING, order, plain)
+    run(plain)
     memo = {}
-    buchberger(GROWING, order, ComputeBudget(memo=memo))
+    run(ComputeBudget(memo=memo))
+    assert memo[key].pairs and memo[key].work
 
     def starved(memo):
-        """A budget one pair or one reduction step short of the basis."""
+        """A budget one pair or one reduction step short of the computation."""
         budget = ComputeBudget(memo=memo)
+        budget.note_basis(100)  # a larger basis held earlier in the power
         if over == "pairs":
             budget.pairs = budget.pair_limit - plain.pairs + 1
         else:
             budget.work = 200 * budget.pair_limit - plain.work + 1
         return budget
 
-    with pytest.raises(ResourceLimitError) as direct:
-        buchberger(GROWING, order, starved(None))
+    direct, replayed = starved(None), starved(memo)
+    with pytest.raises(ResourceLimitError) as direct_error:
+        run(direct)
+    records = dict(memo)
     computed = count_computations(monkeypatch)
-    with pytest.raises(ResourceLimitError) as replayed:
-        buchberger(GROWING, order, starved(memo))
+    with pytest.raises(ResourceLimitError) as replayed_error:
+        run(replayed)
     assert len(computed) == 1
-    assert str(replayed.value) == str(direct.value)
-    assert replayed.value.pairs == direct.value.pairs
+    assert str(replayed_error.value) == str(direct_error.value)
+    assert replayed_error.value.pairs == direct_error.value.pairs
+    assert (replayed.pairs, replayed.work, replayed.max_basis) == (direct.pairs, direct.work, direct.max_basis)
+    assert memo == records  # the aborted computation replaced no record
+    fresh = {}
+    with pytest.raises(ResourceLimitError):
+        run(starved(fresh))
+    assert key not in fresh and fresh.keys() <= memo.keys()
+
+
+@pytest.mark.parametrize("text, member", [("y1*x1*x2 - y2*x2", True), ("x1 - x2", False)])
+def test_membership_memo_replays_the_reduction_steps(monkeypatch, text, member):
+    order, f = default_order(POW2), _pow2(text)
+    memo = {}
+    first = ComputeBudget(memo=memo)
+    assert Ideal(POW2, QQ, BLOWUP2.gens).contains(f, order, first) == member
+    steps = memo[(BLOWUP2.gens, order, f)].work
+    assert steps
+    calls = []
+    real = groebner.normal_form
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "normal_form", spy)
+    again = ComputeBudget(memo=memo)
+    assert Ideal(POW2, QQ, BLOWUP2.gens).contains(f, order, again) == member
+    assert not calls
+    assert (again.pairs, again.work) == (first.pairs, first.work)
+    with again.memo_bypassed():
+        work = again.work
+        assert Ideal(POW2, QQ, BLOWUP2.gens).contains(f, order, again) == member
+    assert calls == [f] and again.work - work == first.work  # the basis, then the division
 
 
 A3_CHART = ideal_of(RingLayout(("y1", "y2", "y3"), ("x1", "x2")), "y1*x1 - y2", "y1*x2 - y3")

@@ -56,6 +56,18 @@ def test_power_rejects_bad_inputs():
         fibred_power_ideal(fibred_power_ideal(BLOWUP_IDEAL, 2), 2)
 
 
+def test_problem_makes_its_layout_once():
+    # every check and power shares the layouts derived from it
+    problem = Problem(QQ, BLOWUP_LAYOUT.base_vars, BLOWUP_LAYOUT.fibre_vars, BLOWUP_IDEAL.gens)
+    assert problem.layout is problem.layout
+    assert fibred_power_ideal(problem.ideal, 2).layout is fibred_power_ideal(problem.ideal, 2).layout
+
+
+def test_problem_rejects_colliding_names_at_construction():
+    with pytest.raises(ValueError, match="collide"):
+        Problem(QQ, ("y",), ("y",), ())
+
+
 def test_power_symmetric_under_copy_swap():
     """Swapping the two fibre copies maps J_2 onto itself (canonical bases
     agree after the variable swap)."""
