@@ -4,9 +4,12 @@ Openness of Spec A -> Spec R fails iff some fibred power J_k (k <= n = number
 of base variables) acquires a vertical irreducible component; flatness fails
 iff some tensor power acquires R-torsion.  Vertical parts are separated from
 dominant ones by saturating at the generic denominator h (the product of the
-base-variable leading coefficients of a fibre-over-base Groebner basis);
-witnesses are re-checked before a verdict is emitted (see the re-checks for
-which bases they recompute).
+base-variable leading coefficients of a fibre-over-base Groebner basis) of
+J_1: A_h is free over R_h (generic freeness), so is each tensor power, and
+J_k : h^infinity is the dominant part of every J_k, while J_k's own h would
+add spurious factors.  A module of rank >= 2 keeps each power's h, a power of
+which is its certificate.  Witnesses are re-checked before a verdict is
+emitted (see the re-checks for which bases they recompute).
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from .poly import (
     transport,
 )
 from .power import Problem, fibred_power_ideal, tensor_power_presentation
-
-TORSION_POWER_BOUND = 64
 
 
 class CharacteristicGuardError(ValueError):
@@ -111,44 +112,40 @@ def generic_denominator(basis, layout, fld, order=None) -> Polynomial:
     elements, each through :func:`squarefree_part` and then
     integer-normalized; saturation by it contracts from K(R)[x] back to R[x].
     The basis may be of encoded vectors (``layout`` then has positions); the
-    product has no position variables either way.  A coefficient already
-    seen is skipped before it is normalized."""
+    product has no position variables either way."""
     order = order or default_order(layout)
     h = Polynomial.constant(layout, fld, 1)
-    seen, factors = set(), set()  # coefficients as found, and normalized
+    factors = set()
     for g in basis:
-        c = base_leading_coefficient(g, order)
-        if c.is_constant or c.terms in seen:
-            continue
-        seen.add(c.terms)
-        c = integer_normalized(squarefree_part(c))
-        if c.terms in factors:
-            continue
-        factors.add(c.terms)
-        h = h * c
+        c = integer_normalized(squarefree_part(base_leading_coefficient(g, order)))
+        if not c.is_constant and c.terms not in factors:
+            factors.add(c.terms)
+            h = h * c
     return h
 
 
-def dominant_part(J: Ideal, within: str = "grevlex", budget=None) -> Ideal:
-    """J : h^infinity; its minimal primes are exactly the dominant minimal
-    primes of J.  J's basis is asked for on every call; the denominator and
-    the saturation are kept in the budget's memo, if it has one."""
-    order = default_order(J.layout, within)
-    gb = J.groebner_basis(order, budget)
+def dominant_part(J: Ideal, first: Ideal, within: str = "grevlex", budget=None) -> Ideal:
+    """J : h^infinity, h the generic denominator of ``first``, the J_1 whose
+    power J is; its minimal primes are the dominant minimal primes of J.
+    first's basis is asked for on every call; h and the saturation are kept
+    in the budget's memo, if it has one, under a key naming both ideals."""
+    order = default_order(first.layout, within)
+    gb = first.groebner_basis(order, budget)
 
     def compute():
-        return saturate(J, generic_denominator(gb, J.layout, J.field, order), within, budget).gens
+        h = generic_denominator(gb, first.layout, first.field, order)
+        return saturate(J, transport(h, J.layout), within, budget).gens
 
-    gens = budget.memoized(("dominant part", J.gens, order), compute) if budget else compute()
+    gens = budget.memoized(("dominant part", J.gens, first.gens, order), compute) if budget else compute()
     return Ideal(J.layout, J.field, gens)
 
 
-def has_vertical_component(J: Ideal, within: str = "grevlex", budget=None):
-    """Whether V(J) strictly contains V(dominant_part(J)): some generator of
-    the dominant part escapes the radical of J.  J lies in its dominant part,
-    so a generator is first reduced by the basis of J that the dominant part
-    cached; only one outside J costs a Rabinowitsch basis."""
-    D = dominant_part(J, within, budget)
+def has_vertical_component(J: Ideal, first: Ideal, within: str = "grevlex", budget=None):
+    """Whether V(J) strictly contains V(dominant_part(J, first)): some
+    generator of the dominant part escapes the radical of J.  J lies in its
+    dominant part, so a generator is first reduced by the basis of J; only
+    one outside J costs a Rabinowitsch basis."""
+    D = dominant_part(J, first, within, budget)
     order = default_order(J.layout, within)
     for g in D.gens:
         if not J.contains(g, order, budget) and not radical_member(g, J, within, budget):
@@ -175,15 +172,13 @@ def _first_base_generator(I: Ideal, within, budget, what: str) -> Polynomial:
 # torsion
 
 
-def has_torsion_ideal(J: Ideal, within: str = "grevlex", budget=None):
-    """R-torsion in the cyclic module k[y, x]/J: the h-saturation grows."""
+def has_torsion_ideal(J: Ideal, first: Ideal, within: str = "grevlex", budget=None):
+    """R-torsion in the cyclic module k[y, x]/J: its dominant part grows."""
     order = default_order(J.layout, within)
-    S = dominant_part(J, within, budget)
+    S = dominant_part(J, first, within, budget)
     for v in S.gens:
-        if J.contains(v, order, budget):
-            continue
-        r = _annihilator_witness(J, v, within, budget)
-        return True, (r, v)
+        if not J.contains(v, order, budget):
+            return True, (_annihilator_witness(J, v, within, budget), v)
     return False, None
 
 
@@ -195,23 +190,19 @@ def _annihilator_witness(J: Ideal, v: Polynomial, within, budget) -> Polynomial:
 
 def has_torsion_module(pres: ModulePresentation, within: str = "grevlex", budget=None):
     """R-torsion in the cokernel of the presentation: a saturation generator v
-    outside N, with r = h^k the smallest power pushing it back in."""
+    outside N, with r = h^k the smallest power pushing it back in (one does:
+    v lies in N : h^infinity; the budget meters each membership test)."""
     layout, fld = pres.layout, pres.field
     positioned = layout.with_positions(pres.rank)
     order = default_order(positioned, within)
-    h = generic_denominator(pres.encoded_basis(order, budget), positioned, fld, order)
-    h = transport(h, layout)
+    h = transport(generic_denominator(pres.encoded_basis(order, budget), positioned, fld, order), layout)
     S = module_saturate(pres, h, within, budget)
     for v in S.relations:
-        if pres.contains(v, order, budget):
-            continue
-        power = Polynomial.constant(layout, fld, 1)
-        for _ in range(TORSION_POWER_BOUND):
-            power = power * h
-            scaled = tuple(power * c for c in v)
-            if pres.contains(scaled, order, budget):
-                return True, (integer_normalized(power), v)
-        raise WitnessSoundnessError("saturation element resists every tested power")
+        if not pres.contains(v, order, budget):
+            power = h
+            while not pres.contains(tuple(power * c for c in v), order, budget):
+                power = power * h
+            return True, (integer_normalized(power), v)
     return False, None
 
 
@@ -226,12 +217,13 @@ def _run_power_loop(problem: Problem, config: CheckConfig, kind: str) -> Verdict
     kmax = next(b for b in (config.max_power, problem.max_power, n) if b is not None)
     budget = config.budget()
     verdict = Verdict(kind=kind, outcome="pass", max_power_tested=kmax)
+    first = _power_ideal(problem, kind, 1)
     for k in range(1, kmax + 1):
         t0 = time.perf_counter()
         pairs_before = budget.pairs
         budget.max_basis = 0  # the power reports the largest basis it held
         try:
-            found, payload = _probe_power(problem, config, kind, k, budget)
+            found, payload = _probe_power(problem, config, kind, k, first, budget)
         except ResourceLimitError as exc:
             verdict.outcome = "aborted"
             verdict.abort_reason = f"{exc} at power {k}"
@@ -258,11 +250,22 @@ def _run_power_loop(problem: Problem, config: CheckConfig, kind: str) -> Verdict
     return verdict
 
 
-def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, budget):
+def _power_ideal(problem: Problem, kind: str, k: int) -> Ideal | None:
+    """The ideal a check searches at power k: J_k, or the relations of a
+    rank-1 module's k-th tensor power (None for a module of higher rank)."""
+    if kind == "open" or problem.module is None:
+        return fibred_power_ideal(problem.ideal, k)
+    if problem.module.rank > 1:
+        return None
+    pres = tensor_power_presentation(problem, k)
+    return Ideal(pres.layout, pres.field, tuple(v[0] for v in pres.relations))
+
+
+def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, first, budget):
     within = config.within
+    Jk = first if k == 1 else _power_ideal(problem, kind, k)
     if kind == "open":
-        Jk = fibred_power_ideal(problem.ideal, k)
-        found, g = has_vertical_component(Jk, within, budget)
+        found, g = has_vertical_component(Jk, first, within, budget)
         if not found:
             return False, None
         r = vertical_witness(Jk, g, within, budget)
@@ -271,13 +274,8 @@ def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, budge
         return True, (g, r)
 
     # flatness: torsion in the tensor power of F (F = A when none declared)
-    if problem.module is None or problem.module.rank == 1:
-        if problem.module is None:
-            Jk = fibred_power_ideal(problem.ideal, k)
-        else:
-            pres = tensor_power_presentation(problem, k)
-            Jk = Ideal(pres.layout, pres.field, tuple(v[0] for v in pres.relations))
-        found, cert = has_torsion_ideal(Jk, within, budget)
+    if Jk is not None:
+        found, cert = has_torsion_ideal(Jk, first, within, budget)
         if not found:
             return False, None
         r, v = cert

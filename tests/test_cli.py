@@ -561,8 +561,8 @@ G1 = "base y1 y2 y3\nvars x1 x2 x3\nideal: x1*x2 - y1, x2*x3 - y2, x1*x3 - y3*x2
     [
         (A4_CHART, "grevlex", {"open": [(1, 14, 45), (2, 29, 358)], "flat": [(1, 14, 45), (2, 29, 282)]}),
         (A4_CHART, "lex", {"open": [(1, 14, 45), (2, 29, 358)], "flat": [(1, 14, 45), (2, 29, 282)]}),
-        (G1, "grevlex", {"open": [(1, 13, 40), (2, 87, 1131)], "flat": [(1, 13, 40), (2, 87, 916)]}),
-        (G1, "lex", {"open": [(1, 17, 57), (2, 107, 1443)], "flat": [(1, 17, 57), (2, 107, 1127)]}),
+        (G1, "grevlex", {"open": [(1, 13, 40), (2, 51, 860)], "flat": [(1, 13, 40), (2, 51, 645)]}),
+        (G1, "lex", {"open": [(1, 17, 57), (2, 73, 1192)], "flat": [(1, 17, 57), (2, 73, 876)]}),
     ],
     ids=["A4-grevlex", "A4-lex", "g1-grevlex", "g1-lex"],
 )

@@ -203,12 +203,12 @@ def test_basis_memo_unaffordable_hit_aborts_like_a_computation(monkeypatch, reco
             return buchberger(GROWING, order, budget)
 
     else:
-        # J's basis is affordable and replayed; the saturation is not
-        order = default_order(POW2)
-        key = ("dominant part", BLOWUP2.gens, order)
+        # J_1's basis is affordable and replayed; the saturation is not
+        first = (P(BLOWUP_LAYOUT, "y1*x - y2"),)
+        key = ("dominant part", BLOWUP2.gens, first, default_order(BLOWUP_LAYOUT))
 
         def run(budget):
-            return dominant_part(Ideal(POW2, QQ, BLOWUP2.gens), "grevlex", budget)
+            return dominant_part(Ideal(POW2, QQ, BLOWUP2.gens), Ideal(BLOWUP_LAYOUT, QQ, first), "grevlex", budget)
 
     plain = ComputeBudget()
     run(plain)

@@ -53,6 +53,7 @@ from util import (
 )
 
 BLOWUP_IDEAL = ideal_of(BLOWUP_LAYOUT, "y1*x - y2")
+BLOWUP1 = fibred_power_ideal(BLOWUP_IDEAL, 1)
 BLOWUP2 = fibred_power_ideal(BLOWUP_IDEAL, 2)
 A3_CHART = ideal_of(RingLayout(("y1", "y2", "y3"), ("x1", "x2")), "y1*x1 - y2", "y1*x2 - y3")
 
@@ -153,27 +154,34 @@ def test_generic_denominator_equals_reference(field, within, encoded, data):
 
 
 def test_dominant_part_contains_original():
-    for J in (BLOWUP2, ideal_of(BLOWUP_LAYOUT, "x*y1", "x*y2")):
-        D = dominant_part(J)
+    union = ideal_of(BLOWUP_LAYOUT, "x*y1", "x*y2")
+    for J, first in ((BLOWUP2, BLOWUP1), (union, union)):
+        D = dominant_part(J, first)
         for g in J.gens:
             assert D.contains(g)
 
 
 def test_dominant_part_is_saturation_fixpoint():
-    D = dominant_part(BLOWUP2)
+    # saturated by J_1's denominator, the dominant part is saturated by
+    # J_2's own too
+    D = dominant_part(BLOWUP2, BLOWUP1)
     order = default_order(BLOWUP2.layout)
     h = generic_denominator(BLOWUP2.groebner_basis(order), BLOWUP2.layout, QQ, order)
     assert ideal_equal(saturate(D, h), D)
+    order1 = default_order(BLOWUP1.layout)
+    h1 = generic_denominator(BLOWUP1.groebner_basis(order1), BLOWUP1.layout, QQ, order1)
+    assert h1 == P(BLOWUP1.layout, "y1")
+    assert ideal_equal(saturate(D, PW(BLOWUP2.layout, "y1")), D)
 
 
 def test_dominant_part_blowup_power2_gains_diagonal():
-    D = dominant_part(BLOWUP2)
+    D = dominant_part(BLOWUP2, BLOWUP1)
     assert D.contains(PW(BLOWUP2.layout, "x1 - x2"))
 
 
 def test_dominant_part_identity_when_already_dominant():
     I = ideal_of(BLOWUP_LAYOUT, "x - y1")
-    assert ideal_equal(dominant_part(I), I)
+    assert ideal_equal(dominant_part(I, I), I)
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +189,18 @@ def test_dominant_part_identity_when_already_dominant():
 
 
 def test_blowup_power1_has_no_vertical_component():
-    J1 = fibred_power_ideal(BLOWUP_IDEAL, 1)
-    found, _ = has_vertical_component(J1)
+    found, _ = has_vertical_component(BLOWUP1, BLOWUP1)
     assert not found
 
 
 def test_blowup_power2_has_vertical_component():
-    found, g = has_vertical_component(BLOWUP2)
+    found, g = has_vertical_component(BLOWUP2, BLOWUP1)
     assert found
     assert not radical_member(g, BLOWUP2)
 
 
 def test_vertical_witness_blowup_power2():
-    found, g = has_vertical_component(BLOWUP2)
+    found, g = has_vertical_component(BLOWUP2, BLOWUP1)
     r = vertical_witness(BLOWUP2, g)
     # r is pure-base, nonzero, kills g modulo sqrt(J) without g itself dying
     nb = len(BLOWUP2.layout.base_vars)
@@ -206,7 +213,7 @@ def test_vertical_witness_blowup_power2():
 def test_vertical_union_detects_at_power_one():
     I = ideal_of(BLOWUP_LAYOUT, "x*y1", "x*y2")
     J1 = fibred_power_ideal(I, 1)
-    found, g = has_vertical_component(J1)
+    found, g = has_vertical_component(J1, J1)
     assert found
     r = vertical_witness(J1, g)
     assert radical_member(r * g, J1) and not radical_member(g, J1)
@@ -229,10 +236,10 @@ def test_open_check_runs_rabinowitsch_only_outside_jk(monkeypatch):
     # generators of the dominant part that lie in J_k are decided by a normal
     # form; the re-check keeps its own two radical memberships
     problem = Problem(QQ, ("y1", "y2", "y3"), ("x1", "x2"), A3_CHART.gens)
-    skipped = 0
+    skipped, first = 0, fibred_power_ideal(A3_CHART, 1)
     for k in (1, 2):
         J = fibred_power_ideal(A3_CHART, k)
-        skipped += sum(J.contains(g) for g in dominant_part(J).gens)
+        skipped += sum(J.contains(g) for g in dominant_part(J, first).gens)
     assert skipped  # the search has members of J_k to skip
     calls = _spy_radical_member(monkeypatch)
     verdict = check_openness(problem)
@@ -255,9 +262,9 @@ def test_noether_cover_passes_without_radical_membership(monkeypatch):
     assert calls == []
 
 
-def _reference_vertical_component(J, within):
+def _reference_vertical_component(J, first, within):
     """A radical membership for every generator of the dominant part."""
-    for g in dominant_part(J, within).gens:
+    for g in dominant_part(J, first, within).gens:
         if not radical_member(g, J, within):
             return True, g
     return False, None
@@ -285,9 +292,10 @@ def test_vertical_component_equals_radical_membership_of_every_generator(field, 
                 acc[exps] = field.canon(acc.get(exps, field.zero) + field.coerce(data.draw(st.integers(-3, 3))))
         g = Polynomial.from_dict(TWO_FIBRES, field, acc)
         gens.append(g * x1 if data.draw(st.booleans()) else g)
-    J = fibred_power_ideal(Ideal(TWO_FIBRES, field, tuple(gens)), data.draw(st.sampled_from([1, 2])))
+    I = Ideal(TWO_FIBRES, field, tuple(gens))
+    J, first = fibred_power_ideal(I, data.draw(st.sampled_from([1, 2]))), fibred_power_ideal(I, 1)
     fresh = Ideal(J.layout, field, J.gens)
-    assert has_vertical_component(J, within) == _reference_vertical_component(fresh, within)
+    assert has_vertical_component(J, first, within) == _reference_vertical_component(fresh, first, within)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +305,7 @@ def test_vertical_component_equals_radical_membership_of_every_generator(field, 
 def test_cusp_coordinate_ring_has_base_torsion():
     I = ideal_of(CUSP_LAYOUT, "y1 - t^2", "y2 - t^3")
     J1 = fibred_power_ideal(I, 1)
-    found, cert = has_torsion_ideal(J1)
+    found, cert = has_torsion_ideal(J1, J1)
     assert found
     r, v = cert
     assert J1.contains(r * v)
@@ -306,7 +314,8 @@ def test_cusp_coordinate_ring_has_base_torsion():
 
 def test_double_cover_is_torsion_free():
     I = ideal_of(RingLayout(("y",), ("x",)), "x^2 - y")
-    found, _ = has_torsion_ideal(fibred_power_ideal(I, 1))
+    J1 = fibred_power_ideal(I, 1)
+    found, _ = has_torsion_ideal(J1, J1)
     assert not found
 
 
@@ -440,7 +449,7 @@ def test_basis_memo_is_owned_by_the_config():
 def test_open_witness_recheck_recomputes_memoized_bases(monkeypatch):
     J = fibred_power_ideal(BLOWUP_IDEAL, 2)  # no basis cached on the object
     budget = CheckConfig().budget()
-    found, g = has_vertical_component(J, "grevlex", budget)
+    found, g = has_vertical_component(J, fibred_power_ideal(BLOWUP_IDEAL, 1), "grevlex", budget)
     assert found
     r = vertical_witness(J, g, "grevlex", budget)
     g = integer_normalized(g)  # as the power loop hands it to the re-check
@@ -457,7 +466,8 @@ def test_open_witness_recheck_recomputes_memoized_bases(monkeypatch):
 
 def test_flat_certificate_recheck_recomputes_memoized_basis(monkeypatch):
     budget = CheckConfig().budget()
-    found, (r, v) = has_torsion_ideal(fibred_power_ideal(BLOWUP_IDEAL, 2), "grevlex", budget)
+    J1, J2 = (fibred_power_ideal(BLOWUP_IDEAL, k) for k in (1, 2))
+    found, (r, v) = has_torsion_ideal(J2, J1, "grevlex", budget)
     assert found
     fresh = fibred_power_ideal(BLOWUP_IDEAL, 2)  # no basis cached on the object
     assert (fresh.gens, default_order(fresh.layout)) in budget.memo
@@ -471,7 +481,7 @@ def test_flat_certificate_recheck_ignores_the_search_basis(monkeypatch):
     # and must still compute that basis anew
     budget = CheckConfig().budget()
     Jk = fibred_power_ideal(BLOWUP_IDEAL, 2)
-    found, (r, v) = has_torsion_ideal(Jk, "grevlex", budget)
+    found, (r, v) = has_torsion_ideal(Jk, fibred_power_ideal(BLOWUP_IDEAL, 1), "grevlex", budget)
     assert found and Jk._gb_cache
     computed = count_computations(monkeypatch)
     _verify_flat_ideal_certificate(Jk, r, integer_normalized(v), "grevlex", budget)
