@@ -117,10 +117,12 @@ def generic_denominator(basis, layout, fld, order=None) -> Polynomial:
     h = Polynomial.constant(layout, fld, 1)
     factors = set()
     for g in basis:
-        c = integer_normalized(squarefree_part(base_leading_coefficient(g, order)))
-        if not c.is_constant and c.terms not in factors:
-            factors.add(c.terms)
-            h = h * c
+        c = base_leading_coefficient(g, order)
+        if not c.is_constant:
+            c = integer_normalized(squarefree_part(c))
+            if c.terms not in factors:
+                factors.add(c.terms)
+                h = h * c
     return h
 
 

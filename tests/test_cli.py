@@ -10,7 +10,16 @@ import time
 
 import pytest
 
-from fibrecheck import QQ, CheckConfig, ComputeBudget, PrimeField, check_flatness, check_openness
+from fibrecheck import (
+    QQ,
+    CheckConfig,
+    ComputeBudget,
+    PrimeField,
+    check_flatness,
+    check_openness,
+    fibred_power_ideal,
+    render_poly,
+)
 from fibrecheck import cli, groebner, verticality
 from fibrecheck.cli import (
     COEFF_CHUNK_BITS,
@@ -576,6 +585,65 @@ def test_larger_chart_pair_counts_pinned(capsys, monkeypatch, text, order, want)
     checks = json.loads(out)["checks"]
     assert [(c["outcome"], c["failing_power"]) for c in checks] == [("fail", 2), ("fail", 2)]
     assert {c["kind"]: [(p["k"], p["basis_size"], p["pairs"]) for p in c["powers"]] for c in checks} == want
+
+
+G2 = "base y1 y2 y3\nvars x1 x2\nideal: y1*x1^2 + y2*x2 - 1, y3*x1*x2 + x1 - y2\ncheck both\n"
+G3 = "base y1 y2 y3 y4\nvars x1 x2\nideal: y1*x1^2 + y2*x2 - 1, y3*x1*x2 + x1 - y4\ncheck both\n"
+
+
+def test_g2_passes_both_checks_with_pinned_powers(capsys, monkeypatch):
+    # J_1's denominator y1*y2*y3^2 saturates every power; J_2's and J_3's own
+    # carry the factor y2^2 - y3^2, whose saturation costs seconds at k = 3
+    monkeypatch.setattr("sys.stdin", io.StringIO(G2))
+    code, out, _ = _run(capsys, "--json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["outcome"] for c in checks] == ["pass", "pass"]
+    rows = [(1, 11, 23), (2, 43, 166), (3, 100, 617)]
+    assert {c["kind"]: [(p["k"], p["basis_size"], p["pairs"]) for p in c["powers"]] for c in checks} == {
+        "open": rows,
+        "flat": rows,
+    }
+
+
+def _evaluate(text, point) -> int:
+    """The value of a printed polynomial at a point (a map from variable names
+    to integers), by integer arithmetic alone."""
+    return eval(re.sub(r"[a-z]\w*(\(\d+\))?", lambda m: str(point[m.group(0)]), text).replace("^", "**"))
+
+
+def test_g3_fails_both_checks_at_power_3_with_a_rational_point(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(G3))
+    code, out, _ = _run(capsys, "--json")
+    assert code == 0
+    open_check, flat_check = json.loads(out)["checks"]
+    assert (open_check["outcome"], open_check["failing_power"]) == ("fail", 3)
+    assert (flat_check["outcome"], flat_check["failing_power"]) == ("fail", 3)
+    assert open_check["witness_r"] == flat_check["certificate_r"] == "y1*y4^2 - 1"
+    g = open_check["witness_g"]
+    assert flat_check["certificate_v"] == g
+    # the negative half without the engine: a point of V(J_3) where g is
+    # nonzero, so g lies outside sqrt(J_3) (and v outside J_3)
+    point = {"y1": 1, "y2": 0, "y3": 0, "y4": 1}
+    for i, x2 in enumerate((1, 2, 3), start=1):
+        point[f"x1({i})"], point[f"x2({i})"] = 1, x2
+    problem = parse_problem(G3)
+    J3 = fibred_power_ideal(problem.ideal, 3)
+    assert len(J3.gens) == 6
+    assert all(_evaluate(render_poly(f), point) == 0 for f in J3.gens)
+    assert _evaluate(open_check["witness_r"], point) == 0
+    assert _evaluate(g, point) == 1944
+
+
+def test_module_certificate_is_the_least_power_of_h(capsys, monkeypatch):
+    # h = y, and v = (1; 0) needs y^100 to fall into N: the search tries
+    # powers of h until one does, with no fixed bound
+    monkeypatch.setattr("sys.stdin", io.StringIO("field Q\nbase y\nmodule 2: (y^100; 0)\ncheck flat\n"))
+    code, out, err = _run(capsys, "--json")
+    assert (code, err) == (0, "")
+    (check,) = json.loads(out)["checks"]
+    assert (check["outcome"], check["failing_power"]) == ("fail", 1)
+    assert (check["certificate_r"], check["certificate_v"]) == ("y^100", "(1; 0)")
 
 
 A3_CHART = "base y1 y2 y3\nvars x1 x2\nideal: y1*x1 - y2, y1*x2 - y3\n"

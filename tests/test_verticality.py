@@ -1,6 +1,8 @@
 """Openness and flatness decisions: generic denominators, dominant parts,
 vertical components, torsion, and the full power-loop checks."""
 
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,10 +29,12 @@ from fibrecheck import (
     radical_member,
     saturate,
     squarefree_part,
+    transport,
     vertical_witness,
 )
 
 from fibrecheck import verticality
+from fibrecheck.cli import parse_problem
 from fibrecheck.groebner import encode_vectors, exact_divide
 from fibrecheck.poly import MonomialOrder
 from fibrecheck.verticality import (
@@ -40,6 +44,7 @@ from fibrecheck.verticality import (
 )
 
 from corpus import full_corpus, named_fixtures
+from oracles import saturate_by_quotients
 from test_poly import poly_strategy
 from util import (
     BLOWUP_LAYOUT,
@@ -55,6 +60,7 @@ from util import (
 BLOWUP_IDEAL = ideal_of(BLOWUP_LAYOUT, "y1*x - y2")
 BLOWUP1 = fibred_power_ideal(BLOWUP_IDEAL, 1)
 BLOWUP2 = fibred_power_ideal(BLOWUP_IDEAL, 2)
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 A3_CHART = ideal_of(RingLayout(("y1", "y2", "y3"), ("x1", "x2")), "y1*x1 - y2", "y1*x2 - y3")
 
 
@@ -182,6 +188,45 @@ def test_dominant_part_blowup_power2_gains_diagonal():
 def test_dominant_part_identity_when_already_dominant():
     I = ideal_of(BLOWUP_LAYOUT, "x - y1")
     assert ideal_equal(dominant_part(I, I), I)
+
+
+def _ideal_over(problem, field) -> Ideal:
+    """The problem's ideal with its coefficients read in ``field``."""
+    gens = (Polynomial.from_dict(g.layout, field, {e: field.coerce(c) for c, e in g.terms}) for g in problem.ideal_gens)
+    return Ideal(problem.layout, field, tuple(gens))
+
+
+# problems whose J_k carry denominators with factors beyond J_1's, with the
+# powers each is checked at
+SPURIOUS_FACTORS = (
+    ("base y1 y2 y3\nvars x1 x2\nideal: y1*x1 - y2, y1*x2 - y3\n", (2, 3)),
+    ("base y1 y2 y3\nvars x1 x2 x3\nideal: x1*x2 - y1, x2*x3 - y2, x1*x3 - y3*x2 + y1\n", (2,)),
+    ((GOLDEN / "rational_chart.alg").read_text(), (2, 3)),
+)
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_first_power_denominator_gives_each_powers_dominant_part(field, within):
+    # generic freeness: A_{h_1} is free over R_{h_1}, so J_k : h_1^infinity
+    # equals J_k : h_k^infinity; both equal the stabilized quotient chain
+    cases = [(p, (2, 3)) for p in full_corpus()] + [(parse_problem(t), ks) for t, ks in SPURIOUS_FACTORS]
+    spurious = 0
+    for problem, powers in cases:
+        I = _ideal_over(problem, field)
+        J1 = fibred_power_ideal(I, 1)
+        order1 = default_order(J1.layout, within)
+        h1 = generic_denominator(J1.groebner_basis(order1), J1.layout, field, order1)
+        for k in powers:
+            Jk = fibred_power_ideal(I, k)
+            order = default_order(Jk.layout, within)
+            hk = generic_denominator(Jk.groebner_basis(order), Jk.layout, field, order)
+            spurious += hk != transport(h1, Jk.layout)
+            shared = dominant_part(Jk, J1, within).groebner_basis(order)
+            assert shared == saturate(Jk, hk, within).groebner_basis(order), problem.ideal_gens
+            for h in (transport(h1, Jk.layout), hk):
+                assert saturate_by_quotients(Jk, h).groebner_basis(order) == shared, problem.ideal_gens
+    assert spurious == 7  # the corpus alone gives two: the blow-up at k = 2 and 3
 
 
 # ---------------------------------------------------------------------------
