@@ -101,7 +101,6 @@ class _Tokens:
         self.text = text
         self.line = line
         self.offset = col_offset
-        self.pos = 0
         self.work = 0  # term products charged so far, at most MAX_EXPANSION
         self.depth = 0  # parentheses open, at most MAX_NESTING
         self.toks = []

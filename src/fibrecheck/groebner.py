@@ -105,7 +105,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .poly import MonomialOrder, Polynomial, RingLayout, default_order
+from .poly import MonomialOrder, Polynomial, RingLayout, default_order, unit
 
 # bits above the inputs' largest exponent that a packed computation starts
 # with; one whose exponents outgrow them runs again at double width
@@ -117,11 +117,7 @@ class _WidthExceeded(Exception):
 
 
 class ResourceLimitError(RuntimeError):
-    """Pair limit or deadline exceeded during a basis computation."""
-
-    def __init__(self, message: str, pairs: int | None = None):
-        super().__init__(message)
-        self.pairs = pairs
+    """Pair limit, reduction-step limit or deadline exceeded."""
 
 
 class Record(NamedTuple):
@@ -137,8 +133,10 @@ class Record(NamedTuple):
 class ComputeBudget:
     """Cumulative pair/time limits shared by a sequence of computations.
     Reduction steps are metered too (at 200x the pair limit), so oversized
-    inputs abort deterministically even inside a single division; the
-    deadline is checked at every pair and reduction step, membership tests too.
+    inputs abort deterministically even inside a single division; a tensor
+    power of a module charges its dense relation slots as steps before it
+    builds them.  The deadline is checked at every charge, membership tests
+    too.
 
     ``memo`` (None: no memo) maps a key to a :class:`Record`, made and
     replayed by :meth:`memoized`.  It records bases (keyed by ``(nonzero
@@ -161,23 +159,18 @@ class ComputeBudget:
     def charge_pair(self):
         self.pairs += 1
         if self.pairs > self.pair_limit:
-            raise ResourceLimitError(
-                f"pair limit {self.pair_limit} exceeded", pairs=self.pairs
-            )
+            raise ResourceLimitError(f"pair limit {self.pair_limit} exceeded")
         self._check_deadline()
 
-    def charge_work(self):
-        self.work += 1
+    def charge_work(self, steps: int = 1):
+        self.work += steps
         if self.work > 200 * self.pair_limit:
-            raise ResourceLimitError(
-                f"reduction-step limit {200 * self.pair_limit} exceeded",
-                pairs=self.pairs,
-            )
+            raise ResourceLimitError(f"reduction-step limit {200 * self.pair_limit} exceeded")
         self._check_deadline()
 
     def _check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ResourceLimitError("timeout exceeded", pairs=self.pairs)
+            raise ResourceLimitError("timeout exceeded")
 
     def note_basis(self, size: int):
         if size > self.max_basis:
@@ -605,12 +598,11 @@ def encode_vectors(vectors, layout: RingLayout, rank: int) -> list:
     polynomial p_1*e_1 + ... + p_r*e_r in ``layout.with_positions(rank)``."""
     target = layout.with_positions(rank)
     key = default_order(target).key
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     out = []
     for v in vectors:
         # each component is stored in the ring's order, so one position's
         # terms keep their order; only the merge of several needs a sort
-        terms = [(c, e + unit) for comp, unit in zip(v, units) for c, e in comp.terms]
+        terms = [(c, e + unit(rank, i)) for i, comp in enumerate(v) for c, e in comp.terms]
         if rank > 1:
             terms.sort(key=lambda t: key(t[1]), reverse=True)
         out.append(Polynomial(target, v[0].field, tuple(terms)))

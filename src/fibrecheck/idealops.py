@@ -32,6 +32,7 @@ from .poly import (
     default_order,
     substitute_base_point,
     transport,
+    unit,
 )
 
 
@@ -98,7 +99,7 @@ def _with_inverse(I: Ideal, f: Polynomial):
     fld, t, nvars = I.field, ext.tag_index, ext.nvars
     # t leads the default order, so the terms of -t*f, in f's stored order,
     # come before the constant 1
-    unit = Polynomial(
+    inverse = Polynomial(
         ext,
         fld,
         tuple((fld.canon(-c), e[:t] + (1,) + e[t + 1 :]) for c, e in transport(f, ext).terms)
@@ -106,9 +107,9 @@ def _with_inverse(I: Ideal, f: Polynomial):
     )
     gens = [transport(g, ext) for g in I.gens]
     if ext.positions:
-        gens += [unit.mul_term(fld.one, tuple(int(i == j) for j in range(nvars))) for i in ext.position_indices]
+        gens += [inverse.mul_term(fld.one, unit(nvars, i)) for i in ext.position_indices]
     else:
-        gens.append(unit)
+        gens.append(inverse)
     return ext, gens
 
 

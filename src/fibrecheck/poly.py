@@ -234,9 +234,9 @@ class Packing:
         self.guards = sum(1 << (shift + width) for shift in self.shifts)
         # digit j of the order key is the sum of columns[i][j] * e[i], with
         # coefficients in {-1, 0, 1}: it spans less than nvars * 2^(width + 1)
-        columns = [order.key(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
+        columns = [order.key(unit(nvars, i)) for i in range(nvars)]
         r, digits = (nvars * self._mask).bit_length(), len(order.key((0,) * nvars))
-        self.weights = tuple(sum(a << (r * (digits - 1 - j)) for j, a in enumerate(col)) for col in columns)
+        self.weights = tuple(sum(a << (r * (digits - 1 - j)) for j, a in enumerate(col) if a) for col in columns)
 
     def pack(self, exps: Exponents) -> int:
         return sum(map(lshift, exps, self.shifts))
@@ -295,6 +295,12 @@ def default_order(layout: RingLayout, within: str = "grevlex") -> MonomialOrder:
 # monomial helpers
 
 
+def unit(nvars: int, i: int) -> Exponents:
+    """The exponents of variable i alone, sliced from one zero tuple."""
+    zeros = (0,) * nvars
+    return zeros[:i] + (1,) + zeros[i + 1 :]
+
+
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(sub, a, b))
 
@@ -334,9 +340,7 @@ class Polynomial:
 
     @staticmethod
     def variable(layout: RingLayout, field, name: str) -> "Polynomial":
-        i = layout.index_of(name)
-        exps = tuple(1 if j == i else 0 for j in range(layout.nvars))
-        return Polynomial(layout, field, ((field.one, exps),))
+        return Polynomial(layout, field, ((field.one, unit(layout.nvars, layout.index_of(name))),))
 
     def __hash__(self):
         # made once: a memo key hashes every generator of a basis request
@@ -377,6 +381,8 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._coerce_operand(other)
+        if other is NotImplemented:
+            return other
         self._check(other)
         acc = {e: c for c, e in self.terms}
         for c, e in other.terms:
@@ -385,7 +391,7 @@ class Polynomial:
 
     def __sub__(self, other):
         other = self._coerce_operand(other)
-        return self + (-other)
+        return other if other is NotImplemented else self + (-other)
 
     def __neg__(self):
         canon = self.field.canon
@@ -393,6 +399,8 @@ class Polynomial:
 
     def __mul__(self, other):
         other = self._coerce_operand(other)
+        if other is NotImplemented:
+            return other
         self._check(other)
         acc = {}
         for c1, e1 in self.terms:
@@ -402,7 +410,7 @@ class Polynomial:
         return Polynomial.from_dict(self.layout, self.field, acc)
 
     def __rmul__(self, other):
-        return self * other
+        return self.__mul__(other)
 
     def __pow__(self, n: int):
         # power_products counts the term products of this schedule

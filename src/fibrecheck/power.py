@@ -8,7 +8,6 @@ copies of I.  Tensor indices of module powers are flattened row-major.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .groebner import Ideal, ModulePresentation
@@ -81,10 +80,12 @@ def fibred_power_ideal(I: Ideal, k: int) -> Ideal:
     return Ideal(target, I.field, tuple(gens))
 
 
-def tensor_power_presentation(problem: Problem, k: int) -> ModulePresentation:
+def tensor_power_presentation(problem: Problem, k: int, budget=None) -> ModulePresentation:
     """Presentation of F^{(x)_R k} over A^{(x)_R k}: relabelled module
     relations in each tensor slot, plus the ring relations J_k acting on every
-    basis tuple.  Tensor tuples (j_1..j_k) are flattened row-major."""
+    basis tuple.  Tensor tuples (j_1..j_k) are flattened row-major, so slot i
+    has stride t^(k-i).  The relation vectors are dense; their slots are
+    charged to the budget's reduction steps before any is built."""
     if problem.module is None:
         raise ValueError("no module declared")
     if k < 1:
@@ -92,30 +93,20 @@ def tensor_power_presentation(problem: Problem, k: int) -> ModulePresentation:
     mod = problem.module
     t = mod.rank
     target = problem.layout.powered(k)
-    fld = problem.field
-    zero = Polynomial.zero(target, fld)
     ambient_rank = t ** k
-
-    def flat(tup) -> int:
-        idx = 0
-        for j in tup:
-            idx = idx * t + j
-        return idx
-
+    Jk = fibred_power_ideal(problem.ideal, k)
+    if budget is not None:
+        budget.charge_work((k * len(mod.relations) * t ** (k - 1) + len(Jk.gens) * ambient_rank) * ambient_rank)
+    zeros = (Polynomial.zero(target, problem.field),) * ambient_rank
     relations = []
     for i in range(1, k + 1):
+        stride = t ** (k - i)
         for v in mod.relations:
             v_i = tuple(relabel(c, target, i) for c in v)
-            for others in itertools.product(range(t), repeat=k - 1):
-                w = [zero] * ambient_rank
-                for s in range(t):
-                    tup = others[: i - 1] + (s,) + others[i - 1 :]
-                    w[flat(tup)] = v_i[s]
-                relations.append(tuple(w))
-    Jk = fibred_power_ideal(problem.ideal, k)
-    for g in Jk.gens:
-        for b in range(ambient_rank):
-            w = [zero] * ambient_rank
-            w[b] = g
-            relations.append(tuple(w))
-    return ModulePresentation(target, fld, ambient_rank, tuple(relations))
+            for start in range(ambient_rank):
+                if start // stride % t == 0:
+                    w = list(zeros)
+                    w[start : start + t * stride : stride] = v_i
+                    relations.append(tuple(w))
+    relations += [zeros[:b] + (g,) + zeros[b + 1 :] for g in Jk.gens for b in range(ambient_rank)]
+    return ModulePresentation(target, problem.field, ambient_rank, tuple(relations))

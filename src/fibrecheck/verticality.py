@@ -142,15 +142,20 @@ def dominant_part(J: Ideal, first: Ideal, within: str = "grevlex", budget=None) 
     return Ideal(J.layout, J.field, gens)
 
 
+def _outside(J: Ideal, first: Ideal, within, budget):
+    """The generators of dominant_part(J, first) that J does not contain,
+    each membership tested only when the scan reaches it."""
+    order = default_order(J.layout, within)
+    return (g for g in dominant_part(J, first, within, budget).gens if not J.contains(g, order, budget))
+
+
 def has_vertical_component(J: Ideal, first: Ideal, within: str = "grevlex", budget=None):
     """Whether V(J) strictly contains V(dominant_part(J, first)): some
     generator of the dominant part escapes the radical of J.  J lies in its
     dominant part, so a generator is first reduced by the basis of J; only
     one outside J costs a Rabinowitsch basis."""
-    D = dominant_part(J, first, within, budget)
-    order = default_order(J.layout, within)
-    for g in D.gens:
-        if not J.contains(g, order, budget) and not radical_member(g, J, within, budget):
+    for g in _outside(J, first, within, budget):
+        if not radical_member(g, J, within, budget):
             return True, g
     return False, None
 
@@ -176,11 +181,8 @@ def _first_base_generator(I: Ideal, within, budget, what: str) -> Polynomial:
 
 def has_torsion_ideal(J: Ideal, first: Ideal, within: str = "grevlex", budget=None):
     """R-torsion in the cyclic module k[y, x]/J: its dominant part grows."""
-    order = default_order(J.layout, within)
-    S = dominant_part(J, first, within, budget)
-    for v in S.gens:
-        if not J.contains(v, order, budget):
-            return True, (_annihilator_witness(J, v, within, budget), v)
+    for v in _outside(J, first, within, budget):
+        return True, (_annihilator_witness(J, v, within, budget), v)
     return False, None
 
 
@@ -219,12 +221,13 @@ def _run_power_loop(problem: Problem, config: CheckConfig, kind: str) -> Verdict
     kmax = next(b for b in (config.max_power, problem.max_power, n) if b is not None)
     budget = config.budget()
     verdict = Verdict(kind=kind, outcome="pass", max_power_tested=kmax)
-    first = _power_ideal(problem, kind, 1)
     for k in range(1, kmax + 1):
         t0 = time.perf_counter()
         pairs_before = budget.pairs
         budget.max_basis = 0  # the power reports the largest basis it held
         try:
+            if k == 1:
+                first = _power_ideal(problem, kind, 1, budget)
             found, payload = _probe_power(problem, config, kind, k, first, budget)
         except ResourceLimitError as exc:
             verdict.outcome = "aborted"
@@ -252,20 +255,20 @@ def _run_power_loop(problem: Problem, config: CheckConfig, kind: str) -> Verdict
     return verdict
 
 
-def _power_ideal(problem: Problem, kind: str, k: int) -> Ideal | None:
+def _power_ideal(problem: Problem, kind: str, k: int, budget) -> Ideal | None:
     """The ideal a check searches at power k: J_k, or the relations of a
     rank-1 module's k-th tensor power (None for a module of higher rank)."""
     if kind == "open" or problem.module is None:
         return fibred_power_ideal(problem.ideal, k)
     if problem.module.rank > 1:
         return None
-    pres = tensor_power_presentation(problem, k)
+    pres = tensor_power_presentation(problem, k, budget)
     return Ideal(pres.layout, pres.field, tuple(v[0] for v in pres.relations))
 
 
 def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, first, budget):
     within = config.within
-    Jk = first if k == 1 else _power_ideal(problem, kind, k)
+    Jk = first if k == 1 else _power_ideal(problem, kind, k, budget)
     if kind == "open":
         found, g = has_vertical_component(Jk, first, within, budget)
         if not found:
@@ -285,7 +288,7 @@ def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, first
         _verify_flat_ideal_certificate(Jk, r, v, within, budget)
         return True, (r, v)
 
-    pres = tensor_power_presentation(problem, k)
+    pres = tensor_power_presentation(problem, k, budget)
     found, cert = has_torsion_module(pres, within, budget)
     if not found:
         return False, None

@@ -466,6 +466,19 @@ def test_exit_three_on_resource_abort(capsys):
     assert "ABORTED" in out
 
 
+def test_tensor_power_over_step_budget_aborts_cleanly(monkeypatch, capsys):
+    # power 2 of a rank-12 module has 24 relations of 144 slots: 3,456 dense
+    # slots, charged to the reduction steps before any is built, exceed the
+    # 200 of --pair-limit 1, so the check aborts there with exit 3
+    text = "base y1 y2\nmodule 12: (" + "; ".join(["1"] + ["0"] * 11) + ")\ncheck flat\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = _run(capsys, "--json", "--pair-limit", "1")
+    (check,) = json.loads(out)["checks"]
+    assert (code, err) == (3, "")
+    assert check["abort_reason"] == "reduction-step limit 200 exceeded at power 2"
+    assert [(p["k"], p["basis_size"], p["pairs"]) for p in check["powers"]] == [(1, 1, 0), (2, 0, 0)]
+
+
 def test_exit_three_on_timeout(capsys):
     code, out, _ = _run(
         capsys,

@@ -13,6 +13,7 @@ from fibrecheck import (
     PrimeField,
     RingLayout,
     contract_to_base,
+    default_order,
     fibre_dim,
     fibred_power_ideal,
     krull_dim,
@@ -23,10 +24,11 @@ from fibrecheck import (
     transport,
 )
 from fibrecheck import idealops
+from fibrecheck.groebner import encode_vectors
 
 from oracles import macaulay_member, saturate_by_quotients
 from test_poly import poly_strategy
-from util import BLOWUP_LAYOUT, CUSP_LAYOUT, LINE_LAYOUT, P, PW, ideal_equal, ideal_of
+from util import BLOWUP_LAYOUT, CUSP_LAYOUT, LINE_LAYOUT, P, PW, ideal_equal, ideal_of, reference_unit
 
 XY2 = RingLayout((), ("x", "y"))
 BLOWUP_IDEAL = ideal_of(BLOWUP_LAYOUT, "y1*x - y2")
@@ -192,6 +194,27 @@ def test_with_inverse_equals_arithmetic(field, rank, data):
     unit = Polynomial.constant(ext, field, 1) - t * transport(f, ext)
     units = [unit * Polynomial.variable(ext, field, e) for e in ext.position_vars] if rank else [unit]
     assert gens == [transport(g, ext) for g in I.gens] + units
+
+
+def test_position_monomials_are_unit_exponents():
+    # on a rank-5 presentation, each component of an encoded vector carries
+    # its position's unit exponents, and 1 - t*f is placed at each position
+    # by multiplying with them
+    lay, rank = BLOWUP_LAYOUT, 5
+    vectors = [
+        tuple(P(lay, f"{i + 1}*y1*x^{i} - y2") if i % 2 == j % 2 else P(lay, "0") for i in range(rank))
+        for j in range(3)
+    ] + [tuple(P(lay, "x") if i == rank - 1 else P(lay, "0") for i in range(rank))]
+    encoded = encode_vectors(vectors, lay, rank)
+    key = default_order(lay.with_positions(rank)).key
+    for v, f in zip(vectors, encoded):
+        terms = [(c, e + reference_unit(rank, i)) for i, comp in enumerate(v) for c, e in comp.terms]
+        assert f.terms == tuple(sorted(terms, key=lambda t: key(t[1]), reverse=True))
+    I = Ideal(lay.with_positions(rank), QQ, tuple(encoded))
+    f = P(lay, "y1*y2 - 3")
+    ext, gens = idealops._with_inverse(I, f)
+    inverse = Polynomial.constant(ext, QQ, 1) - Polynomial.variable(ext, QQ, ext.tag_var) * transport(f, ext)
+    assert gens[len(encoded) :] == [inverse.mul_term(QQ.one, reference_unit(ext.nvars, i)) for i in ext.position_indices]
 
 
 def test_module_saturate_torsion_example():

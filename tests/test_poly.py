@@ -20,9 +20,17 @@ from fibrecheck import (
     substitute_base_point,
     transport,
 )
-from fibrecheck.poly import power_products
+from fibrecheck.poly import Packing, power_products
 
-from util import BLOWUP_LAYOUT, P, mono_divides, mono_lcm, reference_base_leading_coefficient, reference_order_key
+from util import (
+    BLOWUP_LAYOUT,
+    P,
+    mono_divides,
+    mono_lcm,
+    reference_base_leading_coefficient,
+    reference_order_key,
+    reference_packing_weights,
+)
 
 XY = RingLayout(("y",), ("x",))
 F5 = PrimeField(5)
@@ -59,6 +67,21 @@ def test_mul_difference_of_squares():
 def test_mul_by_zero_absorbs():
     f = P(XY, "3*x^2*y - 7")
     assert (f * Polynomial.zero(XY, QQ)).is_zero
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "r*"])
+def test_unsupported_operand_raises_type_error(op):
+    # the operator returns NotImplemented, so Python raises its own TypeError
+    x = P(XY, "x")
+    with pytest.raises(TypeError, match="unsupported operand"):
+        {"+": lambda: x + 1.5, "-": lambda: x - 1.5, "*": lambda: x * 1.5, "r*": lambda: 1.5 * x}[op]()
+
+
+def test_int_and_fraction_operands_are_constants():
+    x = P(XY, "x")
+    assert x + 2 == P(XY, "x + 2")
+    assert 2 * x == x * 2 == P(XY, "2*x")
+    assert x - Fraction(1, 2) == P(XY, "x - 1/2")
 
 
 def test_layout_mismatch_raises():
@@ -233,6 +256,15 @@ def test_packed_keys_order_every_product_like_the_order(name):
         by_packed = sorted(vectors, key=packing.key)
         assert by_packed == sorted(vectors, key=order.key)
         assert len({packing.key(v) for v in vectors}) == len(vectors)
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+def test_packing_weights_sum_only_nonzero_digits(within):
+    # a unit vector's key has few nonzero digits; the weights summed over
+    # those alone equal the sums over every digit, on 2 + 2*2 + 1 + 200 variables
+    order = default_order(Y2X2.powered(2).with_tag().with_positions(200), within)
+    for width in (1, 17):
+        assert Packing(order, width).weights == reference_packing_weights(order, width)
 
 
 # ---------------------------------------------------------------------------

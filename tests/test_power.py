@@ -4,12 +4,14 @@ import pytest
 
 from fibrecheck import (
     QQ,
+    ComputeBudget,
     Ideal,
     ModuleSpec,
     MonomialOrder,
     Polynomial,
     Problem,
     RingLayout,
+    ResourceLimitError,
     buchberger,
     default_order,
     fibred_power_ideal,
@@ -17,7 +19,7 @@ from fibrecheck import (
 )
 
 from corpus import full_corpus, named_fixtures
-from util import BLOWUP_LAYOUT, P, PW, ideal_equal, ideal_of
+from util import BLOWUP_LAYOUT, P, PW, ideal_equal, ideal_of, reference_tensor_power_presentation
 
 BLOWUP_IDEAL = ideal_of(BLOWUP_LAYOUT, "y1*x - y2")
 
@@ -175,3 +177,51 @@ def test_tensor_power_requires_module():
     problem = named_fixtures()[0].problem
     with pytest.raises(ValueError):
         tensor_power_presentation(problem, 1)
+
+
+def _rank_problem(t: int) -> Problem:
+    """A rank-t module over A = Q[y1, y2][x]/(x^2 - y1): a relation whose
+    second component is zero (its only one when t = 1) and a dense one."""
+    lay = RingLayout(("y1", "y2"), ("x",))
+    sparse = tuple(Polynomial.zero(lay, QQ) if s == 1 % t else P(lay, f"{s + 1}*y1*x - y2^{s}") for s in range(t))
+    dense = tuple(P(lay, f"x^{s} + {s}*y2") for s in range(t))
+    return Problem(QQ, ("y1", "y2"), ("x",), (P(lay, "x^2 - y1"),), module=ModuleSpec(t, (sparse, dense)))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stride_relations_match_spliced_tuples(t, k):
+    # slot i's relations placed by its row-major stride t^(k-i) are those of
+    # splicing the slot's index into the other slots' tuples, in order
+    problem = _rank_problem(t)
+    pres, ref = tensor_power_presentation(problem, k), reference_tensor_power_presentation(problem, k)
+    assert (pres.layout, pres.rank) == (ref.layout, ref.rank)
+    assert pres.relations == ref.relations
+
+
+@pytest.mark.parametrize("t, k", [(1, 3), (2, 2), (3, 3)])
+def test_tensor_power_charges_its_dense_slots(t, k):
+    problem = _rank_problem(t)
+    relations = k * len(problem.module.relations) * t ** (k - 1) + k * len(problem.ideal_gens) * t**k
+    budget = ComputeBudget()
+    tensor_power_presentation(problem, k, budget)
+    assert (budget.work, budget.pairs) == (relations * t**k, 0)
+
+
+def test_tensor_power_over_step_budget_aborts_before_building(monkeypatch):
+    # 3 * 2 * 9 + 3 * 27 = 135 relations of 27 slots: 3,645 slots, past the
+    # 200 steps of a one-pair budget, so only the ideal's generators are
+    # relabelled (into J_3), and no module relation
+    from fibrecheck import power
+
+    problem, relabelled, real = _rank_problem(3), [], power.relabel
+
+    def spy(f, *args):
+        relabelled.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(power, "relabel", spy)
+    budget = ComputeBudget(pair_limit=1)
+    with pytest.raises(ResourceLimitError, match="reduction-step limit 200 exceeded"):
+        tensor_power_presentation(problem, 3, budget)
+    assert budget.work == 3645 and relabelled == list(problem.ideal_gens) * 3

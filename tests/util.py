@@ -4,11 +4,12 @@ reference implementations."""
 from __future__ import annotations
 
 import heapq
+import itertools
 from operator import le
 
-from fibrecheck import QQ, ComputeBudget, Ideal, Polynomial, RingLayout, groebner
+from fibrecheck import QQ, ComputeBudget, Ideal, ModulePresentation, Polynomial, RingLayout, fibred_power_ideal, groebner
 from fibrecheck.cli import _parse_polyexpr, _Tokens
-from fibrecheck.poly import default_order, integer_normalized, mono_div
+from fibrecheck.poly import default_order, integer_normalized, mono_div, relabel
 
 
 def mono_divides(a, b) -> bool:
@@ -369,6 +370,54 @@ def reference_generic_denominator(basis, layout, fld, order=None) -> Polynomial:
         seen.add(c.terms)
         h = h * c
     return h
+
+
+def reference_unit(nvars: int, i: int):
+    """The exponents of variable i alone, one comparison per entry."""
+    return tuple(int(i == j) for j in range(nvars))
+
+
+def reference_tensor_power_presentation(problem, k: int) -> ModulePresentation:
+    """The k-th tensor power's presentation, each slot's relations placed by
+    splicing the slot's index into every tuple of the other slots' indices
+    and flattening the tuple row-major."""
+    mod = problem.module
+    t = mod.rank
+    target = problem.layout.powered(k)
+    zero = Polynomial.zero(target, problem.field)
+    ambient_rank = t**k
+
+    def flat(tup) -> int:
+        idx = 0
+        for j in tup:
+            idx = idx * t + j
+        return idx
+
+    relations = []
+    for i in range(1, k + 1):
+        for v in mod.relations:
+            v_i = tuple(relabel(c, target, i) for c in v)
+            for others in itertools.product(range(t), repeat=k - 1):
+                w = [zero] * ambient_rank
+                for s in range(t):
+                    w[flat(others[: i - 1] + (s,) + others[i - 1 :])] = v_i[s]
+                relations.append(tuple(w))
+    for g in fibred_power_ideal(problem.ideal, k).gens:
+        for b in range(ambient_rank):
+            w = [zero] * ambient_rank
+            w[b] = g
+            relations.append(tuple(w))
+    return ModulePresentation(target, problem.field, ambient_rank, tuple(relations))
+
+
+def reference_packing_weights(order, width: int) -> tuple:
+    """Each variable's packed-key weight, summed over every digit of the
+    order's key on its unit vector, zero digits included."""
+    nvars = sum(map(len, order.blocks))
+    r = (nvars * ((1 << (width + 1)) - 1)).bit_length()
+    digits = len(order.key((0,) * nvars))
+    columns = [order.key(reference_unit(nvars, i)) for i in range(nvars)]
+    return tuple(sum(a << (r * (digits - 1 - j)) for j, a in enumerate(col)) for col in columns)
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
