@@ -592,7 +592,7 @@ def run(argv=None) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"fibrecheck: cannot read input: {exc}", file=sys.stderr)
         return 1
 

@@ -91,9 +91,12 @@ class RationalField:
     canon = staticmethod(_same)
 
     def to_kernel(self, coeffs):
-        ratios = [c.as_integer_ratio() for c in coeffs]
-        den = lcm(*[d for _, d in ratios])
-        ints = [n * (den // d) for n, d in ratios]
+        if coeffs and type(coeffs[0]) is int and all(type(c) is int for c in coeffs):
+            ints, den = coeffs, 1  # kernel ints: only the content to take out
+        else:
+            ratios = [c.as_integer_ratio() for c in coeffs]
+            den = lcm(*[d for _, d in ratios])
+            ints = [n * (den // d) for n, d in ratios]
         content = -gcd(*ints) if ints and ints[0] < 0 else gcd(*ints) or 1
         if content == 1:
             return ints, den

@@ -136,7 +136,8 @@ class ComputeBudget:
     inputs abort deterministically even inside a single division; a tensor
     power of a module charges its dense relation slots as steps before it
     builds them.  The deadline is checked at every charge, membership tests
-    too.
+    too, and at the boundaries of stages that charge nothing but take long at
+    high module rank (see :meth:`check_deadline`).
 
     ``memo`` (None: no memo) maps a key to a :class:`Record`, made and
     replayed by :meth:`memoized`.  It records bases (keyed by ``(nonzero
@@ -160,15 +161,19 @@ class ComputeBudget:
         self.pairs += 1
         if self.pairs > self.pair_limit:
             raise ResourceLimitError(f"pair limit {self.pair_limit} exceeded")
-        self._check_deadline()
+        self.check_deadline()
 
     def charge_work(self, steps: int = 1):
         self.work += steps
         if self.work > 200 * self.pair_limit:
             raise ResourceLimitError(f"reduction-step limit {200 * self.pair_limit} exceeded")
-        self._check_deadline()
+        self.check_deadline()
 
-    def _check_deadline(self):
+    def check_deadline(self):
+        """ResourceLimitError once the deadline has passed.  Besides every
+        charge, it is called after a packed computation's width scan, as each
+        input joins a basis, after a module basis is encoded and after a
+        tensor power's relations are built."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitError("timeout exceeded")
 
@@ -194,7 +199,7 @@ class ComputeBudget:
             self.pairs += record.pairs
             self.work += record.work
             self.note_basis(record.peak)
-            self._check_deadline()
+            self.check_deadline()
             return record.value
         pairs, work, held = self.pairs, self.work, self.max_basis
         self.max_basis = 0  # the computation's own largest basis
@@ -225,6 +230,8 @@ def _widening(run, polys, order: MonomialOrder, budget):
     while a product outgrows it, restoring the budget's counters each time."""
     exps = chain.from_iterable(map(itemgetter(1), chain.from_iterable(f.terms for f in polys)))
     width = max(1, max(exps, default=0).bit_length() + HEADROOM_BITS)
+    if budget is not None:
+        budget.check_deadline()
     saved = budget and (budget.pairs, budget.work, budget.max_basis)
     while True:
         try:
@@ -512,6 +519,7 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
 
     for g in gens:
         insert(_packed(g, packing)[0], g.total_degree())
+        budget.check_deadline()  # inputs of high rank take milliseconds each
     while queue:
         pair_sugar, _, lcm_key, i, j, lcm = heapq.heappop(queue)
         budget.charge_pair()
@@ -616,11 +624,15 @@ def decode_vectors(polys) -> list:
         layout = f.layout
         ring = layout.with_positions(0)
         first_pos = layout.nvars - layout.positions
-        comps = [[] for _ in range(layout.positions)]
+        comps = {}
         for c, e in f.terms:
-            comps[e.index(1, first_pos) - first_pos].append((c, e[:first_pos]))
-        # within one position the stored order is the ring's default order
-        out.append(tuple(Polynomial(ring, f.field, tuple(terms)) for terms in comps))
+            comps.setdefault(e.index(1, first_pos) - first_pos, []).append((c, e[:first_pos]))
+        # within one position the stored order is the ring's default order;
+        # the positions f does not use share one zero
+        zero = Polynomial.zero(ring, f.field)
+        out.append(
+            tuple(Polynomial(ring, f.field, tuple(comps[i])) if i in comps else zero for i in range(layout.positions))
+        )
     return out
 
 
@@ -692,6 +704,8 @@ class ModulePresentation:
         gb = self.groebner_basis(order, budget)
         if order not in self._encoded_gb:
             self._encoded_gb[order] = tuple(encode_vectors(gb, self.layout, self.rank))
+            if budget is not None:
+                budget.check_deadline()
         return self._encoded_gb[order]
 
     def contains(self, v, order=None, budget=None) -> bool:

@@ -49,12 +49,12 @@ class DimensionReport:
 # contraction, quotient and saturation
 
 
-def _avoiding(gb, drop: set, layout) -> tuple:
-    """The elements of a basis that avoid the variables at the indices
-    ``drop``, transported to ``layout``.  Under an order ranking ``drop``
-    first they form a basis of the ideal's intersection with the ring of
-    the other variables (the elimination theorem)."""
-    return tuple(transport(g, layout) for g in gb if not (g.support_indices() & drop))
+def _avoiding(gb, drop: slice, layout) -> tuple:
+    """The elements of a basis whose exponents are 0 in the fields ``drop``,
+    transported to ``layout``.  Under an order ranking those variables first
+    they form a basis of the ideal's intersection with the ring of the other
+    variables (the elimination theorem)."""
+    return tuple(transport(g, layout) for g in gb if not any(any(e[drop]) for _, e in g.terms))
 
 
 def contract_to_base(I: Ideal, within: str = "grevlex", budget: ComputeBudget | None = None) -> Ideal:
@@ -62,7 +62,7 @@ def contract_to_base(I: Ideal, within: str = "grevlex", budget: ComputeBudget | 
     the base-only layout.  Reuses the default (fibre >> base) basis."""
     layout = I.layout
     gb = I.groebner_basis(default_order(layout, within), budget)
-    non_base = set(range(len(layout.base_vars), layout.nvars))
+    non_base = slice(len(layout.base_vars), None)
     return Ideal(layout.base_only(), I.field, _avoiding(gb, non_base, layout.base_only()))
 
 
@@ -76,7 +76,7 @@ def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> I
     gens = [t * transport(g, ext) for g in I.gens]
     gens.append((Polynomial.constant(ext, I.field, 1) - t) * transport(f, ext))
     gb = buchberger(gens, default_order(ext, within), budget)
-    inter = _avoiding(gb, {ext.tag_index}, I.layout)
+    inter = _avoiding(gb, slice(ext.tag_index, ext.tag_index + 1), I.layout)
     return Ideal(I.layout, I.field, tuple(exact_divide(g, f, budget) for g in inter))
 
 
@@ -88,7 +88,7 @@ def saturate(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> I
         return Ideal(I.layout, I.field, I.gens)
     ext, gens = _with_inverse(I, f)
     gb = buchberger(gens, default_order(ext, within), budget)
-    return Ideal(I.layout, I.field, _avoiding(gb, {ext.tag_index}, I.layout))
+    return Ideal(I.layout, I.field, _avoiding(gb, slice(ext.tag_index, ext.tag_index + 1), I.layout))
 
 
 def _with_inverse(I: Ideal, f: Polynomial):

@@ -83,6 +83,7 @@ class RingLayout:
         # made once; equality and hashing stay on the declared fields
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "nvars", len(names))
         # derived layouts, by their fields, and default orders, by ``within``
         object.__setattr__(self, "_made", {})
 
@@ -92,12 +93,6 @@ class RingLayout:
     @property
     def position_vars(self) -> tuple:
         return tuple(f"[{i}]" for i in range(1, self.positions + 1))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.base_vars) + self.copies * len(self.fibre_vars) + (
-            1 if self.tag_var is not None else 0
-        ) + self.positions
 
     @property
     def base_indices(self) -> tuple:
@@ -541,11 +536,32 @@ def integer_normalized(f: Polynomial) -> Polynomial:
 def transport(f: Polynomial, new_layout: RingLayout) -> Polynomial:
     """Re-express f in another layout, matching variables by display name.
 
-    When both layouts have the same base variables, and f is pure-base or
-    both have the same fibre variables and copies, every variable of f keeps
-    its block and its place in it (adding or dropping a tag or positions
-    does not move it), so the terms keep their stored order unsorted."""
+    Three moves take no per-variable rebuild: to f's own layout object, f
+    itself; to an equal layout, f's terms as they are; between a layout and
+    the one that adds a tag to it (same base, fibre, copies and positions),
+    each exponent tuple with a 0 spliced in at the tag, or the tag's entry
+    cut out after checking that no term uses it.
+
+    Otherwise, when both layouts have the same base variables, and f is
+    pure-base or both have the same fibre variables and copies, every
+    variable of f keeps its block and its place in it (adding or dropping a
+    tag or positions does not move it), so the terms keep their stored order
+    unsorted."""
     old = f.layout
+    if old is new_layout:
+        return f
+    if old == new_layout:
+        return Polynomial(new_layout, f.field, f.terms)
+    if (old.tag_var is None) != (new_layout.tag_var is None) and (
+        old.base_vars, old.fibre_vars, old.copies, old.positions
+    ) == (new_layout.base_vars, new_layout.fibre_vars, new_layout.copies, new_layout.positions):
+        if old.tag_var is None:
+            t = new_layout.tag_index
+            return Polynomial(new_layout, f.field, tuple((c, e[:t] + (0,) + e[t:]) for c, e in f.terms))
+        t = old.tag_index
+        if any(e[t] for _, e in f.terms):
+            raise LayoutMismatchError(f"variable {old.tag_var!r} absent from target layout")
+        return Polynomial(new_layout, f.field, tuple((c, e[:t] + e[t + 1 :]) for c, e in f.terms))
     names = old.var_names()
     support = f.support_indices()
     idx = {}

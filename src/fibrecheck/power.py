@@ -109,4 +109,6 @@ def tensor_power_presentation(problem: Problem, k: int, budget=None) -> ModulePr
                     w[start : start + t * stride : stride] = v_i
                     relations.append(tuple(w))
     relations += [zeros[:b] + (g,) + zeros[b + 1 :] for g in Jk.gens for b in range(ambient_rank)]
+    if budget is not None:
+        budget.check_deadline()
     return ModulePresentation(target, problem.field, ambient_rank, tuple(relations))

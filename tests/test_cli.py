@@ -396,6 +396,28 @@ def test_exit_one_on_missing_file(capsys):
     assert "cannot read" in err
 
 
+NOT_UTF8 = b"\xff\xfe base y\n"
+
+
+def test_exit_one_on_input_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin.alg"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = _run(capsys, "--input", str(path))
+    assert code == 1
+    assert not out
+    assert err.startswith("fibrecheck: cannot read input: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def test_exit_one_on_stdin_not_utf8_under_strict_decoding(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="strict"))
+    code, out, err = _run(capsys)
+    assert code == 1
+    assert not out
+    assert err.startswith("fibrecheck: cannot read input: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_exit_one_on_max_power_below_one(capsys, value):
     code, out, err = _run(

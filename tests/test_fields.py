@@ -1,8 +1,11 @@
-"""Coefficient fields: primality of the modulus."""
+"""Coefficient fields: primality of the modulus and the division-kernel
+hooks."""
+
+from fractions import Fraction
 
 import pytest
 
-from fibrecheck import PrimeField
+from fibrecheck import QQ, PrimeField
 from fibrecheck.fields import PRIME_LIMIT, is_prime
 
 
@@ -39,3 +42,25 @@ def test_is_prime_refuses_the_limit():
         is_prime(PRIME_LIMIT)
     with pytest.raises(ValueError):
         PrimeField(PRIME_LIMIT)
+
+
+@pytest.mark.parametrize(
+    "ints, primitive, scale",
+    [
+        ([3, -5, 7], [3, -5, 7], 1),  # content 1
+        ([6, -10, 4], [3, -5, 2], Fraction(1, 2)),
+        ([-6, 10, -4], [3, -5, 2], Fraction(-1, 2)),  # a negative lead: a negative content
+        ([-1, 3], [1, -3], Fraction(-1)),
+        ([12], [1], Fraction(1, 12)),
+        ([], [], 1),
+    ],
+)
+def test_rational_to_kernel_on_ints_equals_it_on_fractions(ints, primitive, scale):
+    # Buchberger hands S-pair remainders over as ints, which take only the
+    # content out; ints and scale must be those of the same values given as
+    # Fractions: the scale is 1/content, not the content
+    got = QQ.to_kernel(list(ints))
+    assert got == QQ.to_kernel([Fraction(i) for i in ints]) == (primitive, scale)
+    assert [type(i) for i in got[0]] == [int] * len(ints)
+    assert type(got[1]) is type(scale)
+    assert QQ.from_kernel(*got) == [Fraction(i) for i in ints]

@@ -308,15 +308,13 @@ def test_interreduction_divides_each_kept_element_once(monkeypatch, gens):
 
 def test_deadline_passing_mid_division_aborts_on_the_next_step(monkeypatch):
     # x^10 by x - y takes eleven reduction steps; the clock passes the
-    # deadline after the third
-    reads = []
+    # deadline after the third (the width scan reads it too, before any step)
+    budget = ComputeBudget(deadline=1.0)
 
     def clock():
-        reads.append(None)
-        return 0.0 if len(reads) <= 3 else 2.0
+        return 0.0 if budget.work <= 3 else 2.0
 
     monkeypatch.setattr(groebner.time, "monotonic", clock)
-    budget = ComputeBudget(deadline=1.0)
     with pytest.raises(ResourceLimitError, match="timeout exceeded"):
         normal_form(P(XY2, "x^10"), [P(XY2, "x - y")], default_order(XY2), budget=budget)
     assert budget.work == 4
@@ -334,16 +332,50 @@ def test_deadline_passing_mid_membership_division_aborts(monkeypatch, kind):
         N, member = ModulePresentation(XY2, QQ, 1, (gens,)), (P(XY2, "x^10"),)
     N.groebner_basis(None, budget)
     budget.deadline, work = 1.0, budget.work
-    reads = []
 
     def clock():
-        reads.append(None)
-        return 0.0 if len(reads) <= 3 else 2.0
+        return 0.0 if budget.work <= work + 3 else 2.0
 
     monkeypatch.setattr(groebner.time, "monotonic", clock)
     with pytest.raises(ResourceLimitError, match="timeout exceeded"):
         N.contains(member, None, budget)
     assert budget.work == work + 4
+
+
+def test_deadline_is_checked_after_the_width_scan():
+    # a division whose deadline has passed aborts before its first step
+    budget = ComputeBudget(deadline=0.0)
+    with pytest.raises(ResourceLimitError, match="timeout exceeded"):
+        normal_form(P(XY2, "x^10"), [P(XY2, "x - y")], default_order(XY2), budget=budget)
+    assert budget.work == 0
+
+
+def test_deadline_is_checked_as_each_input_joins_the_basis(monkeypatch):
+    # x and y are coprime, so no pair is formed; the clock passes the
+    # deadline after the width scan and x joining have read it
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= 2 else 2.0
+
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    budget = ComputeBudget(deadline=1.0)
+    with pytest.raises(ResourceLimitError, match="timeout exceeded"):
+        buchberger([P(XY2, "x"), P(XY2, "y")], default_order(XY2), budget)
+    assert (budget.pairs, budget.work, len(reads)) == (0, 0, 3)
+
+
+def test_encoded_basis_checks_the_deadline_after_encoding():
+    # a basis computed in time, then encoded after the deadline: the
+    # encoding aborts, charging nothing
+    pres = ModulePresentation(XY2, QQ, 2, ((P(XY2, "x"), P(XY2, "y")),))
+    budget = ComputeBudget()
+    pres.groebner_basis(None, budget)
+    budget.deadline, charged = 0.0, (budget.pairs, budget.work)
+    with pytest.raises(ResourceLimitError, match="timeout exceeded"):
+        pres.encoded_basis(None, budget)
+    assert (budget.pairs, budget.work) == charged
 
 
 # ---------------------------------------------------------------------------

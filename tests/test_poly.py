@@ -457,13 +457,16 @@ def test_derived_layouts_are_made_once():
 
 
 def _transport_by_names(f, layout):
-    """transport through a dict and a sort."""
+    """transport through a dict and a sort; LayoutMismatchError when f uses
+    a variable the layout lacks."""
     names = f.layout.var_names()
     acc = {}
     for c, e in f.terms:
         new_e = [0] * layout.nvars
         for i, x in enumerate(e):
             if x:
+                if names[i] not in layout.var_names():
+                    raise LayoutMismatchError(f"variable {names[i]!r} absent from target layout")
                 new_e[layout.index_of(names[i])] = x
         acc[tuple(new_e)] = c
     return Polynomial.from_dict(layout, f.field, acc)
@@ -473,14 +476,19 @@ def _transport_by_names(f, layout):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_transport_keeps_stored_order(field, data):
-    # adding or dropping a tag or positions, and moving a pure-base
-    # polynomial between rings with the same base, keep the stored order
-    # without a sort; other moves sort.  Both must equal the result gathered
-    # in a dict and sorted, term for term, and move back to f.
-    positioned = Y2X2.with_positions(2)
+    # moves to the same layout, to an equal one, adding or dropping a tag
+    # (positioned or not), adding or dropping positions, and moving a
+    # pure-base polynomial between rings with the same base keep the stored
+    # order without a sort; other moves sort.  Both must equal the result
+    # gathered in a dict and sorted, term for term, and move back to f.
+    positioned, positioned3 = Y2X2.with_positions(2), POW2.with_positions(3)
     moves = (
+        (POW2, POW2),  # the same layout object
+        (POW2, RingLayout(("y1", "y2"), ("x1", "x2"), copies=2)),  # an equal layout, built separately
         (POW2, TAGGED),
         (positioned, positioned.with_tag()),
+        (positioned3, positioned3.with_tag()),  # the tag sits before three positions
+        (Y2X2, positioned),
         (Y2X2.base_only(), TAGGED),
         (RingLayout(("y1",), ("x1", "x2")), RingLayout(("y1",), ("x2", "x1"))),  # fibre reordered
         (RingLayout(("x1",), ("y1",)), RingLayout(("y1",), ("x1",))),  # base and fibre swapped
@@ -488,8 +496,20 @@ def test_transport_keeps_stored_order(field, data):
     for src, dst in moves:
         f = data.draw(poly_strategy(src, field))
         there = transport(f, dst)
+        assert there.layout is dst
         assert there.terms == _transport_by_names(f, dst).terms
         assert transport(there, src).terms == f.terms
+    f = data.draw(poly_strategy(POW2, field))
+    assert transport(f, POW2) is f
+    # dropping a tag that some term uses
+    for src in (TAGGED, positioned3.with_tag()):
+        dst = RingLayout(src.base_vars, src.fibre_vars, src.copies, None, src.positions)
+        f = data.draw(poly_strategy(dst, field))
+        h = data.draw(poly_strategy(dst, field).filter(lambda p: not p.is_zero))
+        g = transport(f, src) + Polynomial.variable(src, field, src.tag_var) * transport(h, src)
+        for move in (transport, _transport_by_names):
+            with pytest.raises(LayoutMismatchError, match=f"variable {src.tag_var!r} absent from target layout"):
+                move(g, dst)
 
 
 def test_base_leading_coefficient_examples():

@@ -225,3 +225,21 @@ def test_tensor_power_over_step_budget_aborts_before_building(monkeypatch):
     with pytest.raises(ResourceLimitError, match="reduction-step limit 200 exceeded"):
         tensor_power_presentation(problem, 3, budget)
     assert budget.work == 3645 and relabelled == list(problem.ideal_gens) * 3
+
+
+def test_tensor_power_checks_the_deadline_once_built(monkeypatch):
+    # the clock passes the deadline after the slot charge has read it, while
+    # the relations are built: the power aborts before it is returned
+    from fibrecheck import groebner
+
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) == 1 else 2.0
+
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    budget = ComputeBudget(deadline=1.0)
+    with pytest.raises(ResourceLimitError, match="timeout exceeded"):
+        tensor_power_presentation(_rank_problem(2), 2, budget)
+    assert len(reads) == 2
