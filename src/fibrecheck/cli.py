@@ -16,26 +16,25 @@ declared variables, "^" integer powers (at most MAX_EXPONENT) and parentheses
 MAX_EXPANSION term products, weighted by coefficient size (COEFF_CHUNK_BITS),
 while it expands.  Every expression is read in the input's final field.
 
-Exit codes: 0 verdicts computed, 1 parse/semantic error, 2 unsupported input,
-3 resource limit or timeout.
+Exit codes: 0 verdicts computed (or --help), 1 parse/semantic error or a flag
+refused (see :mod:`fibrecheck.flags`), 2 unsupported input, 3 resource limit
+or timeout.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import time
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, flags
 from .fields import PRIME_LIMIT, QQ, PrimeField
 from .poly import Polynomial, RingLayout, power_products, render_poly, transport
 from .power import ModuleSpec, Problem
 from .verticality import (
     CharacteristicGuardError,
-    CheckConfig,
     Verdict,
     characteristic_guard,
     check_flatness,
@@ -544,53 +543,22 @@ def render_report(problem: Problem, checks: list, fmt: str = "text") -> str:
 # driver
 
 
-def _build_config(args, started: float) -> CheckConfig:
-    return CheckConfig(
-        within=args.order,
-        max_power=args.max_power,
-        pair_limit=args.pair_limit,
-        deadline=None if args.timeout_seconds is None else started + args.timeout_seconds,
-        allow_char_p_flatness=args.allow_char_p_flatness,
-    )
-
-
-def _flag_error(args) -> str | None:
-    """Why a numeric flag is meaningless, or None when all are usable."""
-    if args.max_power is not None and args.max_power < 1:
-        return f"--max-power must be >= 1, got {args.max_power}"
-    if args.pair_limit < 1:
-        return f"--pair-limit must be >= 1, got {args.pair_limit}"
-    if args.timeout_seconds is not None and not args.timeout_seconds > 0:
-        return f"--timeout-seconds must be > 0, got {args.timeout_seconds:g}"
-    return None
-
-
 def run(argv=None) -> int:
     started = time.monotonic()  # --timeout-seconds bounds the whole run from here
-    parser = argparse.ArgumentParser(
-        prog="fibrecheck",
-        description="Decide openness and flatness of Spec A -> Spec R by "
-        "detecting vertical components / torsion in fibred powers.",
-    )
-    parser.add_argument("--input", default="-", help="input file (default: stdin)")
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--max-power", type=int, default=None, help="override the tested power")
-    parser.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
-    parser.add_argument("--allow-char-p-flatness", action="store_true")
-    parser.add_argument("--pair-limit", type=int, default=100_000)
-    parser.add_argument("--timeout-seconds", type=float, default=None)
-    parser.add_argument("--trace", action="store_true", help="per-power statistics incl. timing")
-    args = parser.parse_args(argv)
-    flag_error = _flag_error(args)
-    if flag_error:
-        print(f"fibrecheck: {flag_error}", file=sys.stderr)
+    try:
+        options, config = flags.parse(sys.argv[1:] if argv is None else argv, started)
+    except flags.Usage as usage:
+        print(usage)
+        return 0
+    except flags.FlagError as exc:
+        print(f"fibrecheck: {exc}", file=sys.stderr)
         return 1
 
     try:
-        if args.input == "-":
+        if options["input"] == "-":
             text = sys.stdin.read()
         else:
-            with open(args.input, "r", encoding="utf-8") as fh:
+            with open(options["input"], "r", encoding="utf-8") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"fibrecheck: cannot read input: {exc}", file=sys.stderr)
@@ -602,7 +570,6 @@ def run(argv=None) -> int:
         print(f"fibrecheck: {exc}", file=sys.stderr)
         return 1
 
-    config = _build_config(args, started)
     try:
         if "flat" in problem.checks:
             characteristic_guard(problem, config)
@@ -614,9 +581,9 @@ def run(argv=None) -> int:
         print(f"fibrecheck: unsupported: {exc}", file=sys.stderr)
         return 2
 
-    checks = [_verdict_json(v, args.trace) for v in verdicts]
-    sys.stdout.write(render_report(problem, checks, "json" if args.json else "text"))
-    if args.trace:
+    checks = [_verdict_json(v, options["trace"]) for v in verdicts]
+    sys.stdout.write(render_report(problem, checks, "json" if options["json"] else "text"))
+    if options["trace"]:
         sys.stderr.writelines(
             f"trace: {d['kind']} power {p['k']}: basis {p['basis_size']}, pairs {p['pairs']}, {p['millis']} ms\n"
             for d in checks

@@ -86,7 +86,10 @@ zero tests are those of division over the field, so counts and bases do not
 depend on this.
 
 Each computation packs its inputs and unpacks what it returns; ``Exponents``
-tuples and field values stay the representation everywhere else.  Fields
+tuples and field values stay the representation everywhere else.  The one
+exception is a basis that an :class:`Ideal` or a :class:`ModulePresentation`
+divides by in membership tests: its :class:`Divisors` keep it packed, so each
+test packs and width-scans only the element it tests.  Fields
 start HEADROOM_BITS wider than the inputs' largest exponent.  A product that
 outgrows them sets a guard bit, never wrapping into the next field, and the
 :func:`buchberger` or :func:`normal_form` call runs again at double width with
@@ -225,11 +228,16 @@ class ComputeBudget:
 # packed terms
 
 
-def _widening(run, polys, order: MonomialOrder, budget):
-    """``run(packing)`` at the start width of ``polys``, then at double width
-    while a product outgrows it, restoring the budget's counters each time."""
-    exps = chain.from_iterable(map(itemgetter(1), chain.from_iterable(f.terms for f in polys)))
-    width = max(1, max(exps, default=0).bit_length() + HEADROOM_BITS)
+def _top(polys) -> int:
+    """The largest exponent in the terms of ``polys`` (0 when there is none)."""
+    return max(chain.from_iterable(map(itemgetter(1), chain.from_iterable(f.terms for f in polys))), default=0)
+
+
+def _widening(run, top: int, order: MonomialOrder, budget):
+    """``run(packing)`` at the start width of exponents up to ``top``, then at
+    double width while a product outgrows it, restoring the budget's counters
+    each time."""
+    width = max(1, top.bit_length() + HEADROOM_BITS)
     if budget is not None:
         budget.check_deadline()
     saved = budget and (budget.pairs, budget.work, budget.max_basis)
@@ -281,11 +289,29 @@ class _Tables(dict):
         return table
 
 
-def _divisors(basis, order: MonomialOrder, fld, packing) -> tuple:
-    """``basis`` packed for division: (leading monomials, tables, field, packing)."""
-    stored = bool(basis) and order == default_order(basis[0].layout)
-    leads = [packing.pack((g.terms[0] if stored else g.leading_term(order))[1]) for g in basis]
-    return leads, _Tables(basis, packing), fld, packing
+class Divisors:
+    """A basis made ready for division under ``order``: its largest exponent
+    and, at each packing, the basis packed, each made once.  An object that
+    owns a basis keeps its Divisors, so that every later division by the
+    basis packs and width-scans only the dividend."""
+
+    def __init__(self, basis, order: MonomialOrder, fld):
+        self.basis, self.order, self.field = basis, order, fld
+        self._at = {}  # packing -> what at() returns
+
+    @cached_property
+    def top(self) -> int:
+        return _top(self.basis)
+
+    def at(self, packing) -> tuple:
+        """(leading monomials, tables, field, packing): the basis packed."""
+        packed = self._at.get(packing)
+        if packed is None:
+            basis, order = self.basis, self.order
+            stored = bool(basis) and order == default_order(basis[0].layout)
+            leads = [packing.pack((g.terms[0] if stored else g.leading_term(order))[1]) for g in basis]
+            packed = self._at[packing] = leads, _Tables(basis, packing), self.field, packing
+        return packed
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +319,19 @@ def _divisors(basis, order: MonomialOrder, fld, packing) -> tuple:
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder, budget=None):
-    """Remainder of multivariate division of f by the basis; no remainder term
-    is divisible by any basis leading monomial."""
+    """Remainder of multivariate division of f by the basis (polynomials, or
+    their :class:`Divisors` under ``order``); no remainder term is divisible
+    by any basis leading monomial."""
     layout, fld = f.layout, f.field
+    divisors = basis if isinstance(basis, Divisors) else Divisors(basis, order, fld)
 
     def run(packing):
-        (terms, scale), divisors = _packed(f, packing), _divisors(basis, order, fld, packing)
+        terms, scale = _packed(f, packing)
         pending, mono = {k: c for c, _, k in terms}, {k: m for _, m, k in terms}
-        rem, steps_scale = _reduce(pending, mono, divisors, budget)
+        rem, steps_scale = _reduce(pending, mono, divisors.at(packing), budget)
         return _polynomial(rem, fld.canon(scale * steps_scale), layout, fld, order, packing)
 
-    return _widening(run, [f, *basis], order, budget)
+    return _widening(run, max(_top([f]), divisors.top), order, budget)
 
 
 def exact_divide(g: Polynomial, f: Polynomial, budget=None) -> Polynomial:
@@ -319,7 +347,7 @@ def exact_divide(g: Polynomial, f: Polynomial, budget=None) -> Polynomial:
 
 
 def _reduce(pending, mono, basis, budget):
-    """Division by ``basis`` (see :func:`_divisors`) of the accumulator that
+    """Division by ``basis`` (see :meth:`Divisors.at`) of the accumulator that
     maps negated keys to int coefficients (``pending``, zeros allowed) and to
     packed monomials (``mono``), both consumed.  Returns the remainder R as
     packed terms, descending, and the scale S, the product of the steps'
@@ -404,13 +432,13 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     f._check(g)
 
     def run(packing):
-        basis = _divisors([f, g], order, f.field, packing)
+        basis = Divisors([f, g], order, f.field).at(packing)
         lcm = packing.lcm(*basis[0])
         pending, mono, scale = _spair(basis, 0, 1, lcm, -packing.key(packing.unpack(lcm)))
         coeffs = f.field.from_kernel(list(pending.values()), scale)
         return Polynomial.from_dict(f.layout, f.field, dict(zip([packing.unpack(mono[k]) for k in pending], coeffs)))
 
-    return _widening(run, [f, g], order, None)
+    return _widening(run, _top([f, g]), order, None)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +459,7 @@ def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None):
 
 def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
     """The reduced basis of nonzero ``gens``."""
-    return _widening(lambda packing: _buchberger_at(gens, order, packing, budget), gens, order, budget)
+    return _widening(lambda packing: _buchberger_at(gens, order, packing, budget), _top(gens), order, budget)
 
 
 def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
@@ -567,7 +595,8 @@ def _interreduce(elements, basis, order: MonomialOrder, layout, budget):
 
 @dataclass
 class Ideal:
-    """Generator list with lazily cached reduced Groebner bases per order."""
+    """Generator list with lazily cached reduced Groebner bases per order, and
+    the :class:`Divisors` of each basis a membership test divides by."""
 
     layout: RingLayout
     field: object
@@ -576,23 +605,25 @@ class Ideal:
     def __post_init__(self):
         self.gens = tuple(g for g in self.gens if not g.is_zero)
         self._gb_cache = {}
+        self._divisors = {}  # order -> Divisors of _gb_cache[order]
 
     def groebner_basis(self, order: MonomialOrder | None = None, budget: ComputeBudget | None = None):
         order = order or default_order(self.layout)
         if order not in self._gb_cache:
-            self._gb_cache[order] = tuple(buchberger(self.gens, order, budget))
+            gb = self._gb_cache[order] = tuple(buchberger(self.gens, order, budget))
+            self._divisors[order] = Divisors(gb, order, self.field)
         return self._gb_cache[order]
 
     def contains(self, f: Polynomial, order=None, budget=None) -> bool:
         """Whether f lies in the ideal; the answer is kept in the budget's
         memo, if it has one, under ``(gens, order, f)``."""
+        order = order or default_order(self.layout)
         gb = self.groebner_basis(order, budget)
         if not gb:
             return f.is_zero
-        order = order or default_order(self.layout)
 
         def member():
-            return normal_form(f, list(gb), order, budget=budget).is_zero
+            return normal_form(f, self._divisors[order], order, budget=budget).is_zero
 
         return budget.memoized((self.gens, order, f), member) if budget else member()
 
@@ -669,9 +700,9 @@ class ModulePresentation:
     order of the encoded layout.
 
     The presentation encodes its relations once (``encoded``, made on first
-    use) and keeps each basis encoded next to its vectors
-    (:meth:`encoded_basis`), so that a membership test encodes only the
-    vector it tests."""
+    use) and keeps each basis encoded next to its vectors, with its
+    :class:`Divisors` (:meth:`encoded_basis`), so that a membership test
+    encodes, packs and width-scans only the vector it tests."""
 
     layout: RingLayout
     field: object
@@ -685,7 +716,7 @@ class ModulePresentation:
         self.relations = tuple(v for v in self.relations if not _is_zero_vector(v))
         self.morder = default_order(self.layout.with_positions(self.rank))
         self._gb_cache = {}
-        self._encoded_gb = {}  # order -> the basis of _gb_cache[order], encoded
+        self._encoded = {}  # order -> Divisors of the basis of _gb_cache[order], encoded
 
     @cached_property
     def encoded(self) -> tuple:
@@ -700,18 +731,19 @@ class ModulePresentation:
 
     def encoded_basis(self, order: MonomialOrder | None = None, budget=None) -> tuple:
         """The basis :meth:`groebner_basis` gives, encoded once."""
-        order = order or self.morder
+        return self._encoded_divisors(order or self.morder, budget).basis
+
+    def _encoded_divisors(self, order: MonomialOrder, budget) -> Divisors:
         gb = self.groebner_basis(order, budget)
-        if order not in self._encoded_gb:
-            self._encoded_gb[order] = tuple(encode_vectors(gb, self.layout, self.rank))
+        if order not in self._encoded:
+            self._encoded[order] = Divisors(tuple(encode_vectors(gb, self.layout, self.rank)), order, self.field)
             if budget is not None:
                 budget.check_deadline()
-        return self._encoded_gb[order]
+        return self._encoded[order]
 
     def contains(self, v, order=None, budget=None) -> bool:
-        order = order or self.morder
-        gb = self.encoded_basis(order, budget)
-        if not gb:
+        divisors = self._encoded_divisors(order or self.morder, budget)
+        if not divisors.basis:
             return _is_zero_vector(v)
         (f,) = encode_vectors([v], self.layout, self.rank)
-        return normal_form(f, list(gb), order, budget=budget).is_zero
+        return normal_form(f, divisors, divisors.order, budget=budget).is_zero

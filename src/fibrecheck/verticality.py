@@ -216,9 +216,9 @@ def has_torsion_module(pres: ModulePresentation, within: str = "grevlex", budget
 
 def _run_power_loop(problem: Problem, config: CheckConfig, kind: str) -> Verdict:
     n = problem.n
-    # the config's bound overrides the statement's ``power k``; without
-    # either, the powers 1..n decide
-    kmax = next(b for b in (config.max_power, problem.max_power, n) if b is not None)
+    # the config's bound overrides the statement's ``power k``; the powers
+    # 1..n decide, so none above n is tested
+    kmax = min(next(b for b in (config.max_power, problem.max_power, n) if b is not None), n)
     budget = config.budget()
     verdict = Verdict(kind=kind, outcome="pass", max_power_tested=kmax)
     for k in range(1, kmax + 1):

@@ -791,6 +791,32 @@ def test_statement_power_bounds_the_library_and_the_config_overrides_it():
         assert (v.outcome, v.failing_power, len(v.powers)) == ("fail", 2, 2)
 
 
+@pytest.mark.parametrize("source", ["flag", "statement"])
+def test_power_bound_above_n_is_clamped_at_n(capsys, monkeypatch, source):
+    # powers 1..n decide, so a bound above n = 1 tests power 1 alone and the
+    # pass is conclusive; the timeout keeps a regression from hanging
+
+    def bounded(k):
+        """(input text, CLI flags, config) that bound the powers at k."""
+        text = "base y\nvars x\nideal: x - y\n"
+        if source == "flag":
+            return text, ("--max-power", str(k)), CheckConfig(max_power=k)
+        return text + f"power {k}\n", (), CheckConfig()
+
+    text, flags, _ = bounded(100_000_000)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = _run(capsys, "--json", "--timeout-seconds", "5", *flags)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [(c["outcome"], c.get("conclusive", True), [p["k"] for p in c["powers"]]) for c in checks] == [
+        ("pass", True, [1])
+    ] * 2
+    text, _, config = bounded(7)
+    for check in (check_openness, check_flatness):
+        v = check(parse_problem(text), config)
+        assert (v.outcome, v.max_power_tested, len(v.powers), v.conclusive) == ("pass", 1, 1, True)
+
+
 def _check_summaries(monkeypatch, capsys, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, _ = _run(capsys, "--json", "--allow-char-p-flatness")

@@ -28,6 +28,7 @@ from fibrecheck import (
 )
 from fibrecheck import groebner
 from fibrecheck.groebner import decode_vectors, encode_vectors, exact_divide
+from fibrecheck.poly import Packing
 from fibrecheck.verticality import dominant_part
 
 from oracles import macaulay_member
@@ -378,6 +379,32 @@ def test_encoded_basis_checks_the_deadline_after_encoding():
     assert (budget.pairs, budget.work) == charged
 
 
+@pytest.mark.parametrize("kind", ["ideal", "module"])
+def test_second_membership_test_packs_only_the_tested_vector(monkeypatch, kind):
+    # the owner of a basis keeps it packed, so testing again packs only the
+    # dividend's terms, not the basis leads or tails
+    x, y = P(XY2, "x"), P(XY2, "y")
+    if kind == "ideal":
+        owner = Ideal(XY2, QQ, (P(XY2, "x^2 - y"), P(XY2, "x*y - 1")))
+        member = P(XY2, "(x^2 - y)*y + (x*y - 1)*x")
+        dividend = member
+    else:
+        owner = ModulePresentation(XY2, QQ, 2, ((x, y), (y * y, x * x)))
+        member = (x * x + y * y * y, x * y + x * x * y)
+        (dividend,) = encode_vectors([member], XY2, 2)
+    assert owner.contains(member)
+    packed = []
+    real = Packing.pack
+
+    def spy(packing, exps):
+        packed.append(exps)
+        return real(packing, exps)
+
+    monkeypatch.setattr(Packing, "pack", spy)
+    assert owner.contains(member)
+    assert sorted(packed) == sorted(e for _, e in dividend.terms)
+
+
 # ---------------------------------------------------------------------------
 # normal forms and membership
 
@@ -457,7 +484,7 @@ def test_spair_reduction_equals_reference_division(field, layout, order, data):
         return
     i, j = data.draw(st.sampled_from(list(itertools.combinations(range(len(G)), 2))))
     packing = order.packing(32)
-    basis = groebner._divisors(G, order, field, packing)
+    basis = groebner.Divisors(G, order, field).at(packing)
     leads = basis[0]
     lcm = packing.lcm(leads[i], leads[j])
     lcm_key = -packing.key(packing.unpack(lcm))

@@ -3,6 +3,7 @@ reference implementations."""
 
 from __future__ import annotations
 
+import argparse
 import heapq
 import itertools
 from operator import le
@@ -428,3 +429,29 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 BLOWUP_LAYOUT = RingLayout(("y1", "y2"), ("x",))
 CUSP_LAYOUT = RingLayout(("y1", "y2"), ("t",))
 LINE_LAYOUT = RingLayout(("y",), ("x",))
+
+
+def reference_flags(argv, started: float):
+    """The argparse parser that ``flags.parse`` replaced, with its range
+    checks: (options, the CheckConfig's fields) of argv, or the message of
+    its first value out of range.  argparse raises SystemExit on argv it
+    refuses."""
+    parser = argparse.ArgumentParser(prog="fibrecheck")
+    parser.add_argument("--input", default="-")
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--max-power", type=int, default=None)
+    parser.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
+    parser.add_argument("--allow-char-p-flatness", action="store_true")
+    parser.add_argument("--pair-limit", type=int, default=100_000)
+    parser.add_argument("--timeout-seconds", type=float, default=None)
+    parser.add_argument("--trace", action="store_true")
+    args = parser.parse_args(argv)
+    if args.max_power is not None and args.max_power < 1:
+        return f"--max-power must be >= 1, got {args.max_power}"
+    if args.pair_limit < 1:
+        return f"--pair-limit must be >= 1, got {args.pair_limit}"
+    if args.timeout_seconds is not None and not args.timeout_seconds > 0:
+        return f"--timeout-seconds must be > 0, got {args.timeout_seconds:g}"
+    options = {"input": args.input, "json": args.json, "trace": args.trace}
+    deadline = None if args.timeout_seconds is None else started + args.timeout_seconds
+    return options, (args.order, args.max_power, args.pair_limit, deadline, args.allow_char_p_flatness)
