@@ -161,6 +161,70 @@ def test_parse_error_vector_length_mismatch():
         parse_problem("base y\nvars x\nmodule 2: (y; 0; x)\n")
 
 
+BY = "base y\nvars x\n"
+
+# (input, line, col, message): every message the parser raises, where it
+# points, and which error wins when an input holds more than one
+PARSE_ERRORS = [
+    ("field F x\nbase y\n", 1, 1, "modulus must be an integer"),
+    ("field F 4\nbase y\n", 1, 1, "non-prime modulus"),
+    (f"base y\n field F {PRIME_LIMIT}\n", 2, 2, f"modulus must be below {PRIME_LIMIT}"),
+    ("base y\nfield R\n", 2, 1, "malformed field statement (expected 'Q' or 'F <p>')"),
+    ("base y\nfield F\n", 2, 1, "malformed field statement (expected 'Q' or 'F <p>')"),
+    ("base y 2x\n", 1, 1, "bad variable name '2x'"),
+    ("base y\nvars y\n", 2, 1, "duplicate variable 'y'"),
+    ("base y\nideal x\n", 2, 1, "missing ':' after 'ideal' (expected ':')"),
+    ("base y\nmodule 2 (y; 0)\n", 2, 1, "missing ':' after module rank (expected ':')"),
+    ("base y\nmodule two: (y)\n", 2, 1, "module rank must be an integer"),
+    ("base y\nmodule 0: (y)\n", 2, 1, "module rank must be >= 1"),
+    ("base y\nmodule 2: (y; 0)\n  module 3: (y; 0; 0)\n", 3, 3, "conflicting module ranks"),
+    ("base y\ncheck all\n", 2, 1, "malformed check statement (expected 'open', 'flat' or 'both')"),
+    ("base y\ncheck open flat\n", 2, 1, "malformed check statement (expected 'open', 'flat' or 'both')"),
+    ("base y\npower\n", 2, 1, "malformed power statement (expected 'power <k>')"),
+    ("base y\npower k\n", 2, 1, "power must be an integer"),
+    ("base y\npower 0\n", 2, 1, "power must be >= 1"),
+    ("base y\n  solve x\n", 2, 3, "unknown statement 'solve'"),
+    ("vars x\nideal: x\n", 1, 1, "no base variables declared"),
+    (BY + "ideal: x $ y\n", 3, 10, "unexpected character '$'"),
+    (BY + "ideal: (x, y)\n", 3, 10, "unexpected character ','"),
+    (BY + "ideal: x y\n", 3, 10, "trailing input 'y' (expected end of expression)"),
+    (BY + "ideal: x + )\n", 3, 12, "unexpected token ')' (expected number, variable or '(')"),
+    (BY + "ideal: x -\n", 3, 11, "unexpected token '' (expected number, variable or '(')"),
+    (BY + "ideal: x^y\n", 3, 10, "exponent must be an integer (expected integer)"),
+    (BY + "ideal: x^1001\n", 3, 10, "exponent 1001 exceeds the maximum 1000"),
+    (BY + "ideal: x - 1/y\n", 3, 14, "denominator must be an integer (expected integer)"),
+    (BY + "ideal: x - 1/0\n", 3, 14, "zero denominator"),
+    ("field F 3\n" + BY + "ideal: 1/3*x\n", 4, 10, "denominator divisible by the characteristic 3"),
+    (BY + "ideal: 7" + "0" * 700 + "*x\n", 3, 8, "coefficient has too many digits (701)"),
+    (BY + "ideal: 1/" + "3" * 700 + "\n", 3, 10, "denominator has too many digits (700)"),
+    ("base y\nideal: x\nvars x\n", 2, 8, "undeclared variable 'x'"),
+    ("base y\nvars x\nideal: y\nbase z\nideal: x, z, w\n", 5, 14, "undeclared variable 'w'"),
+    ("base y\nmodule 1: (x)\nvars x\n", 2, 12, "undeclared variable 'x'"),
+    (BY + "ideal: (x - y\n", 3, 14, "unbalanced parenthesis (expected ')')"),
+    (BY + "ideal: " + "(" * 101 + "x" + ")" * 101 + "\n", 3, 108, "parentheses nested deeper than 100"),
+    (BY + "ideal: (x + y)^1000\n", 3, 16, f"expression expands to more than {MAX_EXPANSION} term products"),
+    (BY + "ideal: x - y, x - x\n", 3, 14, "zero generator"),
+    (BY + "module 2: (x; y) z\n", 3, 10, "module vector must be parenthesized (expected '(' ... ')')"),
+    (BY + "module 2: (x; y),\n", 3, 18, "empty module vector"),
+    (BY + "module 2:\n", 3, 10, "empty module vector"),
+    (BY + "module 2: (x; )\n", 3, 15, "unexpected token '' (expected number, variable or '(')"),
+    (BY + "module 2: (y; 0; x)\n", 3, 10, "module vector has 3 components, rank is 2"),
+    # statements first, then ideal payloads, then module payloads
+    ("base y\nideal: z\ncheck all\n", 3, 1, "malformed check statement (expected 'open', 'flat' or 'both')"),
+    ("ideal: z\nfield F 4\n", 2, 1, "non-prime modulus"),
+    (BY + "module 1: (z)\nideal: w\n", 4, 8, "undeclared variable 'w'"),
+    (BY + "module 1: (x), (x; y)\nideal: x, x - x\n", 4, 10, "zero generator"),
+    (BY + "ideal: x, z\nideal: w\n", 3, 11, "undeclared variable 'z'"),
+]
+
+
+@pytest.mark.parametrize("text, line, col, message", PARSE_ERRORS)
+def test_parse_error_table(int_digit_limit, text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.col, str(exc.value)) == (line, col, f"line {line}, col {col}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # round trip
 
