@@ -10,6 +10,10 @@ The input is line-oriented ('#' starts a comment):
     check open | flat | both       (default both)
     power <k>                      (optional max-power override)
 
+A variable may be used only on lines after the one that declares it.  Every
+ideal generator must be nonzero; zero entries inside module vectors are
+allowed.  All module lines share one rank.
+
 Polynomials are +/- sums of products of rational coefficients ("3", "3/2"),
 declared variables, "^" integer powers (at most MAX_EXPONENT) and parentheses
 (nested at most MAX_NESTING deep); an expression may form at most
@@ -31,7 +35,7 @@ from fractions import Fraction
 
 from . import __version__, flags
 from .fields import PRIME_LIMIT, QQ, PrimeField
-from .poly import Polynomial, RingLayout, power_products, render_poly, transport
+from .poly import Polynomial, RingLayout, power_products, render_poly
 from .power import ModuleSpec, Problem
 from .verticality import (
     CharacteristicGuardError,
@@ -95,95 +99,6 @@ def _parse_int(text: str, what: str, line: int, col: int) -> int:
 # polynomial expressions
 
 
-class _Tokens:
-    def __init__(self, text: str, line: int, col_offset: int):
-        self.text = text
-        self.line = line
-        self.offset = col_offset
-        self.work = 0  # term products charged so far, at most MAX_EXPANSION
-        self.depth = 0  # parentheses open, at most MAX_NESTING
-        self.toks = []
-        self._lex()
-        self.i = 0
-
-    def _lex(self):
-        s, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = s[i]
-            if ch.isspace():
-                i += 1
-                continue
-            start = i
-            if ch.isdigit():
-                while i < n and s[i].isdigit():
-                    i += 1
-                self.toks.append(("INT", s[start:i], start))
-            elif ch.isalpha() or ch == "_":
-                while i < n and (s[i].isalnum() or s[i] == "_"):
-                    i += 1
-                self.toks.append(("IDENT", s[start:i], start))
-            elif ch in "+-*^()/":
-                self.toks.append((ch, ch, start))
-                i += 1
-            else:
-                raise ParseError(
-                    f"unexpected character {ch!r}",
-                    self.line,
-                    self.offset + start + 1,
-                )
-        self.toks.append(("EOF", "", n))
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message, expected=None):
-        _, _, start = self.peek()
-        raise ParseError(message, self.line, self.offset + start + 1, expected)
-
-    def charge(self, products: int, start: int):
-        """Count ``products`` term products, weighted by coefficient size,
-        against MAX_EXPANSION before they are formed; an excess is a
-        ParseError at the token at ``start``."""
-        self.work += products
-        if self.work > MAX_EXPANSION:
-            raise ParseError(
-                f"expression expands to more than {MAX_EXPANSION} term products",
-                self.line,
-                self.offset + start + 1,
-            )
-
-    def int_at(self, text: str, start: int, what: str) -> int:
-        """The integer of the token text starting at ``start``."""
-        return _parse_int(text, what, self.line, self.offset + start + 1)
-
-
-def _parse_polyexpr(tokens: _Tokens, layout: RingLayout, fld) -> Polynomial:
-    expr = _parse_sum(tokens, layout, fld)
-    if tokens.peek()[0] != "EOF":
-        tokens.error(f"trailing input {tokens.peek()[1]!r}", "end of expression")
-    return expr
-
-
-def _parse_sum(tokens, layout, fld):
-    sign = 1
-    if tokens.peek()[0] in ("+", "-"):
-        sign = -1 if tokens.next()[0] == "-" else 1
-    acc = _parse_product(tokens, layout, fld)
-    if sign < 0:
-        acc = -acc
-    while tokens.peek()[0] in ("+", "-"):
-        op = tokens.next()[0]
-        term = _parse_product(tokens, layout, fld)
-        acc = acc + term if op == "+" else acc - term
-    return acc
-
-
 def _chunks(bits: int) -> int:
     return max(1, -(-bits // COEFF_CHUNK_BITS))
 
@@ -208,80 +123,148 @@ def _power_bits(f: Polynomial, e: int, fld) -> int:
     return e * max(total, den).bit_length()
 
 
-def _parse_product(tokens, layout, fld):
-    acc = _parse_power(tokens, layout, fld)
-    while tokens.peek()[0] == "*":
-        start = tokens.next()[2]
-        factor = _parse_power(tokens, layout, fld)
-        width = _chunks(_coeff_bits(acc)) * _chunks(_coeff_bits(factor))
-        tokens.charge(len(acc.terms) * len(factor.terms) * width, start)
-        acc = acc * factor
-    return acc
+class _Expression:
+    """The parser of one expression: its tokens, their line and column offset
+    in the input, the problem's final layout and field, in which it builds
+    the polynomial, and the names declared before its line.  The grammar is
+    its methods: sum, product, power and atom."""
 
+    def __init__(self, text: str, line: int, offset: int, layout: RingLayout, fld, declared):
+        self.line, self.offset = line, offset
+        self.layout, self.fld, self.declared = layout, fld, declared
+        self.work = 0  # term products charged so far, at most MAX_EXPANSION
+        self.depth = 0  # parentheses open, at most MAX_NESTING
+        self.toks, self.i = [], 0
+        n, i = len(text), 0
+        while i < n:
+            ch, start = text[i], i
+            if ch.isspace():
+                i += 1
+                continue
+            if ch.isdigit():
+                while i < n and text[i].isdigit():
+                    i += 1
+                self.toks.append(("INT", text[start:i], start))
+            elif ch.isalpha() or ch == "_":
+                while i < n and (text[i].isalnum() or text[i] == "_"):
+                    i += 1
+                self.toks.append(("IDENT", text[start:i], start))
+            elif ch in "+-*^()/":
+                self.toks.append((ch, ch, start))
+                i += 1
+            else:
+                self.error(f"unexpected character {ch!r}", start=start)
+        self.toks.append(("EOF", "", n))
 
-def _parse_power(tokens, layout, fld):
-    base = _parse_atom(tokens, layout, fld)
-    if tokens.peek()[0] == "^":
-        tokens.next()
-        kind, text, start = tokens.peek()
+    def peek(self):
+        return self.toks[self.i]
+
+    def next(self):
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def error(self, message, expected=None, start=None):
+        """A ParseError at the token starting at ``start``, by default the
+        next one."""
+        start = self.peek()[2] if start is None else start
+        raise ParseError(message, self.line, self.offset + start + 1, expected)
+
+    def charge(self, products: int, start: int):
+        """Count ``products`` term products, weighted by coefficient size,
+        against MAX_EXPANSION before they are formed; an excess is a
+        ParseError at the token at ``start``."""
+        self.work += products
+        if self.work > MAX_EXPANSION:
+            self.error(f"expression expands to more than {MAX_EXPANSION} term products", start=start)
+
+    def int_at(self, text: str, start: int, what: str) -> int:
+        """The integer of the token text starting at ``start``."""
+        return _parse_int(text, what, self.line, self.offset + start + 1)
+
+    def parse(self) -> Polynomial:
+        expr = self.sum()
+        if self.peek()[0] != "EOF":
+            self.error(f"trailing input {self.peek()[1]!r}", "end of expression")
+        return expr
+
+    def sum(self) -> Polynomial:
+        negate = self.peek()[0] == "-"
+        if self.peek()[0] in ("+", "-"):
+            self.next()
+        acc = -self.product() if negate else self.product()
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()[0]
+            term = self.product()
+            acc = acc + term if op == "+" else acc - term
+        return acc
+
+    def product(self) -> Polynomial:
+        acc = self.power()
+        while self.peek()[0] == "*":
+            start = self.next()[2]
+            factor = self.power()
+            width = _chunks(_coeff_bits(acc)) * _chunks(_coeff_bits(factor))
+            self.charge(len(acc.terms) * len(factor.terms) * width, start)
+            acc = acc * factor
+        return acc
+
+    def power(self) -> Polynomial:
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        self.next()
+        kind, text, start = self.peek()
         if kind != "INT":
-            tokens.error("exponent must be an integer", "integer")
+            self.error("exponent must be an integer", "integer")
         digits = text.lstrip("0") or "0"
         # longer than the maximum is larger, however long it is to convert
         if len(digits) > len(str(MAX_EXPONENT)):
             exponent = MAX_EXPONENT + 1
         else:
-            exponent = tokens.int_at(digits, start, "exponent")
+            exponent = self.int_at(digits, start, "exponent")
         if exponent > MAX_EXPONENT:
-            tokens.error(f"exponent {text} exceeds the maximum {MAX_EXPONENT}")
-        tokens.next()
+            self.error(f"exponent {text} exceeds the maximum {MAX_EXPONENT}")
+        self.next()
         # every power b^k of the schedule is at most as wide as b^e
-        width = _chunks(_power_bits(base, exponent, fld)) ** 2
-        tokens.charge(power_products(len(base.terms), exponent) * width, start)
-        base = base ** exponent
-    return base
+        width = _chunks(_power_bits(base, exponent, self.fld)) ** 2
+        self.charge(power_products(len(base.terms), exponent) * width, start)
+        return base ** exponent
 
-
-def _parse_atom(tokens, layout, fld):
-    kind, text, start = tokens.peek()
-    if kind == "INT":
-        num = tokens.int_at(text, start, "coefficient")
-        tokens.next()
-        if tokens.peek()[0] == "/":
-            tokens.next()
-            k2, t2, start2 = tokens.peek()
-            if k2 != "INT":
-                tokens.error("denominator must be an integer", "integer")
-            den = tokens.int_at(t2, start2, "denominator")
-            if den == 0:
-                tokens.error("zero denominator")
-            if fld.characteristic and den % fld.characteristic == 0:
-                tokens.error(f"denominator divisible by the characteristic {fld.characteristic}")
-            tokens.next()
-            return Polynomial.constant(layout, fld, Fraction(num, den))
-        return Polynomial.constant(layout, fld, num)
-    if kind == "IDENT":
-        tokens.next()
-        try:
-            return Polynomial.variable(layout, fld, text)
-        except KeyError:
-            raise ParseError(
-                f"undeclared variable {text!r}",
-                tokens.line,
-                tokens.offset + tokens.toks[tokens.i - 1][2] + 1,
-            ) from None
-    if kind == "(":
-        if tokens.depth == MAX_NESTING:
-            tokens.error(f"parentheses nested deeper than {MAX_NESTING}")
-        tokens.depth += 1
-        tokens.next()
-        inner = _parse_sum(tokens, layout, fld)
-        if tokens.peek()[0] != ")":
-            tokens.error("unbalanced parenthesis", "')'")
-        tokens.next()
-        tokens.depth -= 1
+    def atom(self) -> Polynomial:
+        kind, text, start = self.peek()
+        if kind == "INT":
+            value = self.int_at(text, start, "coefficient")
+            self.next()
+            if self.peek()[0] == "/":
+                self.next()
+                k2, t2, start2 = self.peek()
+                if k2 != "INT":
+                    self.error("denominator must be an integer", "integer")
+                den = self.int_at(t2, start2, "denominator")
+                if den == 0:
+                    self.error("zero denominator")
+                if self.fld.characteristic and den % self.fld.characteristic == 0:
+                    self.error(f"denominator divisible by the characteristic {self.fld.characteristic}")
+                self.next()
+                value = Fraction(value, den)
+            return Polynomial.constant(self.layout, self.fld, value)
+        if kind == "IDENT":
+            if text not in self.declared:
+                self.error(f"undeclared variable {text!r}")
+            self.next()
+            return Polynomial.variable(self.layout, self.fld, text)
+        if kind != "(":
+            self.error(f"unexpected token {text!r}", "number, variable or '('")
+        if self.depth == MAX_NESTING:
+            self.error(f"parentheses nested deeper than {MAX_NESTING}")
+        self.depth += 1
+        self.next()
+        inner = self.sum()
+        if self.peek()[0] != ")":
+            self.error("unbalanced parenthesis", "')'")
+        self.next()
+        self.depth -= 1
         return inner
-    tokens.error(f"unexpected token {text!r}", "number, variable or '('")
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +290,9 @@ def parse_problem(text: str) -> Problem:
     field = QQ
     base: list = []
     fibre: list = []
-    ideal_lines: list = []   # (payload, line_no, col_offset, scope layout)
+    # (is a module line, payload, line_no, col_offset, names declared before it)
+    payloads: list = []
     module_rank: int | None = None
-    module_lines: list = []
     checks: tuple | None = None
     max_power: int | None = None
 
@@ -335,7 +318,7 @@ def parse_problem(text: str) -> Problem:
             else:
                 raise ParseError("malformed field statement", lineno, indent + 1, "'Q' or 'F <p>'")
         elif head in ("base", "vars"):
-            declared = base if head == "base" else fibre
+            names = base if head == "base" else fibre
             for name in words[1:]:
                 if not (name[0].isalpha() or name[0] == "_") or not all(
                     c.isalnum() or c == "_" for c in name
@@ -343,18 +326,17 @@ def parse_problem(text: str) -> Problem:
                     raise ParseError(f"bad variable name {name!r}", lineno, indent + 1)
                 if name in base or name in fibre:
                     raise ParseError(f"duplicate variable {name!r}", lineno, indent + 1)
-                declared.append(name)
+                names.append(name)
         elif head.startswith("ideal"):
             body = stripped[len("ideal"):].lstrip()
             if not body.startswith(":"):
                 raise ParseError("missing ':' after 'ideal'", lineno, indent + 1, "':'")
             payload = body[1:]
-            offset = len(raw) - len(payload)
-            ideal_lines.append((payload, lineno, offset, RingLayout(tuple(base), tuple(fibre))))
+            payloads.append((False, payload, lineno, len(raw) - len(payload), {*base, *fibre}))
         elif head == "module":
             rest = stripped[len("module"):].lstrip()
-            head_part, _, payload = rest.partition(":")
-            if not _:
+            head_part, colon, payload = rest.partition(":")
+            if not colon:
                 raise ParseError("missing ':' after module rank", lineno, indent + 1, "':'")
             rank = _parse_int(head_part.strip(), "module rank", lineno, indent + 1)
             if rank < 1:
@@ -362,8 +344,7 @@ def parse_problem(text: str) -> Problem:
             if module_rank is not None and module_rank != rank:
                 raise ParseError("conflicting module ranks", lineno, indent + 1)
             module_rank = rank
-            offset = len(raw) - len(payload)
-            module_lines.append((payload, lineno, offset, RingLayout(tuple(base), tuple(fibre))))
+            payloads.append((True, payload, lineno, len(raw) - len(payload), {*base, *fibre}))
         elif head == "check":
             if len(words) != 2 or words[1] not in ("open", "flat", "both"):
                 raise ParseError("malformed check statement", lineno, indent + 1, "'open', 'flat' or 'both'")
@@ -380,55 +361,47 @@ def parse_problem(text: str) -> Problem:
     if not base:
         raise ParseError("no base variables declared", 1, 1)
 
+    # every expression is built in the final layout and field; ideal payloads
+    # are read before module payloads, each in input order
     layout = RingLayout(tuple(base), tuple(fibre), 1, None)
-
-    gens = []
-    for payload, lineno, offset, scope in ideal_lines:
+    gens: list = []
+    vectors: list = []
+    for is_module, payload, lineno, offset, declared in sorted(payloads, key=lambda entry: entry[0]):
         for chunk, chunk_off in _split_top_level(payload, ","):
-            tokens = _Tokens(chunk, lineno, offset + chunk_off)
-            g = _parse_polyexpr(tokens, scope, field)
-            if g.is_zero:
-                raise ParseError("zero generator", lineno, offset + chunk_off + 1)
-            gens.append(transport(g, layout))
-
-    module = None
-    if module_rank is not None:
-        vectors = []
-        for payload, lineno, offset, scope in module_lines:
-            for chunk, chunk_off in _split_top_level(payload, ","):
-                s = chunk.strip()
-                if not s:
-                    raise ParseError("empty module vector", lineno, offset + chunk_off + 1)
-                if not (s.startswith("(") and s.endswith(")")):
-                    raise ParseError("module vector must be parenthesized", lineno, offset + chunk_off + 1, "'(' ... ')'")
-                inner = s[1:-1]
-                inner_off = offset + chunk_off + chunk.index("(") + 1
-                comps = []
-                for comp_text, comp_off in _split_top_level(inner, ";"):
-                    tokens = _Tokens(comp_text, lineno, inner_off + comp_off)
-                    comps.append(transport(_parse_polyexpr(tokens, scope, field), layout))
-                if len(comps) != module_rank:
-                    raise ParseError(
-                        f"module vector has {len(comps)} components, rank is {module_rank}",
-                        lineno,
-                        offset + chunk_off + 1,
-                    )
-                vectors.append(tuple(comps))
-        module = ModuleSpec(module_rank, tuple(vectors))
+            col = offset + chunk_off + 1
+            if not is_module:
+                gens.append(_Expression(chunk, lineno, col - 1, layout, field, declared).parse())
+                if gens[-1].is_zero:
+                    raise ParseError("zero generator", lineno, col)
+                continue
+            s = chunk.strip()
+            if not s:
+                raise ParseError("empty module vector", lineno, col)
+            if not (s.startswith("(") and s.endswith(")")):
+                raise ParseError("module vector must be parenthesized", lineno, col, "'(' ... ')'")
+            inner_off = col + chunk.index("(")
+            vectors.append(tuple(
+                _Expression(comp, lineno, inner_off + comp_off, layout, field, declared).parse()
+                for comp, comp_off in _split_top_level(s[1:-1], ";")
+            ))
+            if len(vectors[-1]) != module_rank:
+                raise ParseError(f"module vector has {len(vectors[-1])} components, rank is {module_rank}", lineno, col)
 
     return Problem(
         field=field,
         base_vars=tuple(base),
         fibre_vars=tuple(fibre),
         ideal_gens=tuple(gens),
-        module=module,
+        module=None if module_rank is None else ModuleSpec(module_rank, tuple(vectors)),
         checks=checks or ("open", "flat"),
         max_power=max_power,
     )
 
 
 def render_problem(problem: Problem) -> str:
-    """Inverse of parse_problem up to formatting (round-trip tested)."""
+    """Inverse of parse_problem up to formatting (round-trip tested).  A
+    module without relations is rendered with one zero vector, which its
+    presentation drops."""
     lines = [f"field {'Q' if problem.field == QQ else 'F ' + str(problem.field.p)}"]
     lines.append("base " + " ".join(problem.base_vars))
     if problem.fibre_vars:
@@ -436,11 +409,9 @@ def render_problem(problem: Problem) -> str:
     if problem.ideal_gens:
         lines.append("ideal: " + ", ".join(render_poly(g) for g in problem.ideal_gens))
     if problem.module is not None:
-        vecs = ", ".join(
-            "(" + "; ".join(render_poly(c) for c in v) + ")"
-            for v in problem.module.relations
-        )
-        lines.append(f"module {problem.module.rank}: {vecs}" if vecs else f"module {problem.module.rank}:")
+        t = problem.module.rank
+        vecs = [f"({'; '.join(map(render_poly, v))})" for v in problem.module.relations]
+        lines.append(f"module {t}: " + (", ".join(vecs) or "(" + "; ".join(["0"] * t) + ")"))
     if problem.checks == ("open", "flat"):
         lines.append("check both")
     else:

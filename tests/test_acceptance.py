@@ -4,7 +4,9 @@ Each criterion prints a single PASS/FAIL line (visible under pytest -s or in
 failure output); any assertion failure fails the criterion.
 """
 
+import itertools
 import json
+import math
 import pathlib
 import time
 
@@ -23,7 +25,7 @@ from fibrecheck import (
 from fibrecheck.cli import run
 
 from corpus import full_corpus, named_fixtures
-from oracles import saturate_by_quotients
+from oracles import macaulay_member, saturate_by_quotients
 from util import PW, ideal_equal, ideal_of
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -177,6 +179,45 @@ def test_criterion_6_property_suite():
         assert (og.outcome, og.failing_power) == (ol.outcome, ol.failing_power)
         assert (fg.outcome, fg.failing_power) == (fl.outcome, fl.failing_power)
     _report("6 (property suite: zero violations on >= 10 inputs)")
+
+
+def _value(f, point):
+    """f at an integer point, term by term."""
+    return sum(c * math.prod(a**x for a, x in zip(point, e)) for c, e in f.terms)
+
+
+def test_negative_verdicts_confirmed_without_the_engine():
+    # the positive half of every failure on the corpus by the Macaulay
+    # oracle: r*v in J_k, and (r*g)^e in J_k for some e <= 3; the negative
+    # half on the named fixtures by a point of V(J_k) in [-3, 3] where g (or v)
+    # is nonzero, so g lies outside sqrt(J_k) and v outside J_k
+    with_point = {"blowup", "cusp", "vertical_union", "hyperplane_image"}
+    names = [f.name for f in named_fixtures()]
+    failed, pointed = [], set()
+    for name, problem in itertools.zip_longest(names, full_corpus()):
+        o, f = check_openness(problem), check_flatness(problem)
+        if "fail" not in (o.outcome, f.outcome):
+            continue
+        assert (o.outcome, f.outcome) == ("fail", "fail"), name
+        failed.append(name)
+        for k, r, w, exponents in (
+            (o.failing_power, o.witness_r, o.witness_g, (1, 2, 3)),
+            (f.failing_power, f.certificate_r, f.certificate_v, (1,)),
+        ):
+            assert not r.is_zero and r.support_indices() <= set(range(problem.n))
+            Jk = fibred_power_ideal(problem.ideal, k)
+            # degree bounds up to 3 above the member's degree; cusp needs 2
+            assert any(
+                macaulay_member(h, Jk.gens, h.total_degree() + extra)
+                for h in ((r * w) ** e for e in exponents)
+                for extra in range(4)
+            ), (name, k)
+            if name in with_point:
+                box = itertools.product(range(-3, 4), repeat=Jk.layout.nvars)
+                assert any(_value(w, p) and not any(_value(g, p) for g in Jk.gens) for p in box), (name, k)
+                pointed.add(name)
+    assert len(failed) == 6 and pointed == with_point
+    _report("negative verdicts confirmed without the engine")
 
 
 def test_criterion_7_dimension_diagnostics():

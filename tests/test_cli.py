@@ -14,7 +14,9 @@ from fibrecheck import (
     QQ,
     CheckConfig,
     ComputeBudget,
+    ModuleSpec,
     PrimeField,
+    Problem,
     check_flatness,
     check_openness,
     fibred_power_ideal,
@@ -239,6 +241,18 @@ def test_render_parse_round_trip_on_fixture_corpus():
         assert [str(g) for g in reparsed.ideal_gens] == [
             str(g) for g in fx.problem.ideal_gens
         ]
+
+
+def test_render_parse_round_trip_of_a_module_without_relations():
+    # rendered with one zero vector, which the module's presentation drops,
+    # so the reparsed problem reads and checks as the original
+    problem = Problem(QQ, ("y",), ("x",), (), module=ModuleSpec(2, ()))
+    text = render_problem(problem)
+    assert "\nmodule 2: (0; 0)\n" in text
+    reparsed = parse_problem(text)
+    assert render_problem(reparsed) == text
+    for check in (check_openness, check_flatness):
+        assert cli._verdict_json(check(reparsed), False) == cli._verdict_json(check(problem), False)
 
 
 def test_render_parse_round_trip_on_fixture_files():

@@ -9,7 +9,7 @@ import itertools
 from operator import le
 
 from fibrecheck import QQ, ComputeBudget, Ideal, ModulePresentation, Polynomial, RingLayout, fibred_power_ideal, groebner
-from fibrecheck.cli import _parse_polyexpr, _Tokens
+from fibrecheck.cli import _Expression
 from fibrecheck.poly import default_order, integer_normalized, mono_div, relabel
 
 
@@ -23,7 +23,7 @@ def mono_lcm(a, b):
 
 def P(layout: RingLayout, text: str, field=QQ) -> Polynomial:
     """Parse a polynomial expression against a layout's bare variable names."""
-    return _parse_polyexpr(_Tokens(text, 1, 0), layout, field)
+    return _Expression(text, 1, 0, layout, field, layout.var_names()).parse()
 
 
 def PW(powered: RingLayout, text: str, field=QQ) -> Polynomial:
