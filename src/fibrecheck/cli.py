@@ -327,7 +327,7 @@ def parse_problem(text: str) -> Problem:
                 if name in base or name in fibre:
                     raise ParseError(f"duplicate variable {name!r}", lineno, indent + 1)
                 names.append(name)
-        elif head.startswith("ideal"):
+        elif head == "ideal" or head.startswith("ideal:"):
             body = stripped[len("ideal"):].lstrip()
             if not body.startswith(":"):
                 raise ParseError("missing ':' after 'ideal'", lineno, indent + 1, "':'")
@@ -368,9 +368,9 @@ def parse_problem(text: str) -> Problem:
     vectors: list = []
     for is_module, payload, lineno, offset, declared in sorted(payloads, key=lambda entry: entry[0]):
         for chunk, chunk_off in _split_top_level(payload, ","):
-            col = offset + chunk_off + 1
+            col = offset + chunk_off + 1 + len(chunk) - len(chunk.lstrip())  # the expression's first character
             if not is_module:
-                gens.append(_Expression(chunk, lineno, col - 1, layout, field, declared).parse())
+                gens.append(_Expression(chunk, lineno, offset + chunk_off, layout, field, declared).parse())
                 if gens[-1].is_zero:
                     raise ParseError("zero generator", lineno, col)
                 continue
@@ -379,9 +379,8 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError("empty module vector", lineno, col)
             if not (s.startswith("(") and s.endswith(")")):
                 raise ParseError("module vector must be parenthesized", lineno, col, "'(' ... ')'")
-            inner_off = col + chunk.index("(")
             vectors.append(tuple(
-                _Expression(comp, lineno, inner_off + comp_off, layout, field, declared).parse()
+                _Expression(comp, lineno, col + comp_off, layout, field, declared).parse()
                 for comp, comp_off in _split_top_level(s[1:-1], ";")
             ))
             if len(vectors[-1]) != module_rank:

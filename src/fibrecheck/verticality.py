@@ -9,12 +9,14 @@ J_1: A_h is free over R_h (generic freeness), so is each tensor power, and
 J_k : h^infinity is the dominant part of every J_k, while J_k's own h would
 add spurious factors.  A module of rank >= 2 keeps each power's h, a power of
 which is its certificate.  Witnesses are re-checked before a verdict is
-emitted (see the re-checks for which bases they recompute).
-"""
+emitted; g outside sqrt(J_k) is proven by a point of V(J_k) where g is nonzero,
+if one is found (see the re-checks for what they recompute)."""
 
 from __future__ import annotations
 
 import time
+from itertools import islice, product
+from math import prod
 from dataclasses import dataclass, field as dc_field
 
 from .fields import RationalField
@@ -275,7 +277,7 @@ def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, first
             return False, None
         r = vertical_witness(Jk, g, within, budget)
         g = integer_normalized(g)
-        _verify_open_witness(Jk, g, r, within, budget)
+        _verify_open_witness(Jk, first, g, r, within, budget)
         return True, (g, r)
 
     # flatness: torsion in the tensor power of F (F = A when none declared)
@@ -308,20 +310,67 @@ def _is_pure_base(f: Polynomial) -> bool:
 # Every re-check recomputes the bases and membership answers it needs: it runs
 # inside budget.memo_bypassed(), and it asks a fresh object, whose per-object
 # basis cache is empty, rather than the Jk or pres that the search filled.
-# _verify_open_witness builds new ideals in radical_member; the flat re-check
+# _verify_open_witness builds new ideals in radical_member, for g only when
+# _point_outside finds no point of V(J_k) outside V(g); the flat re-check
 # copies Jk, or encodes the relations of pres afresh.
 
 
-def _verify_open_witness(Jk, g, r, within, budget):
+def _verify_open_witness(Jk, first, g, r, within, budget):
     with budget.memo_bypassed():
         ok = (
             not r.is_zero
             and _is_pure_base(r)
             and radical_member(r * g, Jk, within, budget)
-            and not radical_member(g, Jk, within, budget)
+            and (_point_outside(Jk, first, g, r, budget) or not radical_member(g, Jk, within, budget))
         )
     if not ok:
         raise WitnessSoundnessError("openness witness failed its re-check")
+
+
+_POINT_TRIES = 1000  # points evaluated, base, fibre and k-tuple alike, before the engine decides
+
+
+def _evaluator(f):
+    """f at an integer point, exactly, on its kernel ints (mod p over F_p): 0
+    iff f vanishes there; None over Q where a coordinate other than 0, 1, -1
+    would be raised above 1000."""
+    p = f.field.characteristic
+    ints, _ = f.field.to_kernel([c for c, _ in f.terms])
+    terms = [(c, [(i, x) for i, x in enumerate(e) if x]) for c, (_, e) in zip(ints, f.terms)]
+    huge = () if p else {i for _, factors in terms for i, x in factors if x > 1000}
+    def value(point):
+        if any(point[i] not in (-1, 0, 1) for i in huge):
+            return None
+        total = sum(c * prod([pow(point[i], x, p or None) for i, x in factors]) for c, factors in terms)
+        return total % p if p else total
+    return value
+
+
+def _point_outside(Jk, first, g, r, budget):
+    """A point of V(J_k) in [-3, 3]^N where g is nonzero, or None after
+    _POINT_TRIES points.  Base points y with r(y) = 0 come by increasing size;
+    over y, V(J_k) is the k-fold product of the fibre of V(J_1), so each fibre
+    point x adds the k-tuples whose last new member is x.  A tuple counts once
+    every generator of J_k is 0 there and g is not."""
+    at_r, at_g, k = _evaluator(r), _evaluator(g), Jk.layout.copies
+    fibre_eqs, power_eqs = [_evaluator(f) for f in first.gens], [_evaluator(f) for f in Jk.gens]
+    def box(n):  # the integer points of [-3, 3]^n, by increasing max-norm
+        return (p for s in range(4) for p in product(range(-s, s + 1), repeat=n) if not s or s in p or -s in p)
+    def trials():  # one item per point evaluated: the point found, else None
+        for y in box(len(Jk.layout.base_vars)):
+            budget.check_deadline()
+            fibre = []
+            for x in box(len(Jk.layout.fibre_vars)) if at_r(y) == 0 else ():
+                if all(f(y + x) == 0 for f in fibre_eqs):
+                    fibre.append(x)
+                    for i in range(k):  # x first at position i
+                        for t in product(*[fibre[:-1]] * i, [x], *[fibre] * (k - 1 - i)):
+                            point = y + sum(t, ())
+                            yield point if at_g(point) and all(f(point) == 0 for f in power_eqs) else None
+                yield None
+            yield None
+
+    return next((p for p in islice(trials(), _POINT_TRIES) if p is not None), None)
 
 
 def _verify_flat_ideal_certificate(Jk, r, v, within, budget):

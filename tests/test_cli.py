@@ -186,6 +186,7 @@ PARSE_ERRORS = [
     ("base y\npower k\n", 2, 1, "power must be an integer"),
     ("base y\npower 0\n", 2, 1, "power must be >= 1"),
     ("base y\n  solve x\n", 2, 3, "unknown statement 'solve'"),
+    ("base y\nideals: x\n", 2, 1, "unknown statement 'ideals:'"),
     ("vars x\nideal: x\n", 1, 1, "no base variables declared"),
     (BY + "ideal: x $ y\n", 3, 10, "unexpected character '$'"),
     (BY + "ideal: (x, y)\n", 3, 10, "unexpected character ','"),
@@ -205,17 +206,17 @@ PARSE_ERRORS = [
     (BY + "ideal: (x - y\n", 3, 14, "unbalanced parenthesis (expected ')')"),
     (BY + "ideal: " + "(" * 101 + "x" + ")" * 101 + "\n", 3, 108, "parentheses nested deeper than 100"),
     (BY + "ideal: (x + y)^1000\n", 3, 16, f"expression expands to more than {MAX_EXPANSION} term products"),
-    (BY + "ideal: x - y, x - x\n", 3, 14, "zero generator"),
-    (BY + "module 2: (x; y) z\n", 3, 10, "module vector must be parenthesized (expected '(' ... ')')"),
+    (BY + "ideal: x - y, x - x\n", 3, 15, "zero generator"),
+    (BY + "module 2: (x; y) z\n", 3, 11, "module vector must be parenthesized (expected '(' ... ')')"),
     (BY + "module 2: (x; y),\n", 3, 18, "empty module vector"),
     (BY + "module 2:\n", 3, 10, "empty module vector"),
     (BY + "module 2: (x; )\n", 3, 15, "unexpected token '' (expected number, variable or '(')"),
-    (BY + "module 2: (y; 0; x)\n", 3, 10, "module vector has 3 components, rank is 2"),
+    (BY + "module 2: (y; 0; x)\n", 3, 11, "module vector has 3 components, rank is 2"),
     # statements first, then ideal payloads, then module payloads
     ("base y\nideal: z\ncheck all\n", 3, 1, "malformed check statement (expected 'open', 'flat' or 'both')"),
     ("ideal: z\nfield F 4\n", 2, 1, "non-prime modulus"),
     (BY + "module 1: (z)\nideal: w\n", 4, 8, "undeclared variable 'w'"),
-    (BY + "module 1: (x), (x; y)\nideal: x, x - x\n", 4, 10, "zero generator"),
+    (BY + "module 1: (x), (x; y)\nideal: x, x - x\n", 4, 11, "zero generator"),
     (BY + "ideal: x, z\nideal: w\n", 3, 11, "undeclared variable 'z'"),
 ]
 
@@ -330,8 +331,8 @@ def test_exit_one_on_denominator_without_inverse(capsys, monkeypatch, text, erro
 @pytest.mark.parametrize(
     "text, location",
     [
-        ("field F 3\nbase y\nvars x\nideal: x - y, 3*x\n", "line 4, col 14"),
-        ("base y\nvars x\nideal: x - y, 3*x\nfield F 3\n", "line 3, col 14"),
+        ("field F 3\nbase y\nvars x\nideal: x - y, 3*x\n", "line 4, col 15"),
+        ("base y\nvars x\nideal: x - y, 3*x\nfield F 3\n", "line 3, col 15"),
     ],
     ids=["field-first", "field-last"],
 )
@@ -662,7 +663,7 @@ def test_blowup_a3_pair_counts_pinned(capsys, monkeypatch):
         c["kind"]: [(p["basis_size"], p["pairs"]) for p in c["powers"]]
         for c in json.loads(out)["checks"]
     }
-    assert stats == {"open": [(7, 13), (15, 137)], "flat": [(7, 13), (15, 93)]}
+    assert stats == {"open": [(7, 13), (15, 112)], "flat": [(7, 13), (15, 93)]}
 
 
 def test_rank2_module_pair_counts_pinned(capsys):
@@ -681,10 +682,10 @@ G1 = "base y1 y2 y3\nvars x1 x2 x3\nideal: x1*x2 - y1, x2*x3 - y2, x1*x3 - y3*x2
 @pytest.mark.parametrize(
     "text, order, want",
     [
-        (A4_CHART, "grevlex", {"open": [(1, 14, 45), (2, 29, 358)], "flat": [(1, 14, 45), (2, 29, 282)]}),
-        (A4_CHART, "lex", {"open": [(1, 14, 45), (2, 29, 358)], "flat": [(1, 14, 45), (2, 29, 282)]}),
-        (G1, "grevlex", {"open": [(1, 13, 40), (2, 51, 860)], "flat": [(1, 13, 40), (2, 51, 645)]}),
-        (G1, "lex", {"open": [(1, 17, 57), (2, 73, 1192)], "flat": [(1, 17, 57), (2, 73, 876)]}),
+        (A4_CHART, "grevlex", {"open": [(1, 14, 45), (2, 29, 299)], "flat": [(1, 14, 45), (2, 29, 282)]}),
+        (A4_CHART, "lex", {"open": [(1, 14, 45), (2, 29, 299)], "flat": [(1, 14, 45), (2, 29, 282)]}),
+        (G1, "grevlex", {"open": [(1, 13, 40), (2, 51, 722)], "flat": [(1, 13, 40), (2, 51, 645)]}),
+        (G1, "lex", {"open": [(1, 17, 57), (2, 73, 1006)], "flat": [(1, 17, 57), (2, 73, 876)]}),
     ],
     ids=["A4-grevlex", "A4-lex", "g1-grevlex", "g1-lex"],
 )

@@ -1,7 +1,9 @@
 """Openness and flatness decisions: generic denominators, dominant parts,
 vertical components, torsion, and the full power-loop checks."""
 
+import math
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +37,7 @@ from fibrecheck import (
 
 from fibrecheck import verticality
 from fibrecheck.cli import parse_problem
-from fibrecheck.groebner import encode_vectors, exact_divide
+from fibrecheck.groebner import ComputeBudget, ResourceLimitError, encode_vectors, exact_divide
 from fibrecheck.poly import MonomialOrder
 from fibrecheck.verticality import (
     _verify_flat_ideal_certificate,
@@ -61,6 +63,7 @@ BLOWUP_IDEAL = ideal_of(BLOWUP_LAYOUT, "y1*x - y2")
 BLOWUP1 = fibred_power_ideal(BLOWUP_IDEAL, 1)
 BLOWUP2 = fibred_power_ideal(BLOWUP_IDEAL, 2)
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+FIXTURES = GOLDEN.parent.parent / "fixtures"
 A3_CHART = ideal_of(RingLayout(("y1", "y2", "y3"), ("x1", "x2")), "y1*x1 - y2", "y1*x2 - y3")
 
 
@@ -279,7 +282,8 @@ def _spy_radical_member(monkeypatch) -> list:
 
 def test_open_check_runs_rabinowitsch_only_outside_jk(monkeypatch):
     # generators of the dominant part that lie in J_k are decided by a normal
-    # form; the re-check keeps its own two radical memberships
+    # form; the re-check runs one radical membership, r*g's, as g is proven
+    # outside sqrt(J_k) by a point
     problem = Problem(QQ, ("y1", "y2", "y3"), ("x1", "x2"), A3_CHART.gens)
     skipped, first = 0, fibred_power_ideal(A3_CHART, 1)
     for k in (1, 2):
@@ -293,7 +297,7 @@ def test_open_check_runs_rabinowitsch_only_outside_jk(monkeypatch):
     recheck = [f for f, _, bypassed in calls if bypassed]
     assert search
     assert not any(Ideal(I.layout, I.field, I.gens).contains(f) for f, I in search)
-    assert recheck == [verdict.witness_r * verdict.witness_g, verdict.witness_g]
+    assert recheck == [verdict.witness_r * verdict.witness_g]
 
 
 def test_noether_cover_passes_without_radical_membership(monkeypatch):
@@ -493,8 +497,9 @@ def test_basis_memo_is_owned_by_the_config():
 
 def test_open_witness_recheck_recomputes_memoized_bases(monkeypatch):
     J = fibred_power_ideal(BLOWUP_IDEAL, 2)  # no basis cached on the object
+    J1 = fibred_power_ideal(BLOWUP_IDEAL, 1)
     budget = CheckConfig().budget()
-    found, g = has_vertical_component(J, fibred_power_ideal(BLOWUP_IDEAL, 1), "grevlex", budget)
+    found, g = has_vertical_component(J, J1, "grevlex", budget)
     assert found
     r = vertical_witness(J, g, "grevlex", budget)
     g = integer_normalized(g)  # as the power loop hands it to the re-check
@@ -504,9 +509,124 @@ def test_open_witness_recheck_recomputes_memoized_bases(monkeypatch):
     radical_member(r * g, J, "grevlex", budget)
     radical_member(g, J, "grevlex", budget)
     assert not computed  # both bases of the re-check are in the memo
-    _verify_open_witness(J, g, r, "grevlex", budget)
-    assert len(computed) == 2
+    _verify_open_witness(J, J1, g, r, "grevlex", budget)
+    assert len(computed) == 1  # r*g's Rabinowitsch basis; g is proven outside by a point
     assert budget.memo  # bypassed during the re-check, not dropped
+
+
+# ---------------------------------------------------------------------------
+# the negative half of an openness witness by a point of V(J_k)
+
+# Every problem with a rational point is in [-3, 3]; this one has none, so its
+# witness is re-checked by the engine alone.
+NO_RATIONAL_POINT = "base y1\nvars x1\nideal: -2*y1*x1 - 2, y1^2 + 1\ncheck open\n"
+
+
+def _value(f, point):
+    """f at an integer point, term by term, mod p over F_p."""
+    total = sum(c * math.prod(a**x for a, x in zip(point, e)) for c, e in f.terms)
+    return total % f.field.characteristic if f.field.characteristic else total
+
+
+def _spy_point_outside(monkeypatch) -> list:
+    """A list that gains (Jk, g, point or None) for every point search."""
+    calls, real = [], verticality._point_outside
+
+    def spy(Jk, first, g, r, budget):
+        calls.append((Jk, g, real(Jk, first, g, r, budget)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(verticality, "_point_outside", spy)
+    return calls
+
+
+def _open_failures():
+    """(name, problem) of the fixtures, the goldens and full_corpus()."""
+    inputs = sorted(FIXTURES.glob("*.alg")) + sorted(GOLDEN.glob("*.alg"))
+    named = [(path.name, parse_problem(path.read_text())) for path in inputs if path.name != "malformed.alg"]
+    return named + [(f"corpus {i}", problem) for i, problem in enumerate(full_corpus())]
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+def test_every_open_failure_is_proven_by_a_point(monkeypatch, within):
+    points = _spy_point_outside(monkeypatch)
+    failed, pointless = [], []
+    for name, problem in _open_failures():
+        if name == "oversized.alg":  # its basis does not finish
+            continue
+        points.clear()
+        verdict = check_openness(problem, CheckConfig(within=within))
+        if verdict.outcome != "fail":
+            assert not points, name
+            continue
+        failed.append(name)
+        ((Jk, g, point),) = points
+        assert g == verdict.witness_g
+        assert Jk.gens == fibred_power_ideal(problem.ideal, verdict.failing_power).gens
+        if point is None:
+            pointless.append([str(f) for f in problem.ideal_gens])
+            continue
+        assert all(_value(f, point) == 0 for f in Jk.gens) and _value(g, point), name
+    assert {"blowup.alg", "charp_open.alg", "charp_vertical.alg", "huge_exponent.alg"} <= set(failed)
+    assert len(failed) == 14
+    assert pointless == [["-2*y1*x1 - 2", "y1^2 + 1"]]
+
+
+def test_no_rational_point_falls_back_to_both_radical_memberships(monkeypatch):
+    calls, points = _spy_radical_member(monkeypatch), _spy_point_outside(monkeypatch)
+    verdict = check_openness(parse_problem(NO_RATIONAL_POINT))
+    assert (verdict.outcome, verdict.failing_power) == ("fail", 1)
+    assert [point for _, _, point in points] == [None]
+    recheck = [f for f, _, bypassed in calls if bypassed]
+    assert recheck == [verdict.witness_r * verdict.witness_g, verdict.witness_g]
+
+
+def _blowup_witness():
+    budget = CheckConfig().budget()
+    found, g = has_vertical_component(BLOWUP2, BLOWUP1, "grevlex", budget)
+    return integer_normalized(g), vertical_witness(BLOWUP2, g, "grevlex", budget), budget
+
+
+def test_point_search_refuses_a_point_off_v_jk():
+    # x(1)^2 + 1 vanishes at no integer point: with it among the generators of
+    # J_k, every candidate the fibre of J_1 offers must be refused, though g is
+    # nonzero at some of them
+    g, r, budget = _blowup_witness()
+    point = verticality._point_outside(BLOWUP2, BLOWUP1, g, r, budget)
+    assert point is not None and _value(g, point)
+    x1 = Polynomial.variable(BLOWUP2.layout, QQ, "x(1)")
+    off = Ideal(BLOWUP2.layout, QQ, BLOWUP2.gens + (x1 * x1 + Polynomial.constant(x1.layout, QQ, 1),))
+    assert verticality._point_outside(off, BLOWUP1, g, r, budget) is None
+
+
+def test_point_search_is_bounded_and_checks_the_deadline(monkeypatch):
+    g, r, budget = _blowup_witness()
+    monkeypatch.setattr(verticality, "_POINT_TRIES", 1)  # the origin, where g vanishes
+    assert verticality._point_outside(BLOWUP2, BLOWUP1, g, r, budget) is None
+    monkeypatch.undo()
+    late = ComputeBudget(deadline=time.monotonic() - 1)
+    with pytest.raises(ResourceLimitError):
+        verticality._point_outside(BLOWUP2, BLOWUP1, g, r, late)
+
+
+def test_point_evaluation_is_mod_p_over_a_prime_field(monkeypatch):
+    points = _spy_point_outside(monkeypatch)
+    for path in (GOLDEN / "charp_vertical.alg", FIXTURES / "charp_open.alg"):
+        assert check_openness(parse_problem(path.read_text())).outcome == "fail"
+    assert all(point is not None for _, _, point in points) and len(points) == 2
+    # charp_open's y1*x - y2 over F_5, stored as y1*x + 4*y2, at (y1, y2, x)
+    (f,) = parse_problem((FIXTURES / "charp_open.alg").read_text()).ideal_gens
+    assert [c for c, _ in f.terms] == [1, 4]
+    assert verticality._evaluator(f)((1, 1, 1)) == 0
+    assert verticality._evaluator(f)((1, 2, 1)) == 4  # 1 - 2 mod 5
+
+
+def test_point_evaluation_skips_a_huge_power_over_q():
+    # y1*x1 - y2^(10^12): only y2 in {-1, 0, 1} is evaluated
+    problem = parse_problem((GOLDEN / "huge_exponent.alg").read_text())
+    value = verticality._evaluator(problem.ideal_gens[0])
+    assert value((1, 2, 5)) is None and value((1, -3, 0)) is None
+    assert (value((2, 1, 1)), value((2, -1, 1)), value((3, 0, 0))) == (1, 1, 0)
 
 
 def test_flat_certificate_recheck_recomputes_memoized_basis(monkeypatch):
