@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from itertools import islice, product
-from math import prod
 from dataclasses import dataclass, field as dc_field
 
 from .fields import RationalField
@@ -310,9 +309,8 @@ def _is_pure_base(f: Polynomial) -> bool:
 # Every re-check recomputes the bases and membership answers it needs: it runs
 # inside budget.memo_bypassed(), and it asks a fresh object, whose per-object
 # basis cache is empty, rather than the Jk or pres that the search filled.
-# _verify_open_witness builds new ideals in radical_member, for g only when
-# _point_outside finds no point of V(J_k) outside V(g); the flat re-check
-# copies Jk, or encodes the relations of pres afresh.
+# _verify_open_witness builds new ideals in radical_member (for g only if no
+# point is found); the flat re-check copies Jk, or encodes pres afresh.
 
 
 def _verify_open_witness(Jk, first, g, r, within, budget):
@@ -330,47 +328,51 @@ def _verify_open_witness(Jk, first, g, r, within, budget):
 _POINT_TRIES = 1000  # points evaluated, base, fibre and k-tuple alike, before the engine decides
 
 
-def _evaluator(f):
-    """f at an integer point, exactly, on its kernel ints (mod p over F_p): 0
-    iff f vanishes there; None over Q where a coordinate other than 0, 1, -1
-    would be raised above 1000."""
-    p = f.field.characteristic
-    ints, _ = f.field.to_kernel([c for c, _ in f.terms])
-    terms = [(c, [(i, x) for i, x in enumerate(e) if x]) for c, (_, e) in zip(ints, f.terms)]
-    huge = () if p else {i for _, factors in terms for i, x in factors if x > 1000}
-    def value(point):
-        if any(point[i] not in (-1, 0, 1) for i in huge):
-            return None
-        total = sum(c * prod([pow(point[i], x, p or None) for i, x in factors]) for c, factors in terms)
-        return total % p if p else total
-    return value
+def _kernel_terms(f):
+    """f's terms over its kernel ints (see fields): f times a unit."""
+    coeffs, exps = zip(*f.terms)
+    return list(zip(f.field.to_kernel(coeffs)[0], exps))
+
+
+def _value(terms, point, p):
+    """Kernel terms at an integer point, exactly, mod p over F_p: 0 iff they
+    vanish; None over Q if a coordinate not in {0, 1, -1} needs a power > 1000."""
+    total = 0  # kernel ints, reduced mod p once at the end
+    for c, e in terms:
+        for a, x in zip(point, e):
+            if x > 1000 and not p and a not in (-1, 0, 1):
+                return None
+            c *= pow(a, x, p or None)
+        total += c
+    return total % p if p else total
+
+
+def _box(n):  # the integer points of [-3, 3]^n, by increasing max-norm
+    return (q for s in range(4) for q in product(range(-s, s + 1), repeat=n) if not s or s in q or -s in q)
 
 
 def _point_outside(Jk, first, g, r, budget):
     """A point of V(J_k) in [-3, 3]^N where g is nonzero, or None after
-    _POINT_TRIES points.  Base points y with r(y) = 0 come by increasing size;
-    over y, V(J_k) is the k-fold product of the fibre of V(J_1), so each fibre
-    point x adds the k-tuples whose last new member is x.  A tuple counts once
-    every generator of J_k is 0 there and g is not."""
-    at_r, at_g, k = _evaluator(r), _evaluator(g), Jk.layout.copies
-    fibre_eqs, power_eqs = [_evaluator(f) for f in first.gens], [_evaluator(f) for f in Jk.gens]
-    def box(n):  # the integer points of [-3, 3]^n, by increasing max-norm
-        return (p for s in range(4) for p in product(range(-s, s + 1), repeat=n) if not s or s in p or -s in p)
+    _POINT_TRIES points.  Base points y with r(y) = 0 come by size; over y,
+    V(J_k) is the k-th power of J_1's fibre, so each fibre point x adds the
+    k-tuples it is last new in, each kept if J_k is 0 there and g is not."""
+    p, k, at_r, at_g = Jk.field.characteristic, Jk.layout.copies, _kernel_terms(r), _kernel_terms(g)
+    fibre_eqs, power_eqs = list(map(_kernel_terms, first.gens)), list(map(_kernel_terms, Jk.gens))
     def trials():  # one item per point evaluated: the point found, else None
-        for y in box(len(Jk.layout.base_vars)):
+        for y in _box(len(Jk.layout.base_vars)):
             budget.check_deadline()
-            fibre = []
-            for x in box(len(Jk.layout.fibre_vars)) if at_r(y) == 0 else ():
-                if all(f(y + x) == 0 for f in fibre_eqs):
+            fibre = []  # the fibre points over y found so far
+            for x in _box(len(Jk.layout.fibre_vars)) if _value(at_r, y, p) == 0 else ():
+                if all(_value(f, y + x, p) == 0 for f in fibre_eqs):
                     fibre.append(x)
                     for i in range(k):  # x first at position i
                         for t in product(*[fibre[:-1]] * i, [x], *[fibre] * (k - 1 - i)):
                             point = y + sum(t, ())
-                            yield point if at_g(point) and all(f(point) == 0 for f in power_eqs) else None
+                            found = _value(at_g, point, p) and all(_value(f, point, p) == 0 for f in power_eqs)
+                            yield point if found else None
                 yield None
             yield None
-
-    return next((p for p in islice(trials(), _POINT_TRIES) if p is not None), None)
+    return next(filter(None, islice(trials(), _POINT_TRIES)), None)  # a point is a nonempty tuple
 
 
 def _verify_flat_ideal_certificate(Jk, r, v, within, budget):

@@ -1,7 +1,6 @@
 """Openness and flatness decisions: generic denominators, dominant parts,
 vertical components, torsion, and the full power-loop checks."""
 
-import math
 import pathlib
 import time
 
@@ -47,6 +46,7 @@ from fibrecheck.verticality import (
 
 from corpus import full_corpus, named_fixtures
 from oracles import saturate_by_quotients
+from test_acceptance import _value
 from test_poly import poly_strategy
 from util import (
     BLOWUP_LAYOUT,
@@ -514,18 +514,51 @@ def test_open_witness_recheck_recomputes_memoized_bases(monkeypatch):
     assert budget.memo  # bypassed during the re-check, not dropped
 
 
+def test_flat_certificate_recheck_recomputes_memoized_basis(monkeypatch):
+    budget = CheckConfig().budget()
+    J1, J2 = (fibred_power_ideal(BLOWUP_IDEAL, k) for k in (1, 2))
+    found, (r, v) = has_torsion_ideal(J2, J1, "grevlex", budget)
+    assert found
+    fresh = fibred_power_ideal(BLOWUP_IDEAL, 2)  # no basis cached on the object
+    assert (fresh.gens, default_order(fresh.layout)) in budget.memo
+    computed = count_computations(monkeypatch)
+    _verify_flat_ideal_certificate(fresh, r, integer_normalized(v), "grevlex", budget)
+    assert computed == [fresh.gens]
+
+
+def test_flat_certificate_recheck_ignores_the_search_basis(monkeypatch):
+    # the re-check runs on the very Jk whose basis the torsion search cached,
+    # and must still compute that basis anew
+    budget = CheckConfig().budget()
+    Jk = fibred_power_ideal(BLOWUP_IDEAL, 2)
+    found, (r, v) = has_torsion_ideal(Jk, fibred_power_ideal(BLOWUP_IDEAL, 1), "grevlex", budget)
+    assert found and Jk._gb_cache
+    computed = count_computations(monkeypatch)
+    _verify_flat_ideal_certificate(Jk, r, integer_normalized(v), "grevlex", budget)
+    assert computed == [Jk.gens]
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+def test_flat_module_certificate_recheck_ignores_the_search_basis(monkeypatch, within):
+    lay = RingLayout(("y",), ("x",))
+    rel = (P(lay, "y"), Polynomial.zero(lay, QQ))
+    pres = ModulePresentation(lay, QQ, 2, (rel, (P(lay, "x"), P(lay, "x"))))
+    budget = CheckConfig().budget()
+    found, (r, v) = has_torsion_module(pres, within, budget)
+    assert found and pres._gb_cache
+    encoded = tuple(encode_vectors(pres.relations, lay, 2))
+    assert (encoded, default_order(lay.with_positions(2), within)) in budget.memo
+    computed = count_computations(monkeypatch)
+    _verify_flat_module_certificate(pres, r, v, within, budget)
+    assert computed == [encoded]
+
+
 # ---------------------------------------------------------------------------
 # the negative half of an openness witness by a point of V(J_k)
 
-# Every problem with a rational point is in [-3, 3]; this one has none, so its
-# witness is re-checked by the engine alone.
+# y1^2 + 1 has no rational root, so V(J_1) has no rational point to certify
+# the witness: the engine re-checks it alone.
 NO_RATIONAL_POINT = "base y1\nvars x1\nideal: -2*y1*x1 - 2, y1^2 + 1\ncheck open\n"
-
-
-def _value(f, point):
-    """f at an integer point, term by term, mod p over F_p."""
-    total = sum(c * math.prod(a**x for a, x in zip(point, e)) for c, e in f.terms)
-    return total % f.field.characteristic if f.field.characteristic else total
 
 
 def _spy_point_outside(monkeypatch) -> list:
@@ -617,52 +650,15 @@ def test_point_evaluation_is_mod_p_over_a_prime_field(monkeypatch):
     # charp_open's y1*x - y2 over F_5, stored as y1*x + 4*y2, at (y1, y2, x)
     (f,) = parse_problem((FIXTURES / "charp_open.alg").read_text()).ideal_gens
     assert [c for c, _ in f.terms] == [1, 4]
-    assert verticality._evaluator(f)((1, 1, 1)) == 0
-    assert verticality._evaluator(f)((1, 2, 1)) == 4  # 1 - 2 mod 5
+    terms = verticality._kernel_terms(f)
+    assert verticality._value(terms, (1, 1, 1), 5) == 0
+    assert verticality._value(terms, (1, 2, 1), 5) == 4  # 1 - 2 mod 5
 
 
 def test_point_evaluation_skips_a_huge_power_over_q():
     # y1*x1 - y2^(10^12): only y2 in {-1, 0, 1} is evaluated
     problem = parse_problem((GOLDEN / "huge_exponent.alg").read_text())
-    value = verticality._evaluator(problem.ideal_gens[0])
-    assert value((1, 2, 5)) is None and value((1, -3, 0)) is None
-    assert (value((2, 1, 1)), value((2, -1, 1)), value((3, 0, 0))) == (1, 1, 0)
-
-
-def test_flat_certificate_recheck_recomputes_memoized_basis(monkeypatch):
-    budget = CheckConfig().budget()
-    J1, J2 = (fibred_power_ideal(BLOWUP_IDEAL, k) for k in (1, 2))
-    found, (r, v) = has_torsion_ideal(J2, J1, "grevlex", budget)
-    assert found
-    fresh = fibred_power_ideal(BLOWUP_IDEAL, 2)  # no basis cached on the object
-    assert (fresh.gens, default_order(fresh.layout)) in budget.memo
-    computed = count_computations(monkeypatch)
-    _verify_flat_ideal_certificate(fresh, r, integer_normalized(v), "grevlex", budget)
-    assert computed == [fresh.gens]
-
-
-def test_flat_certificate_recheck_ignores_the_search_basis(monkeypatch):
-    # the re-check runs on the very Jk whose basis the torsion search cached,
-    # and must still compute that basis anew
-    budget = CheckConfig().budget()
-    Jk = fibred_power_ideal(BLOWUP_IDEAL, 2)
-    found, (r, v) = has_torsion_ideal(Jk, fibred_power_ideal(BLOWUP_IDEAL, 1), "grevlex", budget)
-    assert found and Jk._gb_cache
-    computed = count_computations(monkeypatch)
-    _verify_flat_ideal_certificate(Jk, r, integer_normalized(v), "grevlex", budget)
-    assert computed == [Jk.gens]
-
-
-@pytest.mark.parametrize("within", ["grevlex", "lex"])
-def test_flat_module_certificate_recheck_ignores_the_search_basis(monkeypatch, within):
-    lay = RingLayout(("y",), ("x",))
-    rel = (P(lay, "y"), Polynomial.zero(lay, QQ))
-    pres = ModulePresentation(lay, QQ, 2, (rel, (P(lay, "x"), P(lay, "x"))))
-    budget = CheckConfig().budget()
-    found, (r, v) = has_torsion_module(pres, within, budget)
-    assert found and pres._gb_cache
-    encoded = tuple(encode_vectors(pres.relations, lay, 2))
-    assert (encoded, default_order(lay.with_positions(2), within)) in budget.memo
-    computed = count_computations(monkeypatch)
-    _verify_flat_module_certificate(pres, r, v, within, budget)
-    assert computed == [encoded]
+    terms = verticality._kernel_terms(problem.ideal_gens[0])
+    assert verticality._value(terms, (1, 2, 5), 0) is None and verticality._value(terms, (1, -3, 0), 0) is None
+    values = [verticality._value(terms, point, 0) for point in ((2, 1, 1), (2, -1, 1), (3, 0, 0))]
+    assert values == [1, 1, 0]
