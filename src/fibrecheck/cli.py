@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from . import __version__, flags
 from .fields import PRIME_LIMIT, QQ, PrimeField
+from .groebner import ResourceLimitError
 from .poly import Polynomial, RingLayout, power_products, render_poly
 from .power import ModuleSpec, Problem
 from .verticality import (
@@ -56,7 +57,8 @@ MAX_EXPONENT = 1000
 MAX_NESTING = 100
 
 # Most term products one expression may form while it is parsed, which runs
-# before any budget of the run exists.  A product a*b forms |a|*|b|; a power
+# before any budget of the run exists; the run's deadline is checked at every
+# charge and before every expression.  A product a*b forms |a|*|b|; a power
 # b^e is charged the products of its squaring schedule, each b^k counted at
 # its most terms, C(t+k-1, t-1) for a t-term base (poly.power_products).  At
 # 10^5 an expression parses in under a second on a 2-core x86 host.
@@ -126,11 +128,12 @@ def _power_bits(f: Polynomial, e: int, fld) -> int:
 class _Expression:
     """The parser of one expression: its tokens, their line and column offset
     in the input, the problem's final layout and field, in which it builds
-    the polynomial, and the names declared before its line.  The grammar is
-    its methods: sum, product, power and atom."""
+    the polynomial, the names declared before its line and the run's
+    deadline, if any.  The grammar is its methods: sum, product, power and
+    atom."""
 
-    def __init__(self, text: str, line: int, offset: int, layout: RingLayout, fld, declared):
-        self.line, self.offset = line, offset
+    def __init__(self, text: str, line: int, offset: int, layout: RingLayout, fld, declared, deadline=None):
+        self.line, self.offset, self.deadline = line, offset, deadline
         self.layout, self.fld, self.declared = layout, fld, declared
         self.work = 0  # term products charged so far, at most MAX_EXPANSION
         self.depth = 0  # parentheses open, at most MAX_NESTING
@@ -172,16 +175,20 @@ class _Expression:
     def charge(self, products: int, start: int):
         """Count ``products`` term products, weighted by coefficient size,
         against MAX_EXPANSION before they are formed; an excess is a
-        ParseError at the token at ``start``."""
+        ParseError at the token at ``start``, and a passed deadline a
+        ResourceLimitError naming the line."""
         self.work += products
         if self.work > MAX_EXPANSION:
             self.error(f"expression expands to more than {MAX_EXPANSION} term products", start=start)
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise ResourceLimitError(f"timeout exceeded while parsing line {self.line}")
 
     def int_at(self, text: str, start: int, what: str) -> int:
         """The integer of the token text starting at ``start``."""
         return _parse_int(text, what, self.line, self.offset + start + 1)
 
     def parse(self) -> Polynomial:
+        self.charge(0, 0)  # the deadline, between expressions
         expr = self.sum()
         if self.peek()[0] != "EOF":
             self.error(f"trailing input {self.peek()[1]!r}", "end of expression")
@@ -286,7 +293,9 @@ def _split_top_level(text: str, sep: str):
     yield text[start:], start
 
 
-def parse_problem(text: str) -> Problem:
+def parse_problem(text: str, deadline: float | None = None) -> Problem:
+    """The problem ``text`` states; a ParseError where it is malformed, and a
+    ResourceLimitError once the ``time.monotonic()`` deadline has passed."""
     field = QQ
     base: list = []
     fibre: list = []
@@ -370,7 +379,7 @@ def parse_problem(text: str) -> Problem:
         for chunk, chunk_off in _split_top_level(payload, ","):
             col = offset + chunk_off + 1 + len(chunk) - len(chunk.lstrip())  # the expression's first character
             if not is_module:
-                gens.append(_Expression(chunk, lineno, offset + chunk_off, layout, field, declared).parse())
+                gens.append(_Expression(chunk, lineno, offset + chunk_off, layout, field, declared, deadline).parse())
                 if gens[-1].is_zero:
                     raise ParseError("zero generator", lineno, col)
                 continue
@@ -380,7 +389,7 @@ def parse_problem(text: str) -> Problem:
             if not (s.startswith("(") and s.endswith(")")):
                 raise ParseError("module vector must be parenthesized", lineno, col, "'(' ... ')'")
             vectors.append(tuple(
-                _Expression(comp, lineno, col + comp_off, layout, field, declared).parse()
+                _Expression(comp, lineno, col + comp_off, layout, field, declared, deadline).parse()
                 for comp, comp_off in _split_top_level(s[1:-1], ";")
             ))
             if len(vectors[-1]) != module_rank:
@@ -395,29 +404,6 @@ def parse_problem(text: str) -> Problem:
         checks=checks or ("open", "flat"),
         max_power=max_power,
     )
-
-
-def render_problem(problem: Problem) -> str:
-    """Inverse of parse_problem up to formatting (round-trip tested).  A
-    module without relations is rendered with one zero vector, which its
-    presentation drops."""
-    lines = [f"field {'Q' if problem.field == QQ else 'F ' + str(problem.field.p)}"]
-    lines.append("base " + " ".join(problem.base_vars))
-    if problem.fibre_vars:
-        lines.append("vars " + " ".join(problem.fibre_vars))
-    if problem.ideal_gens:
-        lines.append("ideal: " + ", ".join(render_poly(g) for g in problem.ideal_gens))
-    if problem.module is not None:
-        t = problem.module.rank
-        vecs = [f"({'; '.join(map(render_poly, v))})" for v in problem.module.relations]
-        lines.append(f"module {t}: " + (", ".join(vecs) or "(" + "; ".join(["0"] * t) + ")"))
-    if problem.checks == ("open", "flat"):
-        lines.append("check both")
-    else:
-        lines.append("check " + problem.checks[0])
-    if problem.max_power is not None:
-        lines.append(f"power {problem.max_power}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +521,13 @@ def run(argv=None) -> int:
         return 1
 
     try:
-        problem = parse_problem(text)
+        problem = parse_problem(text, config.deadline)
     except ValueError as exc:  # a ParseError, or a problem the model refuses
         print(f"fibrecheck: {exc}", file=sys.stderr)
         return 1
+    except ResourceLimitError as exc:  # the deadline passed while parsing
+        print(f"fibrecheck: {exc}", file=sys.stderr)
+        return 3
 
     try:
         if "flat" in problem.checks:

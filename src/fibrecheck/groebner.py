@@ -595,8 +595,8 @@ def _interreduce(elements, basis, order: MonomialOrder, layout, budget):
 
 @dataclass
 class Ideal:
-    """Generator list with lazily cached reduced Groebner bases per order, and
-    the :class:`Divisors` of each basis a membership test divides by."""
+    """Generator list with, per order, the :class:`Divisors` of its reduced
+    Groebner basis, made lazily: the basis and what membership divides by."""
 
     layout: RingLayout
     field: object
@@ -604,15 +604,13 @@ class Ideal:
 
     def __post_init__(self):
         self.gens = tuple(g for g in self.gens if not g.is_zero)
-        self._gb_cache = {}
-        self._divisors = {}  # order -> Divisors of _gb_cache[order]
+        self._gb_cache = {}  # order -> Divisors of the basis under order
 
     def groebner_basis(self, order: MonomialOrder | None = None, budget: ComputeBudget | None = None):
         order = order or default_order(self.layout)
         if order not in self._gb_cache:
-            gb = self._gb_cache[order] = tuple(buchberger(self.gens, order, budget))
-            self._divisors[order] = Divisors(gb, order, self.field)
-        return self._gb_cache[order]
+            self._gb_cache[order] = Divisors(tuple(buchberger(self.gens, order, budget)), order, self.field)
+        return self._gb_cache[order].basis
 
     def contains(self, f: Polynomial, order=None, budget=None) -> bool:
         """Whether f lies in the ideal; the answer is kept in the budget's
@@ -623,7 +621,7 @@ class Ideal:
             return f.is_zero
 
         def member():
-            return normal_form(f, self._divisors[order], order, budget=budget).is_zero
+            return normal_form(f, self._gb_cache[order], order, budget=budget).is_zero
 
         return budget.memoized((self.gens, order, f), member) if budget else member()
 

@@ -1,17 +1,17 @@
 """Derived ideal and module operations: contraction to the base, quotient,
 saturation, radical membership, and dimension diagnostics.
 
-Quotient, saturation and radical membership remove one tag variable t, which
-``default_order`` ranks first (tag >> fibres >> base): the tag-free elements
-of a basis of I + (1 - t*f) are a basis of I : f^infinity, those of
-t*I + (1 - t)*f a basis of I ∩ (f), and 1 lies in I + (1 - t*f) iff f lies in
-the radical of I (the Rabinowitsch trick).  Contraction to the base keeps the
-base-only elements of the default basis, which ranks the fibres above the
-base.  Krull dimension is computed combinatorially from independent sets of
-the leading-term ideal.  A submodule is saturated as the ideal of its vectors
-encoded with position variables (see :mod:`fibrecheck.groebner`):
-:func:`saturate` multiplies 1 - t*f by each position, and
-:func:`module_saturate` encodes, saturates and decodes.
+Quotient, saturation and radical membership remove one tag variable t, found
+by its index, which ``default_order`` ranks first (tag >> fibres >> base):
+the tag-free elements of a basis of I + (1 - t*f) are a basis of
+I : f^infinity, those of t*I + (1 - t)*f a basis of I ∩ (f), and 1 lies in
+I + (1 - t*f) iff f lies in the radical of I (the Rabinowitsch trick).
+Contraction to the base keeps the base-only elements of the default basis,
+which ranks the fibres above the base.  Krull dimension is computed
+combinatorially from independent sets of the leading-term ideal.  A submodule
+is saturated as the ideal of its vectors encoded with position variables (see
+:mod:`fibrecheck.groebner`): :func:`saturate` multiplies 1 - t*f by each
+position, and :func:`module_saturate` encodes, saturates and decodes.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> I
     if f.is_zero:
         raise ValueError("quotient by the zero polynomial")
     ext = I.layout.with_tag()
-    t = Polynomial.variable(ext, I.field, ext.tag_var)
+    t = Polynomial(ext, I.field, ((I.field.one, unit(ext.nvars, ext.tag_index)),))
     gens = [t * transport(g, ext) for g in I.gens]
     gens.append((Polynomial.constant(ext, I.field, 1) - t) * transport(f, ext))
     gb = buchberger(gens, default_order(ext, within), budget)

@@ -23,6 +23,9 @@ key compare exactly like the tuple of per-block keys.
 Exponent tuples are the API's representation, in terms, parsing, rendering
 and layout changes.  Only the Groebner engine packs monomials and order keys
 into ints, by an order's :class:`Packing`, and it unpacks what it returns.
+Every layout of a problem is its base ring with fibre copies, a tag or
+positions added, so :func:`transport` moves polynomials between layouts by
+block structure and never matches variables by name.
 
 Terms are stored descending under ``default_order(layout)``.  Multiplying by a
 single term keeps that order and every term (a monomial order is
@@ -58,7 +61,8 @@ class RingLayout:
     Variable index order is base variables, then fibre copies 1..k, then the
     tag variable when present, then the positions.  With copies > 1 the fibre
     variable ``x`` of copy i displays as ``x(i)``; position i displays as
-    ``[i]``, a name no input can declare.
+    ``[i]`` and the tag :meth:`with_tag` adds as ``[t]``, names no input can
+    declare.
     """
 
     base_vars: tuple = ()
@@ -77,12 +81,10 @@ class RingLayout:
         if self.tag_var is not None:
             names.append(self.tag_var)
         names = tuple(names) + self.position_vars
-        index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
+        if len(set(names)) != len(names):
             raise ValueError(f"variable names collide in layout {names}")
         # made once; equality and hashing stay on the declared fields
         object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "nvars", len(names))
         # derived layouts, by their fields, and default orders, by ``within``
         object.__setattr__(self, "_made", {})
@@ -114,8 +116,8 @@ class RingLayout:
 
     def index_of(self, name: str) -> int:
         try:
-            return self._index[name]
-        except KeyError:
+            return self._names.index(name)
+        except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
 
     # derived layouts ------------------------------------------------------
@@ -136,10 +138,7 @@ class RingLayout:
     def with_tag(self) -> "RingLayout":
         if self.tag_var is not None:
             raise ValueError("layout already carries a tag variable")
-        tag = "_t"
-        while tag in self._index:
-            tag += "_"
-        return self._derived(self.base_vars, self.fibre_vars, self.copies, tag, self.positions)
+        return self._derived(self.base_vars, self.fibre_vars, self.copies, "[t]", self.positions)
 
     def with_positions(self, rank: int) -> "RingLayout":
         return self._derived(self.base_vars, self.fibre_vars, self.copies, self.tag_var, rank)
@@ -534,55 +533,36 @@ def integer_normalized(f: Polynomial) -> Polynomial:
 
 
 def transport(f: Polynomial, new_layout: RingLayout) -> Polynomial:
-    """Re-express f in another layout, matching variables by display name.
+    """Re-express f in another layout with the same base variables.
 
-    Three moves take no per-variable rebuild: to f's own layout object, f
-    itself; to an equal layout, f's terms as they are; between a layout and
-    the one that adds a tag to it (same base, fibre, copies and positions),
-    each exponent tuple with a 0 spliced in at the tag, or the tag's entry
-    cut out after checking that no term uses it.
-
-    Otherwise, when both layouts have the same base variables, and f is
-    pure-base or both have the same fibre variables and copies, every
-    variable of f keeps its block and its place in it (adding or dropping a
-    tag or positions does not move it), so the terms keep their stored order
-    unsorted."""
-    old = f.layout
-    if old is new_layout:
+    Every layout of a problem is its base ring k[y, x] with fibre copies, a
+    tag or positions added, and :func:`relabel` places f in a fibre copy, so
+    two moves by block structure, never by name, are all that is needed.  With
+    the same fibre block and copies, a tag is added (a 0 spliced in at its
+    index) or an unused one dropped, and positions are added or unused ones
+    dropped; a pure-base f keeps its base exponents, padded with zeros.  Both
+    keep the stored order; any other move is a LayoutMismatchError."""
+    old, new = f.layout, new_layout
+    if old is new:
         return f
-    if old == new_layout:
-        return Polynomial(new_layout, f.field, f.terms)
-    if (old.tag_var is None) != (new_layout.tag_var is None) and (
-        old.base_vars, old.fibre_vars, old.copies, old.positions
-    ) == (new_layout.base_vars, new_layout.fibre_vars, new_layout.copies, new_layout.positions):
-        if old.tag_var is None:
-            t = new_layout.tag_index
-            return Polynomial(new_layout, f.field, tuple((c, e[:t] + (0,) + e[t:]) for c, e in f.terms))
+    same_blocks = (old.base_vars, old.fibre_vars, old.copies) == (new.base_vars, new.fibre_vars, new.copies)
+    tagged = old.tag_var is not None
+    if same_blocks and tagged != (new.tag_var is not None):
+        if old.positions != new.positions:  # the positions, then the tag
+            return transport(transport(f, old.with_positions(new.positions)), new)
+        if not tagged:
+            t = new.tag_index
+            return Polynomial(new, f.field, tuple((c, e[:t] + (0,) + e[t:]) for c, e in f.terms))
         t = old.tag_index
         if any(e[t] for _, e in f.terms):
             raise LayoutMismatchError(f"variable {old.tag_var!r} absent from target layout")
-        return Polynomial(new_layout, f.field, tuple((c, e[:t] + e[t + 1 :]) for c, e in f.terms))
-    names = old.var_names()
-    support = f.support_indices()
-    idx = {}
-    for i in support:
-        try:
-            idx[i] = new_layout.index_of(names[i])
-        except KeyError:
-            raise LayoutMismatchError(f"variable {names[i]!r} absent from target layout") from None
-    terms = []
-    for c, e in f.terms:
-        new_e = [0] * new_layout.nvars
-        for i, x in enumerate(e):
-            if x:
-                new_e[idx[i]] = x
-        terms.append((c, tuple(new_e)))
-    if old.base_vars == new_layout.base_vars and (
-        all(i < len(old.base_vars) for i in support)
-        or (old.fibre_vars, old.copies) == (new_layout.fibre_vars, new_layout.copies)
-    ):
-        return Polynomial(new_layout, f.field, tuple(terms))
-    return Polynomial.from_dict(new_layout, f.field, {e: c for c, e in terms})
+        return Polynomial(new, f.field, tuple((c, e[:t] + e[t + 1 :]) for c, e in f.terms))
+    # keep all but the positions, or the base alone, and pad with zeros
+    cut = min(old.nvars, new.nvars) if same_blocks else len(old.base_vars)
+    if old.base_vars != new.base_vars or any(any(e[cut:]) for _, e in f.terms):
+        raise LayoutMismatchError("no move by block structure takes f to the target layout")
+    pad = (0,) * (new.nvars - cut)
+    return Polynomial(new, f.field, tuple((c, e[:cut] + pad) for c, e in f.terms))
 
 
 def relabel(f: Polynomial, target_layout: RingLayout, copy_index: int) -> Polynomial:

@@ -29,12 +29,12 @@ from fibrecheck.cli import (
     MAX_EXPONENT,
     ParseError,
     parse_problem,
-    render_problem,
     run,
 )
 from fibrecheck.fields import PRIME_LIMIT
 
 from corpus import named_fixtures
+from util import render_problem
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -593,17 +593,18 @@ def test_exit_three_on_timeout(capsys):
 
 
 def test_one_deadline_bounds_the_whole_run(monkeypatch, capsys):
-    """--timeout-seconds starts one clock before the input is read: both
-    checks of a run get the same deadline, fixed before parsing.  The clock
-    is a counter, so no wall time is involved."""
+    """--timeout-seconds starts one clock before the input is read: the
+    parse and both checks of a run get the same deadline, fixed before
+    parsing.  The clock is a counter, so no wall time is involved."""
     ticks = itertools.count()
     monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
     parsed_at, deadlines = [], []
     parse, budget = cli.parse_problem, verticality.CheckConfig.budget
 
-    def spied_parse(text):
+    def spied_parse(text, deadline):
         parsed_at.append(time.monotonic())
-        return parse(text)
+        deadlines.append(deadline)
+        return parse(text, deadline)
 
     def spied_budget(config):
         b = budget(config)
@@ -615,8 +616,22 @@ def test_one_deadline_bounds_the_whole_run(monkeypatch, capsys):
     timeout = 10**9
     code, out, _ = _run(capsys, "--input", str(FIXTURES / "blowup.alg"), "--timeout-seconds", str(timeout))
     assert code == 0 and "ABORTED" not in out
-    assert len(deadlines) == 2 and deadlines[0] == deadlines[1]
+    assert len(deadlines) == 3 and len(set(deadlines)) == 1
     assert deadlines[0] - timeout < parsed_at[0]
+
+
+def test_exit_three_when_the_deadline_passes_while_parsing(monkeypatch, capsys):
+    # --timeout-seconds bounds parsing too: each generator's power is far
+    # below MAX_EXPANSION, but together they outlast the deadline, which is
+    # checked at each charge and between expressions.  The clock is a
+    # counter, so the deadline passes at a fixed point of the parse.
+    gens = ", ".join(f"(x1 + {i}*x2 + y1 - y2 + {i + 1}*y3 + 1)^10 - y1" for i in range(1, 33))
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"base y1 y2 y3\nvars x1 x2\nideal: {gens}\n"))
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
+    code, out, err = _run(capsys, "--timeout-seconds", "5")
+    assert (code, out, err) == (3, "", "fibrecheck: timeout exceeded while parsing line 3\n")
+    assert next(ticks) < 12  # stopped within a few expressions, not after all 32
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ CASES = {
     "huge_exponent_lex": ["--input", "tests/golden/huge_exponent.alg", "--json", "--order", "lex"],
     "module_scaled": ["--input", "tests/golden/module_scaled.alg", "--json"],
     "module_torsion_lex": ["--input", "fixtures/module_torsion.alg", "--json", "--order", "lex"],
+    "nonmonomial_denominator": ["--input", "tests/golden/nonmonomial_denominator.alg", "--json"],
     "rank2_module": ["--input", "tests/golden/rank2_module.alg", "--json"],
     "rational_chart": ["--input", "tests/golden/rational_chart.alg", "--json"],
     "rational_chart_lex": ["--input", "tests/golden/rational_chart.alg", "--json", "--order", "lex"],

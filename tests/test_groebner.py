@@ -648,7 +648,7 @@ def test_module_buchberger_s_vectors_reduce_to_zero():
 
 def test_vector_encoding_round_trips():
     layout = BLOWUP_LAYOUT.powered(2).with_tag()
-    v = (PW(layout, "y1*x1 - 3*x2^2 + 1"), Polynomial.zero(layout, QQ), PW(layout, "x2*_t - y2"))
+    v = (PW(layout, "y1*x1 - 3*x2^2 + 1"), Polynomial.zero(layout, QQ), PW(layout, "x2*t - y2"))
     (f,) = encode_vectors([v], layout, 3)
     assert f.layout == layout.with_positions(3)
     assert {sum(e[i] for i in f.layout.position_indices) for _, e in f.terms} == {1}
@@ -885,9 +885,9 @@ NARROW_CASES = {
         P(A3_CHART.layout, "x1^5*y1^3 + x2^2*y3^4"),
     ),
     "tagged": (
-        tuple(P(TAGGED_XY2, t) for t in ("_t*x^3 - 2*x*y", "x^2*y - 2*y^2 + x", "_t*y - 1")),
+        tuple(PW(TAGGED_XY2, t) for t in ("t*x^3 - 2*x*y", "x^2*y - 2*y^2 + x", "t*y - 1")),
         default_order(TAGGED_XY2),
-        P(TAGGED_XY2, "_t^3*x^5 + y^7"),
+        PW(TAGGED_XY2, "t^3*x^5 + y^7"),
     ),
     "module": (
         encode_vectors(NARROW_VECTORS, XY2, 2),

@@ -1,6 +1,7 @@
 """Polynomial substrate: arithmetic, orders, layouts, leading data."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -476,11 +477,11 @@ def _transport_by_names(f, layout):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_transport_keeps_stored_order(field, data):
-    # moves to the same layout, to an equal one, adding or dropping a tag
-    # (positioned or not), adding or dropping positions, and moving a
-    # pure-base polynomial between rings with the same base keep the stored
-    # order without a sort; other moves sort.  Both must equal the result
-    # gathered in a dict and sorted, term for term, and move back to f.
+    # the two moves keep the stored order without a sort: with the same base,
+    # fibre block and copies, adding or dropping a tag (positioned or not) or
+    # positions; and moving a pure-base polynomial between layouts with the
+    # same base.  Each must equal the result gathered by name in a dict and
+    # sorted, term for term, and move back to f.
     positioned, positioned3 = Y2X2.with_positions(2), POW2.with_positions(3)
     moves = (
         (POW2, POW2),  # the same layout object
@@ -489,12 +490,18 @@ def test_transport_keeps_stored_order(field, data):
         (positioned, positioned.with_tag()),
         (positioned3, positioned3.with_tag()),  # the tag sits before three positions
         (Y2X2, positioned),
-        (Y2X2.base_only(), TAGGED),
-        (RingLayout(("y1",), ("x1", "x2")), RingLayout(("y1",), ("x2", "x1"))),  # fibre reordered
-        (RingLayout(("x1",), ("y1",)), RingLayout(("y1",), ("x1",))),  # base and fibre swapped
+        (TAGGED, positioned3.with_tag()),  # positions after a tag
+        (Y2X2, positioned.with_tag()),  # a tag and positions at once
     )
-    for src, dst in moves:
-        f = data.draw(poly_strategy(src, field))
+    pure_base = (
+        (Y2X2.base_only(), TAGGED),
+        (Y2X2, positioned3.with_tag()),  # other copies, a tag and positions at once
+        (positioned, POW2),
+        (RingLayout(("y1", "y2"), ("x2", "x1")), Y2X2),  # fibre reordered
+    )
+    for (src, dst), pure in [(move, False) for move in moves] + [(move, True) for move in pure_base]:
+        f = data.draw(poly_strategy(src.base_only() if pure else src, field))
+        f = transport(f, src) if pure else f
         there = transport(f, dst)
         assert there.layout is dst
         assert there.terms == _transport_by_names(f, dst).terms
@@ -507,9 +514,22 @@ def test_transport_keeps_stored_order(field, data):
         f = data.draw(poly_strategy(dst, field))
         h = data.draw(poly_strategy(dst, field).filter(lambda p: not p.is_zero))
         g = transport(f, src) + Polynomial.variable(src, field, src.tag_var) * transport(h, src)
+        message = re.escape(f"variable {src.tag_var!r} absent from target layout")
         for move in (transport, _transport_by_names):
-            with pytest.raises(LayoutMismatchError, match=f"variable {src.tag_var!r} absent from target layout"):
+            with pytest.raises(LayoutMismatchError, match=message):
                 move(g, dst)
+    # every other move is refused, also where the names would match: a fibre
+    # variable into another fibre block or other copies, a used position
+    # dropped, another base
+    f = data.draw(poly_strategy(Y2X2, field).filter(lambda p: any(any(e[2:]) for _, e in p.terms)))
+    for dst in (RingLayout(("y1", "y2"), ("x2", "x1")), POW2.with_tag(), RingLayout(("y2", "y1"), ("x1", "x2"))):
+        with pytest.raises(LayoutMismatchError, match="no move by block structure"):
+            transport(f, dst)
+    g = transport(f, positioned) * Polynomial.variable(positioned, field, "[2]")
+    with pytest.raises(LayoutMismatchError, match="no move by block structure"):
+        transport(g, Y2X2.with_positions(1))
+    with pytest.raises(LayoutMismatchError, match="no move by block structure"):
+        transport(Polynomial.constant(Y2X2, field, 1), RingLayout(("y1",), ("x1", "x2")))
 
 
 def test_base_leading_coefficient_examples():
@@ -647,9 +667,10 @@ def test_layout_name_collision_rejected():
 
 
 def test_tag_layout_avoids_collisions():
-    lay = RingLayout(("_t",), ("x",))
+    # the tag is named [t], like the positions a name no input can declare
+    lay = RingLayout(("_t", "t"), ("x",))
     ext = lay.with_tag()
-    assert ext.tag_var not in ("_t",)
+    assert ext.tag_var == "[t]" and ext.var_names()[ext.tag_index] == "[t]"
     assert len(set(ext.var_names())) == ext.nvars
 
 

@@ -8,9 +8,19 @@ import heapq
 import itertools
 from operator import le
 
-from fibrecheck import QQ, ComputeBudget, Ideal, ModulePresentation, Polynomial, RingLayout, fibred_power_ideal, groebner
+from fibrecheck import (
+    QQ,
+    ComputeBudget,
+    Ideal,
+    ModulePresentation,
+    Polynomial,
+    Problem,
+    RingLayout,
+    fibred_power_ideal,
+    groebner,
+)
 from fibrecheck.cli import _Expression
-from fibrecheck.poly import default_order, integer_normalized, mono_div, relabel
+from fibrecheck.poly import default_order, integer_normalized, mono_div, relabel, render_poly
 
 
 def mono_divides(a, b) -> bool:
@@ -28,9 +38,9 @@ def P(layout: RingLayout, text: str, field=QQ) -> Polynomial:
 
 def PW(powered: RingLayout, text: str, field=QQ) -> Polynomial:
     """Parse against a powered layout, accepting bare aliases like ``x1`` for
-    the copy-tagged variable names ``x(1)``."""
+    the copy-tagged variable names ``x(1)``, and ``t`` for the tag ``[t]``."""
     names = powered.var_names()
-    alias = {n.replace("(", "").replace(")", ""): n for n in names}
+    alias = {n.translate(str.maketrans("", "", "()[]")): n for n in names}
     helper = RingLayout((), tuple(alias))
     f = P(helper, text, field)
     helper_names = helper.var_names()
@@ -42,6 +52,29 @@ def PW(powered: RingLayout, text: str, field=QQ) -> Polynomial:
                 new_e[names.index(alias[helper_names[i]])] = x
         acc[tuple(new_e)] = c
     return Polynomial.from_dict(powered, field, acc)
+
+
+def render_problem(problem: Problem) -> str:
+    """Inverse of ``cli.parse_problem`` up to formatting, for its round-trip
+    tests.  A module without relations is rendered with one zero vector,
+    which its presentation drops."""
+    lines = [f"field {'Q' if problem.field == QQ else 'F ' + str(problem.field.p)}"]
+    lines.append("base " + " ".join(problem.base_vars))
+    if problem.fibre_vars:
+        lines.append("vars " + " ".join(problem.fibre_vars))
+    if problem.ideal_gens:
+        lines.append("ideal: " + ", ".join(render_poly(g) for g in problem.ideal_gens))
+    if problem.module is not None:
+        t = problem.module.rank
+        vecs = [f"({'; '.join(map(render_poly, v))})" for v in problem.module.relations]
+        lines.append(f"module {t}: " + (", ".join(vecs) or "(" + "; ".join(["0"] * t) + ")"))
+    if problem.checks == ("open", "flat"):
+        lines.append("check both")
+    else:
+        lines.append("check " + problem.checks[0])
+    if problem.max_power is not None:
+        lines.append(f"power {problem.max_power}")
+    return "\n".join(lines) + "\n"
 
 
 def ideal_of(layout: RingLayout, *exprs: str, field=QQ) -> Ideal:
