@@ -145,7 +145,8 @@ class ComputeBudget:
     ``memo`` (None: no memo) maps a key to a :class:`Record`, made and
     replayed by :meth:`memoized`.  It records bases (keyed by ``(nonzero
     generators in input order, MonomialOrder)``; module bases are encoded
-    polynomials and share the memo), dominant parts (``("dominant part",
+    polynomials and share the memo), saturations (``("saturation",
+    generators, f, within)``), dominant parts (``("dominant part",
     generators, generators of J_1, order)``) and membership answers
     (``(generators, order, f)``).  A hit is served only when the recorded
     pairs and reduction steps still fit under the limits, and they are
@@ -445,24 +446,28 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 # Buchberger
 
 
-def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None):
+def buchberger(gens, order: MonomialOrder, budget: ComputeBudget | None = None, eliminate: int | None = None):
     """Reduced Groebner basis of the ideal generated by ``gens``, or of the
-    submodule when they are encoded vectors.  The budget's memo is consulted
-    first (see :class:`ComputeBudget`)."""
+    submodule when they are encoded vectors; with ``eliminate``, the index of
+    a variable ``order`` ranks above all others, only its elements free of
+    that variable, the reduced basis of the elimination ideal.  The budget's
+    memo is consulted first (see :class:`ComputeBudget`), except with
+    ``eliminate``: callers memoize what they derive from such a run."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
     budget = budget or ComputeBudget()
-    basis = budget.memoized((tuple(gens), order), lambda: tuple(_buchberger(gens, order, budget)))
-    return list(basis)
+    if eliminate is not None:
+        return _buchberger(gens, order, budget, eliminate)
+    return list(budget.memoized((tuple(gens), order), lambda: tuple(_buchberger(gens, order, budget))))
 
 
-def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget):
-    """The reduced basis of nonzero ``gens``."""
-    return _widening(lambda packing: _buchberger_at(gens, order, packing, budget), _top(gens), order, budget)
+def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget, eliminate=None):
+    """The reduced basis of nonzero ``gens``, its part free of ``eliminate``."""
+    return _widening(lambda packing: _buchberger_at(gens, order, packing, budget, eliminate), _top(gens), order, budget)
 
 
-def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
+def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget, eliminate=None):
     layout, fld = gens[0].layout, gens[0].field
     unpack, key, guards, width = packing.unpack, packing.key, packing.guards, packing.width
     push = heapq.heappush
@@ -556,15 +561,17 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget):
         if rem:
             ints, _ = fld.to_kernel([c for c, _, _ in rem])  # content removed
             insert([(i, m, k) for i, (_, m, k) in zip(ints, rem)], pair_sugar)
-    return _interreduce(elements, basis, order, layout, budget)
+    return _interreduce(elements, basis, order, layout, budget, eliminate)
 
 
-def _interreduce(elements, basis, order: MonomialOrder, layout, budget):
+def _interreduce(elements, basis, order: MonomialOrder, layout, budget, eliminate=None):
     """The reduced basis of the Groebner basis of packed ``elements``: the
     minimal elements, each divided once by the others, made monic (c/lc),
     sorted descending.  The minimal leading monomials are those of the reduced basis,
     and division by a Groebner basis has a unique remainder, so one pass is
-    enough.
+    enough.  With ``eliminate``, only the elements whose lead is free of that
+    variable are kept; the order ranks it first, so they are free of it, and
+    a lead carrying it divides no monomial of theirs.
 
     Each element's tail is divided by one table of all the minimal elements,
     and its lead put back in front at the division's scale.  No minimal lead
@@ -573,9 +580,13 @@ def _interreduce(elements, basis, order: MonomialOrder, layout, budget):
     division by the others."""
     leads, tables, fld, packing = basis
     guards = packing.guards
+    candidates = range(len(leads))
+    if eliminate is not None:
+        field = packing.pack(unit(layout.nvars, eliminate)) * ((1 << packing.width) - 1)
+        candidates = [i for i in candidates if not leads[i] & field]
     # drop elements whose leading monomial is divisible by another's
     kept = []
-    for i in sorted(range(len(leads)), key=lambda i: tables[i][0], reverse=True):
+    for i in sorted(candidates, key=lambda i: tables[i][0], reverse=True):
         guarded = leads[i] | guards
         if not any((guarded - leads[j]) & guards == guards for j in kept):
             kept.append(i)

@@ -6,6 +6,10 @@ by its index, which ``default_order`` ranks first (tag >> fibres >> base):
 the tag-free elements of a basis of I + (1 - t*f) are a basis of
 I : f^infinity, those of t*I + (1 - t)*f a basis of I ∩ (f), and 1 lies in
 I + (1 - t*f) iff f lies in the radical of I (the Rabinowitsch trick).
+Buchberger keeps and interreduces only the tag-free elements, and a saturation
+and a radical membership of the same I and f share one memo entry.  I : f lies in
+I : f^infinity, equal iff f*(I : f^infinity) lies in I, which a quotient
+given the saturation as its upper bound tests first.
 Contraction to the base keeps the base-only elements of the default basis,
 which ranks the fibres above the base.  Krull dimension is computed
 combinatorially from independent sets of the leading-term ideal.  A submodule
@@ -49,35 +53,32 @@ class DimensionReport:
 # contraction, quotient and saturation
 
 
-def _avoiding(gb, drop: slice, layout) -> tuple:
-    """The elements of a basis whose exponents are 0 in the fields ``drop``,
-    transported to ``layout``.  Under an order ranking those variables first
-    they form a basis of the ideal's intersection with the ring of the other
-    variables (the elimination theorem)."""
-    return tuple(transport(g, layout) for g in gb if not any(any(e[drop]) for _, e in g.terms))
-
-
 def contract_to_base(I: Ideal, within: str = "grevlex", budget: ComputeBudget | None = None) -> Ideal:
     """I intersected with the base polynomial ring k[y]; the result lives in
-    the base-only layout.  Reuses the default (fibre >> base) basis."""
+    the base-only layout: the base-only elements of the default (fibre >>
+    base) basis, which it reuses (the elimination theorem)."""
     layout = I.layout
     gb = I.groebner_basis(default_order(layout, within), budget)
-    non_base = slice(len(layout.base_vars), None)
-    return Ideal(layout.base_only(), I.field, _avoiding(gb, non_base, layout.base_only()))
+    nb, base = len(layout.base_vars), layout.base_only()
+    return Ideal(base, I.field, tuple(transport(g, base) for g in gb if not any(any(e[nb:]) for _, e in g.terms)))
 
 
-def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> Ideal:
+def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None, upper: Ideal | None = None) -> Ideal:
     """The ideal quotient I : f = {g : g*f in I}, via (I ∩ (f)) / f, with
-    I ∩ (f) = (t*I + (1 - t)*f) ∩ k[vars]."""
+    I ∩ (f) = (t*I + (1 - t)*f) ∩ k[vars].  ``upper``, an ideal known to
+    contain I : f (such as I : f^infinity), is returned itself when f times
+    each of its generators lies in I, without the tagged basis."""
     if f.is_zero:
         raise ValueError("quotient by the zero polynomial")
+    order = default_order(I.layout, within)
+    if upper is not None and all(I.contains(f * u, order, budget) for u in upper.gens):
+        return upper
     ext = I.layout.with_tag()
     t = Polynomial(ext, I.field, ((I.field.one, unit(ext.nvars, ext.tag_index)),))
     gens = [t * transport(g, ext) for g in I.gens]
     gens.append((Polynomial.constant(ext, I.field, 1) - t) * transport(f, ext))
-    gb = buchberger(gens, default_order(ext, within), budget)
-    inter = _avoiding(gb, slice(ext.tag_index, ext.tag_index + 1), I.layout)
-    return Ideal(I.layout, I.field, tuple(exact_divide(g, f, budget) for g in inter))
+    inter = buchberger(gens, default_order(ext, within), budget, eliminate=ext.tag_index)
+    return Ideal(I.layout, I.field, tuple(exact_divide(transport(g, I.layout), f, budget) for g in inter))
 
 
 def saturate(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> Ideal:
@@ -86,9 +87,20 @@ def saturate(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> I
         raise ValueError("saturation by the zero polynomial")
     if f.is_constant:
         return Ideal(I.layout, I.field, I.gens)
-    ext, gens = _with_inverse(I, f)
-    gb = buchberger(gens, default_order(ext, within), budget)
-    return Ideal(I.layout, I.field, _avoiding(gb, slice(ext.tag_index, ext.tag_index + 1), I.layout))
+    return Ideal(I.layout, I.field, _saturation(I, f, within, budget))
+
+
+def _saturation(I: Ideal, f: Polynomial, within, budget) -> tuple:
+    """The reduced basis of I : f^infinity, kept in the budget's memo, if it
+    has one, under ``("saturation", I.gens, f, within)``: :func:`saturate`
+    and :func:`radical_member` share the entry."""
+
+    def compute():
+        ext, gens = _with_inverse(I, f)
+        gb = buchberger(gens, default_order(ext, within), budget, eliminate=ext.tag_index)
+        return tuple(transport(g, I.layout) for g in gb)
+
+    return budget.memoized(("saturation", I.gens, f, within), compute) if budget else compute()
 
 
 def _with_inverse(I: Ideal, f: Polynomial):
@@ -129,11 +141,11 @@ def module_saturate(
 
 
 def radical_member(f: Polynomial, I: Ideal, within: str = "grevlex", budget=None) -> bool:
-    """True iff f lies in the radical of I: 1 in I + (1 - t*f)."""
+    """True iff f lies in the radical of I: 1 in I + (1 - t*f), so that
+    I : f^infinity is the unit ideal."""
     if f.is_zero:
         return True
-    ext, gens = _with_inverse(I, f)
-    gb = buchberger(gens, default_order(ext, within), budget)
+    gb = _saturation(I, f, within, budget)
     return bool(gb) and gb[0].is_constant
 
 

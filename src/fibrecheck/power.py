@@ -53,10 +53,7 @@ class Problem:
         # made once, so that every check and power shares its derived
         # layouts and default orders; colliding names are rejected here
         self.layout = RingLayout(self.base_vars, self.fibre_vars, 1, None)
-
-    @property
-    def ideal(self) -> Ideal:
-        return Ideal(self.layout, self.field, self.ideal_gens)
+        self.ideal = Ideal(self.layout, self.field, self.ideal_gens)
 
     @property
     def n(self) -> int:

@@ -181,15 +181,19 @@ def _first_base_generator(I: Ideal, within, budget, what: str) -> Polynomial:
 
 
 def has_torsion_ideal(J: Ideal, first: Ideal, within: str = "grevlex", budget=None):
-    """R-torsion in the cyclic module k[y, x]/J: its dominant part grows."""
+    """R-torsion in k[y, x]/J: its dominant part grows; v integer-normalized."""
     for v in _outside(J, first, within, budget):
-        return True, (_annihilator_witness(J, v, within, budget), v)
+        return True, (_annihilator_witness(J, v, within, budget), integer_normalized(v))
     return False, None
 
 
 def _annihilator_witness(J: Ideal, v: Polynomial, within, budget) -> Polynomial:
-    """Nonzero pure-base r with r*v in J, from contract_to_base(J : v)."""
-    Q = quotient(J, v, within, budget)
+    """Nonzero pure-base r with r*v in J, from contract_to_base(J : v), which
+    is J : v^infinity when v times each of its generators lies in J: under
+    ``check both`` a memo record of the openness check, and so is its
+    contraction when v is g.  Otherwise (v nilpotent mod J, say) J : v comes
+    from its tagged intersection basis."""
+    Q = quotient(J, v, within, budget, upper=saturate(J, v, within, budget))
     return _first_base_generator(Q, within, budget, "torsion annihilator")
 
 
@@ -219,7 +223,8 @@ def _run_power_loop(problem: Problem, config: CheckConfig, kind: str) -> Verdict
     n = problem.n
     # the config's bound overrides the statement's ``power k``; the powers
     # 1..n decide, so none above n is tested
-    kmax = min(next(b for b in (config.max_power, problem.max_power, n) if b is not None), n)
+    bound = config.max_power if config.max_power is not None else problem.max_power
+    kmax = n if bound is None else min(bound, n)
     budget = config.budget()
     verdict = Verdict(kind=kind, outcome="pass", max_power_tested=kmax)
     for k in range(1, kmax + 1):
@@ -284,10 +289,8 @@ def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, first
         found, cert = has_torsion_ideal(Jk, first, within, budget)
         if not found:
             return False, None
-        r, v = cert
-        v = integer_normalized(v)
-        _verify_flat_ideal_certificate(Jk, r, v, within, budget)
-        return True, (r, v)
+        _verify_flat_ideal_certificate(Jk, *cert, within, budget)
+        return True, cert
 
     pres = tensor_power_presentation(problem, k, budget)
     found, cert = has_torsion_module(pres, within, budget)

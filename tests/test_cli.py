@@ -678,7 +678,7 @@ def test_blowup_a3_pair_counts_pinned(capsys, monkeypatch):
         c["kind"]: [(p["basis_size"], p["pairs"]) for p in c["powers"]]
         for c in json.loads(out)["checks"]
     }
-    assert stats == {"open": [(7, 13), (15, 112)], "flat": [(7, 13), (15, 93)]}
+    assert stats == {"open": [(7, 13), (15, 112)], "flat": [(7, 13), (15, 97)]}
 
 
 def test_rank2_module_pair_counts_pinned(capsys):
@@ -697,10 +697,10 @@ G1 = "base y1 y2 y3\nvars x1 x2 x3\nideal: x1*x2 - y1, x2*x3 - y2, x1*x3 - y3*x2
 @pytest.mark.parametrize(
     "text, order, want",
     [
-        (A4_CHART, "grevlex", {"open": [(1, 14, 45), (2, 29, 299)], "flat": [(1, 14, 45), (2, 29, 282)]}),
-        (A4_CHART, "lex", {"open": [(1, 14, 45), (2, 29, 299)], "flat": [(1, 14, 45), (2, 29, 282)]}),
-        (G1, "grevlex", {"open": [(1, 13, 40), (2, 51, 722)], "flat": [(1, 13, 40), (2, 51, 645)]}),
-        (G1, "lex", {"open": [(1, 17, 57), (2, 73, 1006)], "flat": [(1, 17, 57), (2, 73, 876)]}),
+        (A4_CHART, "grevlex", {"open": [(1, 14, 45), (2, 29, 299)], "flat": [(1, 14, 45), (2, 29, 280)]}),
+        (A4_CHART, "lex", {"open": [(1, 14, 45), (2, 29, 299)], "flat": [(1, 14, 45), (2, 29, 280)]}),
+        (G1, "grevlex", {"open": [(1, 13, 40), (2, 51, 722)], "flat": [(1, 13, 40), (2, 51, 583)]}),
+        (G1, "lex", {"open": [(1, 17, 57), (2, 73, 1006)], "flat": [(1, 17, 57), (2, 73, 819)]}),
     ],
     ids=["A4-grevlex", "A4-lex", "g1-grevlex", "g1-lex"],
 )
@@ -822,11 +822,14 @@ def test_check_both_equals_open_then_flat(capsys, monkeypatch, text, limit, abor
     assert (False in afforded) == unaffordable
 
 
-@pytest.mark.parametrize("check, want", [("both", (2, 3, 9)), ("open", (2, 3, 4))])
+@pytest.mark.parametrize("check, want", [("both", (2, 4, 9)), ("open", (2, 3, 4))])
 def test_second_check_replays(capsys, monkeypatch, check, want):
     # The flat check of `check both` replays each J_k's generic denominator,
-    # saturation and membership answers from the open check's records; it
-    # computes only its annihilator witness and its re-check afresh.
+    # dominant part and membership answers from the open check's records, and
+    # its annihilator too: its one saturate call, J_2 : v^infinity, is the
+    # open check's J_2 : g^infinity, and so is its contraction.  It computes
+    # afresh only the membership tests that show J_2 : v to be that
+    # saturation, and its re-check.
     calls = {}
     for module, name in ((verticality, "generic_denominator"), (verticality, "saturate"), (groebner, "normal_form")):
 

@@ -28,7 +28,7 @@ from fibrecheck import (
 )
 from fibrecheck import groebner
 from fibrecheck.groebner import decode_vectors, encode_vectors, exact_divide
-from fibrecheck.poly import Packing
+from fibrecheck.poly import Packing, transport, unit
 from fibrecheck.verticality import dominant_part
 
 from oracles import macaulay_member
@@ -778,6 +778,47 @@ def test_buchberger_update_equals_reference(field, within, name, data):
     assert buchberger(gens, order, got_budget) == want
     got = (got_budget.pairs, got_budget.work, got_budget.max_basis)
     assert got == (want_budget.pairs, want_budget.work, want_budget.max_basis)
+
+
+ELIMINATE_LAYOUTS = {"tagged": L3.with_tag(), "tagged positions": L3.with_tag().with_positions(2)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("name", sorted(ELIMINATE_LAYOUTS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_eliminate_keeps_the_tag_free_part_of_the_reduced_basis(field, within, name, data):
+    # buchberger(..., eliminate=t) must give the tag-free elements of the full
+    # reduced basis, after the same pairs and the same largest basis; the
+    # Rabinowitsch generator 1 - t*f (at every position of a module) makes
+    # the tag-free part nonzero more often
+    layout = ELIMINATE_LAYOUTS[name]
+    order, tag, rank = default_order(layout, within), layout.tag_index, layout.positions
+    ring = layout.with_positions(0)
+    if rank:
+        vec = st.tuples(*[poly_strategy(ring, field, max_terms=3)] * rank)
+        gens = encode_vectors(data.draw(st.lists(vec, min_size=1, max_size=3)), ring, rank)
+    else:
+        gens = data.draw(gens_sharing_leads(layout, order, field))
+    if data.draw(st.booleans()):
+        f = data.draw(poly_strategy(L3, field, max_terms=3))
+        t = Polynomial(ring, field, ((field.one, unit(ring.nvars, tag)),))
+        inverse = Polynomial.constant(ring, field, 1) - t * transport(f, ring)
+        zero = Polynomial.zero(ring, field)
+        at_each = [tuple(inverse if j == i else zero for j in range(rank)) for i in range(rank)]
+        gens += encode_vectors(at_each, ring, rank) if rank else [inverse]
+    if all(g.is_zero for g in gens):
+        return
+    full_budget, kept_budget = ComputeBudget(pair_limit=200), ComputeBudget(pair_limit=200)
+    try:
+        full = buchberger(gens, order, full_budget)
+    except ResourceLimitError:
+        return
+    kept = buchberger(gens, order, kept_budget, eliminate=tag)
+    assert kept == [g for g in full if not any(e[tag] for _, e in g.terms)]
+    assert (kept_budget.pairs, kept_budget.max_basis) == (full_budget.pairs, full_budget.max_basis)
+    assert kept_budget.work <= full_budget.work
 
 
 # ---------------------------------------------------------------------------

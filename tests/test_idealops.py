@@ -28,7 +28,17 @@ from fibrecheck.groebner import encode_vectors
 
 from oracles import macaulay_member, saturate_by_quotients
 from test_poly import poly_strategy
-from util import BLOWUP_LAYOUT, CUSP_LAYOUT, LINE_LAYOUT, P, PW, ideal_equal, ideal_of, reference_unit
+from util import (
+    BLOWUP_LAYOUT,
+    CUSP_LAYOUT,
+    LINE_LAYOUT,
+    P,
+    PW,
+    count_computations,
+    ideal_equal,
+    ideal_of,
+    reference_unit,
+)
 
 XY2 = RingLayout((), ("x", "y"))
 BLOWUP_IDEAL = ideal_of(BLOWUP_LAYOUT, "y1*x - y2")
@@ -113,13 +123,44 @@ def test_quotient_on_random_ideals(field, data):
     assert ideal_equal(by_order["grevlex"], by_order["lex"])
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quotient_with_upper_bound_on_random_ideals(field, data):
+    """Given I : f^infinity as its upper bound, the quotient has the reduced
+    basis of the plain quotient, under grevlex and lex, whether the bound is
+    taken or the tagged basis is built."""
+    polys = poly_strategy(LINE_LAYOUT, field, max_exp=2, max_terms=3)
+    gens = data.draw(st.lists(polys, min_size=1, max_size=3))
+    f = data.draw(polys.filter(lambda p: not p.is_zero))
+    I = Ideal(LINE_LAYOUT, field, tuple(gens))
+    for within in ("grevlex", "lex"):
+        order = default_order(LINE_LAYOUT, within)
+        bounded = quotient(I, f, within, upper=saturate(I, f, within))
+        assert bounded.groebner_basis(order) == quotient(I, f, within).groebner_basis(order)
+
+
+@pytest.mark.parametrize("gens, want, taken", [("x*y", "y", True), ("x^2*y", "x*y", False)])
+def test_quotient_takes_its_upper_bound_only_when_it_is_the_quotient(monkeypatch, gens, want, taken):
+    # (x*y) : x = (y) = (x*y) : x^infinity, so the saturation is returned
+    # itself; (x^2*y) : x = (x*y) lies strictly inside (y), so the tagged
+    # intersection basis is built
+    I, x = ideal_of(XY2, gens), P(XY2, "x")
+    upper = saturate(I, x)
+    computed = count_computations(monkeypatch)
+    out = quotient(I, x, upper=upper)
+    assert ideal_equal(out, ideal_of(XY2, want))
+    tagged = [g for g in computed if g[0].layout == XY2.with_tag()]
+    assert (out is upper, len(tagged)) == (taken, 0 if taken else 1)
+
+
 def test_quotient_charges_its_exact_divisions(monkeypatch):
     """Dividing I ∩ (f) by f charges reduction steps to the budget, beyond
     those of the tagged basis."""
     build, after_basis = idealops.buchberger, []
 
-    def spy(gens, order, budget):
-        basis = build(gens, order, budget)
+    def spy(gens, order, budget, eliminate=None):
+        basis = build(gens, order, budget, eliminate)
         after_basis.append(budget.work)
         return basis
 

@@ -19,6 +19,7 @@ from fibrecheck import (
     RingLayout,
     check_flatness,
     check_openness,
+    contract_to_base,
     default_order,
     dominant_part,
     fibred_power_ideal,
@@ -27,6 +28,7 @@ from fibrecheck import (
     has_torsion_module,
     has_vertical_component,
     integer_normalized,
+    quotient,
     radical_member,
     saturate,
     squarefree_part,
@@ -613,6 +615,38 @@ def test_no_rational_point_falls_back_to_both_radical_memberships(monkeypatch):
     assert [point for _, _, point in points] == [None]
     recheck = [f for f, _, bypassed in calls if bypassed]
     assert recheck == [verdict.witness_r * verdict.witness_g, verdict.witness_g]
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+def test_flat_certificate_is_that_of_the_plain_quotient(monkeypatch, within):
+    # the annihilator search takes J_k : v from J_k : v^infinity when the two
+    # are equal; run as under `check both`, every failing ideal flat check
+    # must print the r that the plain quotient J_k : v gives, and both routes
+    # must be taken
+    problems = _open_failures()  # full_corpus() runs checks when first built
+    routes, real = [], verticality.quotient
+
+    def spy(J, v, within, budget, upper):
+        out = real(J, v, within, budget, upper)
+        routes.append(out is upper)
+        return out
+
+    monkeypatch.setattr(verticality, "quotient", spy)
+    failed = []
+    for name, problem in problems:
+        if name == "oversized.alg" or (problem.module is not None and problem.module.rank > 1):
+            continue
+        config = CheckConfig(within=within, allow_char_p_flatness=True)
+        check_openness(problem, config)
+        verdict = check_flatness(problem, config)
+        if verdict.outcome != "fail":
+            continue
+        failed.append(name)
+        Jk = verticality._power_ideal(problem, "flat", verdict.failing_power, config.budget())
+        Q = quotient(Jk, verdict.certificate_v, within)
+        assert verdict.certificate_r == integer_normalized(transport(contract_to_base(Q, within).gens[0], Jk.layout)), name
+    assert len(routes) == len(failed) >= 15
+    assert set(routes) == {True, False}
 
 
 def _blowup_witness():
