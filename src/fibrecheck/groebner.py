@@ -582,8 +582,8 @@ def _interreduce(elements, basis, order: MonomialOrder, layout, budget, eliminat
     guards = packing.guards
     candidates = range(len(leads))
     if eliminate is not None:
-        field = packing.pack(unit(layout.nvars, eliminate)) * ((1 << packing.width) - 1)
-        candidates = [i for i in candidates if not leads[i] & field]
+        tag_bits = packing.pack(unit(layout.nvars, eliminate)) * ((1 << packing.width) - 1)
+        candidates = [i for i in candidates if not leads[i] & tag_bits]
     # drop elements whose leading monomial is divisible by another's
     kept = []
     for i in sorted(candidates, key=lambda i: tables[i][0], reverse=True):

@@ -6,10 +6,10 @@ by its index, which ``default_order`` ranks first (tag >> fibres >> base):
 the tag-free elements of a basis of I + (1 - t*f) are a basis of
 I : f^infinity, those of t*I + (1 - t)*f a basis of I ∩ (f), and 1 lies in
 I + (1 - t*f) iff f lies in the radical of I (the Rabinowitsch trick).
-Buchberger keeps and interreduces only the tag-free elements, and a saturation
-and a radical membership of the same I and f share one memo entry.  I : f lies in
-I : f^infinity, equal iff f*(I : f^infinity) lies in I, which a quotient
-given the saturation as its upper bound tests first.
+Buchberger keeps and interreduces only the tag-free elements, and a
+saturation and a radical membership of the same I and f share one memo
+entry.  I : f lies in I : f^infinity, equal iff f*(I : f^infinity) lies in
+I, which a quotient given the saturation as its upper bound tests first.
 Contraction to the base keeps the base-only elements of the default basis,
 which ranks the fibres above the base.  Krull dimension is computed
 combinatorially from independent sets of the leading-term ideal.  A submodule
@@ -70,8 +70,7 @@ def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None, uppe
     each of its generators lies in I, without the tagged basis."""
     if f.is_zero:
         raise ValueError("quotient by the zero polynomial")
-    order = default_order(I.layout, within)
-    if upper is not None and all(I.contains(f * u, order, budget) for u in upper.gens):
+    if upper is not None and all(I.contains(f * u, default_order(I.layout, within), budget) for u in upper.gens):
         return upper
     ext = I.layout.with_tag()
     t = Polynomial(ext, I.field, ((I.field.one, unit(ext.nvars, ext.tag_index)),))
@@ -91,9 +90,8 @@ def saturate(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> I
 
 
 def _saturation(I: Ideal, f: Polynomial, within, budget) -> tuple:
-    """The reduced basis of I : f^infinity, kept in the budget's memo, if it
-    has one, under ``("saturation", I.gens, f, within)``: :func:`saturate`
-    and :func:`radical_member` share the entry."""
+    """The reduced basis of I : f^infinity, memoized under ``("saturation",
+    I.gens, f, within)`` for :func:`saturate` and :func:`radical_member`."""
 
     def compute():
         ext, gens = _with_inverse(I, f)
