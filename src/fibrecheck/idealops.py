@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .groebner import (
     ComputeBudget,
+    Divisors,
     Ideal,
     ModulePresentation,
     buchberger,
@@ -81,12 +82,16 @@ def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None, uppe
 
 
 def saturate(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> Ideal:
-    """I : f^infinity, via the tag construction (I + (1 - t*f)) ∩ k[vars]."""
+    """I : f^infinity, via the tag construction (I + (1 - t*f)) ∩ k[vars];
+    its generators are its reduced basis under ``default_order(I.layout,
+    within)``, which it holds from the start."""
     if f.is_zero:
         raise ValueError("saturation by the zero polynomial")
     if f.is_constant:
         return Ideal(I.layout, I.field, I.gens)
-    return Ideal(I.layout, I.field, _saturation(I, f, within, budget))
+    S, order = Ideal(I.layout, I.field, _saturation(I, f, within, budget)), default_order(I.layout, within)
+    S._gb_cache[order] = Divisors(S.gens, order, I.field)  # the saturation is its own reduced basis
+    return S
 
 
 def _saturation(I: Ideal, f: Polynomial, within, budget) -> tuple:

@@ -26,6 +26,7 @@ from .groebner import (
     ResourceLimitError,
     decode_vectors,
     encode_vectors,
+    normal_form,
 )
 from .idealops import contract_to_base, module_saturate, quotient, radical_member, saturate
 from .poly import (
@@ -131,12 +132,17 @@ def dominant_part(J: Ideal, first: Ideal, within: str = "grevlex", budget=None) 
     """J : h^infinity, h the generic denominator of ``first``, the J_1 whose
     power J is; its minimal primes are the dominant minimal primes of J.
     first's basis is asked for on every call; h and the saturation are kept
-    in the budget's memo, if it has one, under a key naming both ideals."""
+    in the budget's memo, if it has one: h once per J_1, the saturation under
+    a key naming both ideals."""
     order = default_order(first.layout, within)
     gb = first.groebner_basis(order, budget)
 
+    def denominator():
+        return generic_denominator(gb, first.layout, first.field, order)
+
     def compute():
-        h = generic_denominator(gb, first.layout, first.field, order)
+        key = ("denominator", first.gens, order)
+        h = budget.memoized(key, denominator) if budget else denominator()
         return saturate(J, transport(h, J.layout), within, budget).gens
 
     gens = budget.memoized(("dominant part", J.gens, first.gens, order), compute) if budget else compute()
@@ -181,9 +187,12 @@ def _first_base_generator(I: Ideal, within, budget, what: str) -> Polynomial:
 
 
 def has_torsion_ideal(J: Ideal, first: Ideal, within: str = "grevlex", budget=None):
-    """R-torsion in k[y, x]/J: its dominant part grows; v integer-normalized."""
+    """R-torsion in k[y, x]/J: its dominant part grows; v integer-normalized,
+    and the certificate re-checked before it is returned."""
     for v in _outside(J, first, within, budget):
-        return True, (_annihilator_witness(J, v, within, budget), integer_normalized(v))
+        cert = _annihilator_witness(J, v, within, budget), integer_normalized(v)
+        _verify_flat_ideal_certificate(J, *cert, within, budget or ComputeBudget(), first)
+        return True, cert
     return False, None
 
 
@@ -265,7 +274,8 @@ def _power_ideal(problem: Problem, kind: str, k: int, budget) -> Ideal | None:
     """The ideal a check searches at power k: J_k, or the relations of a
     rank-1 module's k-th tensor power (None for a module of higher rank)."""
     if kind == "open" or problem.module is None:
-        return fibred_power_ideal(problem.ideal, k)
+        # a fresh J_1, whose per-object basis cache no other check has filled
+        return Ideal(problem.layout, problem.field, problem.ideal.gens) if k == 1 else fibred_power_ideal(problem.ideal, k)
     if problem.module.rank > 1:
         return None
     pres = tensor_power_presentation(problem, k, budget)
@@ -286,11 +296,7 @@ def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, first
 
     # flatness: torsion in the tensor power of F (F = A when none declared)
     if Jk is not None:
-        found, cert = has_torsion_ideal(Jk, first, within, budget)
-        if not found:
-            return False, None
-        _verify_flat_ideal_certificate(Jk, *cert, within, budget)
-        return True, cert
+        return has_torsion_ideal(Jk, first, within, budget)
 
     pres = tensor_power_presentation(problem, k, budget)
     found, cert = has_torsion_module(pres, within, budget)
@@ -309,11 +315,20 @@ def _is_pure_base(f: Polynomial) -> bool:
     return not f.is_zero and all(i < nb for i in f.support_indices())
 
 
-# Every re-check recomputes the bases and membership answers it needs: it runs
-# inside budget.memo_bypassed(), and it asks a fresh object, whose per-object
-# basis cache is empty, rather than the Jk or pres that the search filled.
-# _verify_open_witness builds new ideals in radical_member (for g only if no
-# point is found); the flat re-check copies Jk, or encodes pres afresh.
+# Each re-check proves both halves without the engine where it can.  r*g
+# (r*v) lies in J_k when its remainder on division by J_k's generators is
+# zero, the quotients being its cofactors; g (v) lies outside sqrt(J_k) (J_k)
+# when it is nonzero at a point of V(J_k).  Only a half left unproven asks the
+# engine, and that recomputes what it needs: inside budget.memo_bypassed(), on
+# a fresh object whose per-object basis cache is empty, never the Jk or pres
+# the search filled.  The open fallbacks build new ideals in radical_member;
+# the flat ones copy Jk, which for a module is its relations encoded afresh.
+
+
+def _divides_into(f, Jk, within, budget) -> bool:
+    """Whether f leaves no remainder on division by J_k's generators: a proof
+    that f lies in J_k, while a remainder proves nothing."""
+    return normal_form(f, Jk.gens, default_order(Jk.layout, within), budget).is_zero
 
 
 def _verify_open_witness(Jk, first, g, r, within, budget):
@@ -321,7 +336,7 @@ def _verify_open_witness(Jk, first, g, r, within, budget):
         ok = (
             not r.is_zero
             and _is_pure_base(r)
-            and radical_member(r * g, Jk, within, budget)
+            and (_divides_into(r * g, Jk, within, budget) or radical_member(r * g, Jk, within, budget))
             and (_point_outside(Jk, first, g, r, budget) or not radical_member(g, Jk, within, budget))
         )
     if not ok:
@@ -378,15 +393,22 @@ def _point_outside(Jk, first, g, r, budget):
     return next(filter(None, islice(trials(), _POINT_TRIES)), None)  # a point is a nonempty tuple
 
 
-def _verify_flat_ideal_certificate(Jk, r, v, within, budget):
+def _verify_flat_ideal_certificate(Jk, r, v, within, budget, first=None):
+    """r*v in J_k and v outside it; a point is sought, over J_1's fibre
+    (``first``), only when one is given: v lies outside J_k when nonzero at a
+    point of V(J_k), and each such point lies over V(r), as r*v is zero there."""
     order = default_order(Jk.layout, within)
     fresh = Ideal(Jk.layout, Jk.field, Jk.gens)
     with budget.memo_bypassed():
         ok = (
             not r.is_zero
             and _is_pure_base(r)
-            and fresh.contains(r * v, order, budget)
-            and not fresh.contains(v, order, budget)
+            and (_divides_into(r * v, Jk, within, budget) or fresh.contains(r * v, order, budget))
+            and (
+                first is not None
+                and _point_outside(Jk, first, v, r, budget)
+                or not fresh.contains(v, order, budget)
+            )
         )
     if not ok:
         raise WitnessSoundnessError("flatness certificate failed its re-check")

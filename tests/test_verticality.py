@@ -41,6 +41,7 @@ from fibrecheck.cli import parse_problem
 from fibrecheck.groebner import ComputeBudget, ResourceLimitError, encode_vectors, exact_divide
 from fibrecheck.poly import MonomialOrder
 from fibrecheck.verticality import (
+    WitnessSoundnessError,
     _verify_flat_ideal_certificate,
     _verify_flat_module_certificate,
     _verify_open_witness,
@@ -284,8 +285,8 @@ def _spy_radical_member(monkeypatch) -> list:
 
 def test_open_check_runs_rabinowitsch_only_outside_jk(monkeypatch):
     # generators of the dominant part that lie in J_k are decided by a normal
-    # form; the re-check runs one radical membership, r*g's, as g is proven
-    # outside sqrt(J_k) by a point
+    # form; the re-check runs no radical membership: r*g is proven in J_k by
+    # division by its generators, and g outside sqrt(J_k) by a point
     problem = Problem(QQ, ("y1", "y2", "y3"), ("x1", "x2"), A3_CHART.gens)
     skipped, first = 0, fibred_power_ideal(A3_CHART, 1)
     for k in (1, 2):
@@ -299,7 +300,7 @@ def test_open_check_runs_rabinowitsch_only_outside_jk(monkeypatch):
     recheck = [f for f, _, bypassed in calls if bypassed]
     assert search
     assert not any(Ideal(I.layout, I.field, I.gens).contains(f) for f, I in search)
-    assert recheck == [verdict.witness_r * verdict.witness_g]
+    assert recheck == []
 
 
 def test_noether_cover_passes_without_radical_membership(monkeypatch):
@@ -510,10 +511,32 @@ def test_open_witness_recheck_recomputes_memoized_bases(monkeypatch):
     computed = count_computations(monkeypatch)
     radical_member(r * g, J, "grevlex", budget)
     radical_member(g, J, "grevlex", budget)
-    assert not computed  # both bases of the re-check are in the memo
+    assert not computed  # both bases of the engine route are in the memo
+    memo = budget.memo = _ReadLog(budget.memo)
     _verify_open_witness(J, J1, g, r, "grevlex", budget)
-    assert len(computed) == 1  # r*g's Rabinowitsch basis; g is proven outside by a point
-    assert budget.memo  # bypassed during the re-check, not dropped
+    assert memo.reads == []  # bypassed: the re-check reads no record of the search
+    assert computed == []  # r*g is proven by division, g by a point
+    assert budget.memo is memo and memo  # bypassed during the re-check, not dropped
+
+
+class _ReadLog(dict):
+    """A memo that lists the keys read from it."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
 
 
 def test_flat_certificate_recheck_recomputes_memoized_basis(monkeypatch):
@@ -609,12 +632,100 @@ def test_every_open_failure_is_proven_by_a_point(monkeypatch, within):
 
 
 def test_no_rational_point_falls_back_to_both_radical_memberships(monkeypatch):
+    # r*g is proven in J_1 by division, so only g's half falls back
     calls, points = _spy_radical_member(monkeypatch), _spy_point_outside(monkeypatch)
     verdict = check_openness(parse_problem(NO_RATIONAL_POINT))
     assert (verdict.outcome, verdict.failing_power) == ("fail", 1)
     assert [point for _, _, point in points] == [None]
     recheck = [f for f, _, bypassed in calls if bypassed]
-    assert recheck == [verdict.witness_r * verdict.witness_g, verdict.witness_g]
+    assert recheck == [verdict.witness_g]
+
+
+def _spy_rechecks(monkeypatch) -> list:
+    """A list that gains, for every ideal re-check (a module's included),
+    (its divisions' results, whether each point search found a point, the
+    generators of each basis it computed)."""
+    rechecks, computed = [], count_computations(monkeypatch)
+    divisions, points = [], []
+    for name, log in (("_divides_into", divisions), ("_point_outside", points)):
+
+        def spy(*args, real=getattr(verticality, name), log=log):
+            log.append(real(*args))
+            return log[-1]
+
+        monkeypatch.setattr(verticality, name, spy)
+    for name in ("_verify_open_witness", "_verify_flat_ideal_certificate"):
+
+        def spy(*args, real=getattr(verticality, name)):
+            divisions.clear(), points.clear()
+            before = len(computed)
+            real(*args)
+            rechecks.append((divisions[:], [p is not None for p in points], computed[before:]))
+
+        monkeypatch.setattr(verticality, name, spy)
+    return rechecks
+
+
+@pytest.mark.parametrize(
+    "path, within, kind, divisions, points, bases",
+    [
+        # the common route: the division leaves no remainder, and a point is found
+        ("fixtures/blowup.alg", "grevlex", "open", [True], [True], 0),
+        ("fixtures/blowup.alg", "lex", "flat", [True], [True], 0),
+        ("fixtures/charp_open.alg", "grevlex", "open", [True], [True], 0),
+        ("tests/golden/charp_vertical.alg", "lex", "open", [True], [True], 0),
+        ("tests/golden/huge_exponent.alg", "lex", "open", [True], [True], 0),
+        # a remainder under grevlex: r*g's Rabinowitsch basis, the fresh J_2's
+        ("tests/golden/huge_exponent.alg", "grevlex", "open", [False], [True], 1),
+        ("tests/golden/huge_exponent.alg", "grevlex", "flat", [False], [True], 1),
+        # v is nilpotent mod J_2, so no point exists: the fresh basis of J_2
+        # decides both halves
+        ("tests/golden/rational_chart.alg", "grevlex", "flat", [False], [False], 1),
+        ("tests/golden/rational_chart.alg", "lex", "flat", [False], [False], 1),
+        # a module of rank 2 gets no point search, and its division proves r*v
+        ("fixtures/module_torsion.alg", "grevlex", "flat", [True], [], 1),
+        ("tests/golden/rank2_module.alg", "lex", "flat", [False], [], 1),
+    ],
+)
+def test_each_recheck_route_fires_on_a_named_input(monkeypatch, path, within, kind, divisions, points, bases):
+    rechecks = _spy_rechecks(monkeypatch)
+    problem = parse_problem((GOLDEN.parent.parent / path).read_text())
+    config = CheckConfig(within=within, allow_char_p_flatness=True)
+    verdict = (check_openness if kind == "open" else check_flatness)(problem, config)
+    assert verdict.outcome == "fail"
+    ((got_divisions, got_points, computed),) = rechecks
+    assert (got_divisions, got_points, len(computed)) == (divisions, points, bases)
+    if kind == "flat" and bases:  # the fallback's basis is that of a fresh J_k
+        J = verticality._power_ideal(problem, "flat", verdict.failing_power, config.budget())
+        if J is not None:
+            assert computed == [J.gens]
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", ["Q", "F 5"])
+def test_tampered_certificates_fail_their_recheck_by_either_route(within, field):
+    # each tampered half is unprovable: the cheap proof is missing, and the
+    # engine's fallback refutes it, with a point search (given J_1) or without
+    problem = parse_problem(f"field {field}\nbase y1 y2\nvars x\nideal: y1*x - y2\n")
+    J1, J2 = (fibred_power_ideal(problem.ideal, k) for k in (1, 2))
+    budget = CheckConfig(within=within).budget()
+    found, g = has_vertical_component(J2, J1, within, budget)
+    assert found
+    r, g = vertical_witness(J2, g, within, budget), integer_normalized(g)
+    one, inside = Polynomial.constant(r.layout, problem.field, 1), J2.gens[0]
+    _verify_open_witness(J2, J1, g, r, within, budget)
+    for first in (J1, None):
+        _verify_flat_ideal_certificate(J2, r, g, within, budget, first)
+    with pytest.raises(WitnessSoundnessError):  # r*g = g outside sqrt(J_2)
+        _verify_open_witness(J2, J1, g, one, within, budget)
+    with pytest.raises(WitnessSoundnessError):  # g in J_2, so vanishing on V(J_2)
+        _verify_open_witness(J2, J1, inside, r, within, budget)
+    for first in (J1, None):
+        with pytest.raises(WitnessSoundnessError):  # r*v = v outside J_2
+            _verify_flat_ideal_certificate(J2, one, g, within, budget, first)
+        with pytest.raises(WitnessSoundnessError):  # v in J_2
+            _verify_flat_ideal_certificate(J2, r, inside, within, budget, first)
+    assert budget.memo  # every re-check bypassed it
 
 
 @pytest.mark.parametrize("within", ["grevlex", "lex"])
