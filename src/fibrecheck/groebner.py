@@ -146,13 +146,14 @@ class ComputeBudget:
     replayed by :meth:`memoized`.  It records bases (keyed by ``(nonzero
     generators in input order, MonomialOrder)``; module bases are encoded
     polynomials and share the memo), saturations (``("saturation",
-    generators, f, within)``), dominant parts (``("dominant part",
+    generators, f, within)``), generic denominators (``("denominator",
+    generators of J_1, order)``), dominant parts (``("dominant part",
     generators, generators of J_1, order)``) and membership answers
     (``(generators, order, f)``).  A hit is served only when the recorded
     pairs and reduction steps still fit under the limits, and they are
     charged again, so counts and aborts never depend on which computations
     ran before.  Aborted computations are never stored.  Re-verification
-    runs inside :meth:`memo_bypassed` and recomputes everything it needs."""
+    runs inside :meth:`memo_bypassed` and recomputes every basis it needs."""
 
     pair_limit: int = 100_000
     deadline: float | None = None  # absolute time.monotonic() deadline

@@ -6,9 +6,9 @@ by its index, which ``default_order`` ranks first (tag >> fibres >> base):
 the tag-free elements of a basis of I + (1 - t*f) are a basis of
 I : f^infinity, those of t*I + (1 - t)*f a basis of I ∩ (f), and 1 lies in
 I + (1 - t*f) iff f lies in the radical of I (the Rabinowitsch trick).
-Buchberger keeps and interreduces only the tag-free elements, and a
-saturation and a radical membership of the same I and f share one memo
-entry.  I : f lies in I : f^infinity, equal iff f*(I : f^infinity) lies in
+Buchberger keeps and interreduces only the tag-free elements, so a
+saturation is its own reduced basis, and a saturation and a radical
+membership of the same I and f share one memo entry.  I : f lies in I : f^infinity, equal iff f*(I : f^infinity) lies in
 I, which a quotient given the saturation as its upper bound tests first.
 Contraction to the base keeps the base-only elements of the default basis,
 which ranks the fibres above the base.  Krull dimension is computed

@@ -9,8 +9,10 @@ J_1: A_h is free over R_h (generic freeness), so is each tensor power, and
 J_k : h^infinity is the dominant part of every J_k, while J_k's own h would
 add spurious factors.  A module of rank >= 2 keeps each power's h, a power of
 which is its certificate.  Witnesses are re-checked before a verdict is
-emitted; g outside sqrt(J_k) is proven by a point of V(J_k) where g is nonzero,
-if one is found (see the re-checks for what they recompute)."""
+emitted, by exact proofs that do not trust the engine where they exist: r*g
+(r*v) lies in J_k when division by J_k's generators leaves no remainder, and
+g (v) lies outside sqrt(J_k) (J_k) when it is nonzero at a point of V(J_k).
+Only a half left unproven falls back to the engine (see the re-checks)."""
 
 from __future__ import annotations
 
@@ -141,8 +143,7 @@ def dominant_part(J: Ideal, first: Ideal, within: str = "grevlex", budget=None) 
         return generic_denominator(gb, first.layout, first.field, order)
 
     def compute():
-        key = ("denominator", first.gens, order)
-        h = budget.memoized(key, denominator) if budget else denominator()
+        h = budget.memoized(("denominator", first.gens, order), denominator) if budget else denominator()
         return saturate(J, transport(h, J.layout), within, budget).gens
 
     gens = budget.memoized(("dominant part", J.gens, first.gens, order), compute) if budget else compute()
@@ -274,8 +275,9 @@ def _power_ideal(problem: Problem, kind: str, k: int, budget) -> Ideal | None:
     """The ideal a check searches at power k: J_k, or the relations of a
     rank-1 module's k-th tensor power (None for a module of higher rank)."""
     if kind == "open" or problem.module is None:
-        # a fresh J_1, whose per-object basis cache no other check has filled
-        return Ideal(problem.layout, problem.field, problem.ideal.gens) if k == 1 else fibred_power_ideal(problem.ideal, k)
+        if k == 1:  # a fresh J_1, whose basis cache no other check has filled
+            return Ideal(problem.layout, problem.field, problem.ideal.gens)
+        return fibred_power_ideal(problem.ideal, k)
     if problem.module.rank > 1:
         return None
     pres = tensor_power_presentation(problem, k, budget)
@@ -394,9 +396,8 @@ def _point_outside(Jk, first, g, r, budget):
 
 
 def _verify_flat_ideal_certificate(Jk, r, v, within, budget, first=None):
-    """r*v in J_k and v outside it; a point is sought, over J_1's fibre
-    (``first``), only when one is given: v lies outside J_k when nonzero at a
-    point of V(J_k), and each such point lies over V(r), as r*v is zero there."""
+    """A point is sought over the fibre of ``first`` (J_1) only when it is
+    given; every point found lies over V(r), as r*v vanishes on V(J_k)."""
     order = default_order(Jk.layout, within)
     fresh = Ideal(Jk.layout, Jk.field, Jk.gens)
     with budget.memo_bypassed():
