@@ -702,7 +702,7 @@ def test_each_recheck_route_fires_on_a_named_input(monkeypatch, path, within, ki
 
 
 @pytest.mark.parametrize("within", ["grevlex", "lex"])
-@pytest.mark.parametrize("field", ["Q", "F 5"])
+@pytest.mark.parametrize("field", ["Q", "F 5"], ids=["Q", "F5"])
 def test_tampered_certificates_fail_their_recheck_by_either_route(within, field):
     # each tampered half is unprovable: the cheap proof is missing, and the
     # engine's fallback refutes it, with a point search (given J_1) or without
