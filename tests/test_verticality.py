@@ -657,7 +657,8 @@ def _spy_rechecks(monkeypatch) -> list:
     for name in ("_verify_open_witness", "_verify_flat_ideal_certificate"):
 
         def spy(*args, real=getattr(verticality, name)):
-            divisions.clear(), points.clear()
+            divisions.clear()
+            points.clear()
             before = len(computed)
             real(*args)
             rechecks.append((divisions[:], [p is not None for p in points], computed[before:]))
