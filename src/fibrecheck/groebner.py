@@ -102,7 +102,7 @@ from __future__ import annotations
 import heapq
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -146,8 +146,7 @@ class ComputeBudget:
     replayed by :meth:`memoized`.  It records bases (keyed by ``(nonzero
     generators in input order, MonomialOrder)``; module bases are encoded
     polynomials and share the memo), saturations (``("saturation",
-    generators, f, within)``), generic denominators (``("denominator",
-    generators of J_1, order)``), dominant parts (``("dominant part",
+    generators, f, within)``), dominant parts (``("dominant part",
     generators, generators of J_1, order)``) and membership answers
     (``(generators, order, f)``).  A hit is served only when the recorded
     pairs and reduction steps still fit under the limits, and they are
@@ -608,15 +607,20 @@ def _interreduce(elements, basis, order: MonomialOrder, layout, budget, eliminat
 @dataclass
 class Ideal:
     """Generator list with, per order, the :class:`Divisors` of its reduced
-    Groebner basis, made lazily: the basis and what membership divides by."""
+    Groebner basis, made lazily: the basis and what membership divides by.
+    Generators known to be the reduced basis under an order are given that
+    order as ``reduced_under``, and no basis is computed for it."""
 
     layout: RingLayout
     field: object
     gens: tuple
+    reduced_under: InitVar[MonomialOrder | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, reduced_under):
         self.gens = tuple(g for g in self.gens if not g.is_zero)
         self._gb_cache = {}  # order -> Divisors of the basis under order
+        if reduced_under is not None:
+            self._gb_cache[reduced_under] = Divisors(self.gens, reduced_under, self.field)
 
     def groebner_basis(self, order: MonomialOrder | None = None, budget: ComputeBudget | None = None):
         order = order or default_order(self.layout)

@@ -8,8 +8,9 @@ I : f^infinity, those of t*I + (1 - t)*f a basis of I ∩ (f), and 1 lies in
 I + (1 - t*f) iff f lies in the radical of I (the Rabinowitsch trick).
 Buchberger keeps and interreduces only the tag-free elements, so a
 saturation is its own reduced basis, and a saturation and a radical
-membership of the same I and f share one memo entry.  I : f lies in I : f^infinity, equal iff f*(I : f^infinity) lies in
-I, which a quotient given the saturation as its upper bound tests first.
+membership of the same I and f share one memo entry.  I : f lies in
+I : f^infinity, equal iff f*(I : f^infinity) lies in I, which a quotient
+given the saturation as its upper bound tests first.
 Contraction to the base keeps the base-only elements of the default basis,
 which ranks the fibres above the base.  Krull dimension is computed
 combinatorially from independent sets of the leading-term ideal.  A submodule
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 from .groebner import (
     ComputeBudget,
-    Divisors,
     Ideal,
     ModulePresentation,
     buchberger,
@@ -84,14 +84,12 @@ def quotient(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None, uppe
 def saturate(I: Ideal, f: Polynomial, within: str = "grevlex", budget=None) -> Ideal:
     """I : f^infinity, via the tag construction (I + (1 - t*f)) ∩ k[vars];
     its generators are its reduced basis under ``default_order(I.layout,
-    within)``, which it holds from the start."""
+    within)``, and the returned Ideal is told so."""
     if f.is_zero:
         raise ValueError("saturation by the zero polynomial")
     if f.is_constant:
         return Ideal(I.layout, I.field, I.gens)
-    S, order = Ideal(I.layout, I.field, _saturation(I, f, within, budget)), default_order(I.layout, within)
-    S._gb_cache[order] = Divisors(S.gens, order, I.field)  # the saturation is its own reduced basis
-    return S
+    return Ideal(I.layout, I.field, _saturation(I, f, within, budget), default_order(I.layout, within))
 
 
 def _saturation(I: Ideal, f: Polynomial, within, budget) -> tuple:

@@ -134,16 +134,12 @@ def dominant_part(J: Ideal, first: Ideal, within: str = "grevlex", budget=None) 
     """J : h^infinity, h the generic denominator of ``first``, the J_1 whose
     power J is; its minimal primes are the dominant minimal primes of J.
     first's basis is asked for on every call; h and the saturation are kept
-    in the budget's memo, if it has one: h once per J_1, the saturation under
-    a key naming both ideals."""
+    in the budget's memo, if it has one, under a key naming both ideals."""
     order = default_order(first.layout, within)
     gb = first.groebner_basis(order, budget)
 
-    def denominator():
-        return generic_denominator(gb, first.layout, first.field, order)
-
     def compute():
-        h = budget.memoized(("denominator", first.gens, order), denominator) if budget else denominator()
+        h = generic_denominator(gb, first.layout, first.field, order)
         return saturate(J, transport(h, J.layout), within, budget).gens
 
     gens = budget.memoized(("dominant part", J.gens, first.gens, order), compute) if budget else compute()
@@ -188,12 +184,9 @@ def _first_base_generator(I: Ideal, within, budget, what: str) -> Polynomial:
 
 
 def has_torsion_ideal(J: Ideal, first: Ideal, within: str = "grevlex", budget=None):
-    """R-torsion in k[y, x]/J: its dominant part grows; v integer-normalized,
-    and the certificate re-checked before it is returned."""
+    """R-torsion in k[y, x]/J: its dominant part grows; v integer-normalized."""
     for v in _outside(J, first, within, budget):
-        cert = _annihilator_witness(J, v, within, budget), integer_normalized(v)
-        _verify_flat_ideal_certificate(J, *cert, within, budget or ComputeBudget(), first)
-        return True, cert
+        return True, (_annihilator_witness(J, v, within, budget), integer_normalized(v))
     return False, None
 
 
@@ -275,8 +268,6 @@ def _power_ideal(problem: Problem, kind: str, k: int, budget) -> Ideal | None:
     """The ideal a check searches at power k: J_k, or the relations of a
     rank-1 module's k-th tensor power (None for a module of higher rank)."""
     if kind == "open" or problem.module is None:
-        if k == 1:  # a fresh J_1, whose basis cache no other check has filled
-            return Ideal(problem.layout, problem.field, problem.ideal.gens)
         return fibred_power_ideal(problem.ideal, k)
     if problem.module.rank > 1:
         return None
@@ -298,7 +289,11 @@ def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, first
 
     # flatness: torsion in the tensor power of F (F = A when none declared)
     if Jk is not None:
-        return has_torsion_ideal(Jk, first, within, budget)
+        found, cert = has_torsion_ideal(Jk, first, within, budget)
+        if not found:
+            return False, None
+        _verify_flat_ideal_certificate(Jk, *cert, within, budget, first)
+        return True, cert
 
     pres = tensor_power_presentation(problem, k, budget)
     found, cert = has_torsion_module(pres, within, budget)

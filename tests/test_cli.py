@@ -822,28 +822,34 @@ def test_check_both_equals_open_then_flat(capsys, monkeypatch, text, limit, abor
     assert (False in afforded) == unaffordable
 
 
-@pytest.mark.parametrize("check, want", [("both", (1, 4, 7)), ("open", (1, 3, 4))])
+@pytest.mark.parametrize("check, want", [("both", (2, 4, 7, 2)), ("open", (2, 3, 4, 1))])
 def test_second_check_replays(capsys, monkeypatch, check, want):
-    # The generic denominator is computed once per J_1, for every power and
-    # both checks.  The flat check of `check both` replays each J_k's
+    # The flat check of `check both` replays each J_k's generic denominator,
     # dominant part and membership answers from the open check's records, and
     # its annihilator too: its one saturate call, J_2 : v^infinity, is the
     # open check's J_2 : g^infinity, and so is its contraction.  It computes
     # afresh only the membership tests that show J_2 : v to be that
-    # saturation.  Neither re-check asks for a membership: each divides by
-    # J_2's generators itself, and proves its other half by a point.
+    # saturation.  Neither re-check asks for a membership: each divides r*g
+    # (r*v) by J_2's generators once, through verticality's own binding of
+    # normal_form, and proves its other half by a point.
     calls = {}
-    for module, name in ((verticality, "generic_denominator"), (verticality, "saturate"), (groebner, "normal_form")):
+    spied = (
+        (verticality, "generic_denominator"),
+        (verticality, "saturate"),
+        (groebner, "normal_form"),
+        (verticality, "normal_form"),
+    )
+    for module, name in spied:
 
-        def spy(*args, real=getattr(module, name), name=name, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+        def spy(*args, real=getattr(module, name), key=(module, name), **kwargs):
+            calls[key] = calls.get(key, 0) + 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
     monkeypatch.setattr("sys.stdin", io.StringIO(A3_CHART + f"check {check}\n"))
     code, _, _ = _run(capsys, "--json")
     assert code == 0
-    assert (calls["generic_denominator"], calls["saturate"], calls["normal_form"]) == want
+    assert tuple(calls.get(key, 0) for key in spied) == want
 
 
 def test_pair_limit_bounds_each_check(monkeypatch, capsys):
