@@ -20,8 +20,8 @@ leads in one position share e_i, so they are never coprime, and a leading
 monomial that divides an lcm lies in the lcm's position.
 :func:`module_buchberger` and :func:`module_normal_form` encode, run the ideal
 path and decode.  A :class:`ModulePresentation` encodes its relations once
-and keeps each basis it computes encoded next to its vectors, so a
-membership test encodes only the vector it tests.
+and keeps each basis it computes encoded only, so a membership test encodes
+only the vector it tests.
 
 Every element joins the basis through the Gebauer-Moeller update (Gebauer &
 Moeller 1988, *On an installation of Buchberger's algorithm*), the input
@@ -714,9 +714,10 @@ class ModulePresentation:
     order of the encoded layout.
 
     The presentation encodes its relations once (``encoded``, made on first
-    use) and keeps each basis encoded next to its vectors, with its
-    :class:`Divisors` (:meth:`encoded_basis`), so that a membership test
-    encodes, packs and width-scans only the vector it tests."""
+    use) and keeps, per order, the :class:`Divisors` of its basis encoded, as
+    an :class:`Ideal` does, so that a membership test encodes, packs and
+    width-scans only the vector it tests; :meth:`groebner_basis` decodes that
+    basis."""
 
     layout: RingLayout
     field: object
@@ -729,8 +730,7 @@ class ModulePresentation:
                 raise ValueError("relation vector length differs from rank")
         self.relations = tuple(v for v in self.relations if not _is_zero_vector(v))
         self.morder = default_order(self.layout.with_positions(self.rank))
-        self._gb_cache = {}
-        self._encoded = {}  # order -> Divisors of the basis of _gb_cache[order], encoded
+        self._gb_cache = {}  # order -> Divisors of the encoded basis under order
 
     @cached_property
     def encoded(self) -> tuple:
@@ -738,26 +738,20 @@ class ModulePresentation:
         return tuple(encode_vectors(self.relations, self.layout, self.rank))
 
     def groebner_basis(self, order: MonomialOrder | None = None, budget=None):
-        order = order or self.morder
-        if order not in self._gb_cache:
-            self._gb_cache[order] = tuple(module_buchberger(self.relations, order, budget))
-        return self._gb_cache[order]
+        return tuple(decode_vectors(self.encoded_basis(order, budget)))
 
     def encoded_basis(self, order: MonomialOrder | None = None, budget=None) -> tuple:
-        """The basis :meth:`groebner_basis` gives, encoded once."""
-        return self._encoded_divisors(order or self.morder, budget).basis
-
-    def _encoded_divisors(self, order: MonomialOrder, budget) -> Divisors:
-        gb = self.groebner_basis(order, budget)
-        if order not in self._encoded:
-            self._encoded[order] = Divisors(tuple(encode_vectors(gb, self.layout, self.rank)), order, self.field)
+        order = order or self.morder
+        if order not in self._gb_cache:
+            gb = module_buchberger(self.relations, order, budget)
+            self._gb_cache[order] = Divisors(tuple(encode_vectors(gb, self.layout, self.rank)), order, self.field)
             if budget is not None:
                 budget.check_deadline()
-        return self._encoded[order]
+        return self._gb_cache[order].basis
 
     def contains(self, v, order=None, budget=None) -> bool:
-        divisors = self._encoded_divisors(order or self.morder, budget)
-        if not divisors.basis:
+        order = order or self.morder
+        if not self.encoded_basis(order, budget):
             return _is_zero_vector(v)
         (f,) = encode_vectors([v], self.layout, self.rank)
-        return normal_form(f, divisors, divisors.order, budget=budget).is_zero
+        return normal_form(f, self._gb_cache[order], order, budget=budget).is_zero

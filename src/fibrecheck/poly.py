@@ -39,7 +39,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import add, itemgetter, lshift, mul, neg, sub
+from operator import add, itemgetter, lshift, mul, neg
 
 
 Exponents = tuple
@@ -293,10 +293,6 @@ def unit(nvars: int, i: int) -> Exponents:
     """The exponents of variable i alone, sliced from one zero tuple."""
     zeros = (0,) * nvars
     return zeros[:i] + (1,) + zeros[i + 1 :]
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(sub, a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ base-variable leading coefficients of a fibre-over-base Groebner basis) of
 J_1: A_h is free over R_h (generic freeness), so is each tensor power, and
 J_k : h^infinity is the dominant part of every J_k, while J_k's own h would
 add spurious factors.  A module of rank >= 2 keeps each power's h, a power of
-which is its certificate.  Witnesses are re-checked before a verdict is
-emitted, by exact proofs that do not trust the engine where they exist: r*g
-(r*v) lies in J_k when division by J_k's generators leaves no remainder, and
-g (v) lies outside sqrt(J_k) (J_k) when it is nonzero at a point of V(J_k).
-Only a half left unproven falls back to the engine (see the re-checks)."""
+which is its certificate.  Both fail alike: a nonzero pure-base r pushes
+some w (g, or v) into sqrt(J_k) (J_k) while w stays outside.  So one re-check,
+given the membership to use, proves every negative verdict before it is
+emitted, by exact proofs that do not trust the engine where they exist: r*w
+lies in J_k when division by J_k's generators leaves no remainder, and w lies
+outside when it is nonzero at a point of V(J_k).  Only a half left unproven
+falls back to the engine (see the re-checks)."""
 
 from __future__ import annotations
 
@@ -203,7 +205,9 @@ def _annihilator_witness(J: Ideal, v: Polynomial, within, budget) -> Polynomial:
 def has_torsion_module(pres: ModulePresentation, within: str = "grevlex", budget=None):
     """R-torsion in the cokernel of the presentation: a saturation generator v
     outside N, with r = h^k the smallest power pushing it back in (one does:
-    v lies in N : h^infinity; the budget meters each membership test)."""
+    v lies in N : h^infinity; the budget meters each membership test); v is
+    integer-normalized as one encoded vector, so its components keep their
+    ratios."""
     layout, fld = pres.layout, pres.field
     positioned = layout.with_positions(pres.rank)
     order = default_order(positioned, within)
@@ -214,6 +218,8 @@ def has_torsion_module(pres: ModulePresentation, within: str = "grevlex", budget
             power = h
             while not pres.contains(tuple(power * c for c in v), order, budget):
                 power = power * h
+            (encoded,) = encode_vectors([v], layout, pres.rank)
+            (v,) = decode_vectors([integer_normalized(encoded)])
             return True, (integer_normalized(power), v)
     return False, None
 
@@ -290,21 +296,15 @@ def _probe_power(problem: Problem, config: CheckConfig, kind: str, k: int, first
     # flatness: torsion in the tensor power of F (F = A when none declared)
     if Jk is not None:
         found, cert = has_torsion_ideal(Jk, first, within, budget)
-        if not found:
-            return False, None
-        _verify_flat_ideal_certificate(Jk, *cert, within, budget, first)
-        return True, cert
+        if found:
+            _verify_flat_ideal_certificate(Jk, *cert, within, budget, first)
+        return found, cert
 
     pres = tensor_power_presentation(problem, k, budget)
     found, cert = has_torsion_module(pres, within, budget)
-    if not found:
-        return False, None
-    r, v = cert
-    # scaled as one vector, so that its components keep their ratios
-    (encoded,) = encode_vectors([v], pres.layout, pres.rank)
-    (v,) = decode_vectors([integer_normalized(encoded)])
-    _verify_flat_module_certificate(pres, r, v, within, budget)
-    return True, (r, v)
+    if found:
+        _verify_flat_module_certificate(pres, *cert, within, budget)
+    return found, cert
 
 
 def _is_pure_base(f: Polynomial) -> bool:
@@ -312,14 +312,15 @@ def _is_pure_base(f: Polynomial) -> bool:
     return not f.is_zero and all(i < nb for i in f.support_indices())
 
 
-# Each re-check proves both halves without the engine where it can.  r*g
-# (r*v) lies in J_k when its remainder on division by J_k's generators is
-# zero, the quotients being its cofactors; g (v) lies outside sqrt(J_k) (J_k)
-# when it is nonzero at a point of V(J_k).  Only a half left unproven asks the
-# engine, and that recomputes what it needs: inside budget.memo_bypassed(), on
-# a fresh object whose per-object basis cache is empty, never the Jk or pres
-# the search filled.  The open fallbacks build new ideals in radical_member;
-# the flat ones copy Jk, which for a module is its relations encoded afresh.
+# Each re-check proves both halves without the engine where it can.  r*w (w
+# the g or v it was given) lies in J_k when its remainder on division by J_k's
+# generators is zero, the quotients being its cofactors; w lies outside
+# sqrt(J_k) (J_k) when it is nonzero at a point of V(J_k).  Only a half left
+# unproven asks the engine, through the entry's ``member``, which recomputes
+# what it needs: inside budget.memo_bypassed(), on a fresh object whose
+# per-object basis cache is empty, never the Jk or pres the search filled.
+# The open entry's radical_member builds new ideals; the flat entry copies
+# Jk, which for a module is a fresh Ideal on pres.encoded.
 
 
 def _divides_into(f, Jk, within, budget) -> bool:
@@ -328,16 +329,23 @@ def _divides_into(f, Jk, within, budget) -> bool:
     return normal_form(f, Jk.gens, default_order(Jk.layout, within), budget).is_zero
 
 
-def _verify_open_witness(Jk, first, g, r, within, budget):
+def _recheck(Jk, first, w, r, within, budget, member, what):
+    """r nonzero and pure-base, r*w in J_k and w outside, the memberships by
+    ``member`` where division and a point leave them unproven.  A point is
+    sought over the fibre of ``first`` (J_1) only when it is given; every point
+    found lies over V(r), as r*w vanishes on V(J_k)."""
     with budget.memo_bypassed():
         ok = (
-            not r.is_zero
-            and _is_pure_base(r)
-            and (_divides_into(r * g, Jk, within, budget) or radical_member(r * g, Jk, within, budget))
-            and (_point_outside(Jk, first, g, r, budget) or not radical_member(g, Jk, within, budget))
+            _is_pure_base(r)
+            and (_divides_into(r * w, Jk, within, budget) or member(r * w))
+            and (first is not None and _point_outside(Jk, first, w, r, budget) or not member(w))
         )
     if not ok:
-        raise WitnessSoundnessError("openness witness failed its re-check")
+        raise WitnessSoundnessError(f"{what} failed its re-check")
+
+
+def _verify_open_witness(Jk, first, g, r, within, budget):
+    _recheck(Jk, first, g, r, within, budget, lambda f: radical_member(f, Jk, within, budget), "openness witness")
 
 
 _POINT_TRIES = 1000  # points evaluated, base, fibre and k-tuple alike, before the engine decides
@@ -391,31 +399,16 @@ def _point_outside(Jk, first, g, r, budget):
 
 
 def _verify_flat_ideal_certificate(Jk, r, v, within, budget, first=None):
-    """A point is sought over the fibre of ``first`` (J_1) only when it is
-    given; every point found lies over V(r), as r*v vanishes on V(J_k)."""
-    order = default_order(Jk.layout, within)
-    fresh = Ideal(Jk.layout, Jk.field, Jk.gens)
-    with budget.memo_bypassed():
-        ok = (
-            not r.is_zero
-            and _is_pure_base(r)
-            and (_divides_into(r * v, Jk, within, budget) or fresh.contains(r * v, order, budget))
-            and (
-                first is not None
-                and _point_outside(Jk, first, v, r, budget)
-                or not fresh.contains(v, order, budget)
-            )
-        )
-    if not ok:
-        raise WitnessSoundnessError("flatness certificate failed its re-check")
+    fresh, order = Ideal(Jk.layout, Jk.field, Jk.gens), default_order(Jk.layout, within)
+    _recheck(Jk, first, v, r, within, budget, lambda f: fresh.contains(f, order, budget), "flatness certificate")
 
 
 def _verify_flat_module_certificate(pres, r, v, within, budget):
-    """The ideal re-check on the encoded relations and vector, under
-    default_order of the positioned layout, the order the torsion search
-    used."""
-    *relations, encoded = encode_vectors([*pres.relations, v], pres.layout, pres.rank)
-    N = Ideal(encoded.layout, pres.field, tuple(relations))
+    """The ideal re-check on the presentation's encoded relations and on v
+    encoded, under default_order of the positioned layout, the order the
+    torsion search used."""
+    (encoded,) = encode_vectors([v], pres.layout, pres.rank)
+    N = Ideal(encoded.layout, pres.field, pres.encoded)
     _verify_flat_ideal_certificate(N, transport(r, encoded.layout), encoded, within, budget)
 
 

@@ -104,23 +104,36 @@ def test_quotient_defining_property():
         assert I.contains(g * f)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_quotient_on_random_ideals(field, data):
+def _check_quotient(I: Ideal, f: Polynomial):
     """I ⊆ I : f, g*f ∈ I for every generator g of I : f (by the engine and by
-    the Macaulay oracle), and the grevlex and lex quotients are one ideal."""
-    polys = poly_strategy(LINE_LAYOUT, field, max_exp=2, max_terms=3)
-    gens = data.draw(st.lists(polys, min_size=1, max_size=3))
-    f = data.draw(polys.filter(lambda p: not p.is_zero))
-    I = Ideal(LINE_LAYOUT, field, tuple(gens))
+    the Macaulay oracle), and the grevlex and lex quotients are one ideal.
+    The oracle's degree bound is deg(g*f) + 8: a certificate may need more
+    than deg + 4 (see the explicit case below)."""
     by_order = {within: quotient(I, f, within) for within in ("grevlex", "lex")}
     for Q in by_order.values():
         assert all(Q.contains(h) for h in I.gens)
         for g in Q.gens:
             assert I.contains(g * f)
-            assert macaulay_member(g * f, I.gens, (g * f).total_degree() + 4)
+            assert macaulay_member(g * f, I.gens, (g * f).total_degree() + 8)
     assert ideal_equal(by_order["grevlex"], by_order["lex"])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quotient_on_random_ideals(field, data):
+    polys = poly_strategy(LINE_LAYOUT, field, max_exp=2, max_terms=3)
+    gens = data.draw(st.lists(polys, min_size=1, max_size=3))
+    f = data.draw(polys.filter(lambda p: not p.is_zero))
+    _check_quotient(Ideal(LINE_LAYOUT, field, tuple(gens)), f)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_quotient_whose_certificate_needs_a_high_degree(field):
+    # 1 lies in (x^2, y^2*x + 1), so the quotient by y is (1); the oracle
+    # first certifies g*f = y at degree bound 7, deg + 6
+    I = ideal_of(LINE_LAYOUT, "x^2", "y^2*x + 1", field=field)
+    _check_quotient(I, P(LINE_LAYOUT, "y", field))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])

@@ -32,6 +32,7 @@ from fibrecheck import (
     radical_member,
     saturate,
     squarefree_part,
+    tensor_power_presentation,
     transport,
     vertical_witness,
 )
@@ -727,6 +728,27 @@ def test_tampered_certificates_fail_their_recheck_by_either_route(within, field)
         with pytest.raises(WitnessSoundnessError):  # v in J_2
             _verify_flat_ideal_certificate(J2, r, inside, within, budget, first)
     assert budget.memo  # every re-check bypassed it
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", ["Q", "F 5"], ids=["Q", "F5"])
+@pytest.mark.parametrize("name, k", [("rank2_module.alg", 2), ("module_scaled.alg", 1)])
+def test_tampered_module_certificates_fail_their_recheck(within, field, name, k):
+    # a module of rank 2 has no point search: the fresh basis of the encoded
+    # relations refutes each tampered half
+    text = (GOLDEN / name).read_text().replace("field Q", f"field {field}")
+    problem = parse_problem(text)
+    config = CheckConfig(within=within, allow_char_p_flatness=True)
+    verdict = check_flatness(problem, config)
+    assert (verdict.outcome, verdict.failing_power) == ("fail", k)
+    budget = config.budget()
+    pres = tensor_power_presentation(problem, k, budget)
+    r, v = verdict.certificate_r, verdict.certificate_v
+    _verify_flat_module_certificate(pres, r, v, within, budget)
+    with pytest.raises(WitnessSoundnessError):  # r*v = v outside N
+        _verify_flat_module_certificate(pres, Polynomial.constant(r.layout, problem.field, 1), v, within, budget)
+    with pytest.raises(WitnessSoundnessError):  # v in N
+        _verify_flat_module_certificate(pres, r, pres.relations[0], within, budget)
 
 
 @pytest.mark.parametrize("within", ["grevlex", "lex"])

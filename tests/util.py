@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import heapq
 import itertools
-from operator import le
+from operator import le, sub
 
 from fibrecheck import (
     QQ,
@@ -20,7 +20,7 @@ from fibrecheck import (
     groebner,
 )
 from fibrecheck.cli import _Expression
-from fibrecheck.poly import default_order, integer_normalized, mono_div, relabel, render_poly
+from fibrecheck.poly import default_order, integer_normalized, relabel, render_poly
 
 
 def mono_divides(a, b) -> bool:
@@ -29,6 +29,10 @@ def mono_divides(a, b) -> bool:
 
 def mono_lcm(a, b):
     return tuple(map(max, a, b))
+
+
+def mono_div(a, b):
+    return tuple(map(sub, a, b))
 
 
 def P(layout: RingLayout, text: str, field=QQ) -> Polynomial:
