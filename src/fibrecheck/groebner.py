@@ -37,8 +37,13 @@ t joins:
   and still divides, but no later element pairs with it.
 
 The update tests divisibility and takes lcms as int expressions on packed
-monomials (see below).  A coprime pair's lcm stays among the lcms that rule
-out proper multiples, although the pair itself is dropped.
+monomials (see below), on each element's lead degree and key, kept as it
+joins: a new pair's degree and key are those of LM(g_k) plus those of
+lcm/LM(g_k), from the quotient's few nonzero fields, so no lcm is unpacked.
+New lcms are taken in increasing int order, each tested against the minimal
+ones before it: a proper divisor of a packed monomial is a smaller int, and
+division is transitive.  A coprime pair's lcm stays among those minimal lcms,
+although the pair itself is dropped.
 
 Pending pairs wait in a binary heap ranked
 ``(sugar, deg lcm, order key of lcm, i, j)``, the sugar strategy of Giovini et
@@ -49,7 +54,9 @@ are unique by ``(i, j)``, so the order of reductions is deterministic, and
 the heap's shape does not matter: new pairs are pushed onto it, and it is
 rebuilt only when the update deleted a pending pair.  The budget is charged
 one pair per S-polynomial actually reduced: a pair dropped or deleted by the
-update costs nothing, so a report's ``pairs`` counts reductions.
+update costs nothing, so a report's ``pairs`` counts reductions.  The engine
+counts pairs and reduction steps itself and calls the budget's ``charge_*``
+only at a limit or under a deadline, so each abort comes at the same step.
 
 Division (:func:`_reduce`) is the package's one division kernel: normal
 forms, S-pair remainders, interreduction and exact division all run through
@@ -103,9 +110,9 @@ import heapq
 import time
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from .poly import MonomialOrder, Polynomial, RingLayout, default_order, unit
@@ -361,13 +368,18 @@ def _reduce(pending, mono, basis, budget):
     pop, push = heapq.heappop, heapq.heappush
     rem, at = [], []  # popped in descending order, and the scale each was popped at
     scale = 1
+    if budget is not None:  # charge_work runs only where it can raise
+        cap, timed = 200 * budget.pair_limit, budget.deadline is not None
     while heap:
         k = pop(heap)
         c = canon(pending.pop(k))
         if not c:
             continue
         if budget is not None:
-            budget.charge_work()
+            if timed or budget.work >= cap:
+                budget.charge_work()
+            else:
+                budget.work += 1
         m = mono[k]
         guarded = m | guards
         for i, lead in enumerate(leads):
@@ -421,7 +433,7 @@ def _spair(basis, i, j, lcm, lcm_key):
             pending[k] += b * tc
         else:
             pending[k], mono[k] = b * tc, tm + shift
-    if any(m & packing.guards for m in mono.values()):
+    if reduce(or_, mono.values(), 0) & packing.guards:
         raise _WidthExceeded
     return pending, mono, a * lc_i
 
@@ -469,13 +481,14 @@ def _buchberger(gens, order: MonomialOrder, budget: ComputeBudget, eliminate=Non
 
 def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget, eliminate=None):
     layout, fld = gens[0].layout, gens[0].field
-    unpack, key, guards, width = packing.unpack, packing.key, packing.guards, packing.width
+    degree_key, guards, width = packing.degree_key, packing.guards, packing.width
     push = heapq.heappush
     rank = layout.positions
     positions = packing.pack((0,) * (layout.nvars - rank) + ((1 << width) - 1,) * rank)
     leads, tables = [], []
     basis = leads, tables, fld, packing
     elements = []  # packed terms of each element, leading term first
+    degrees = []  # per element: the degree of its leading monomial
     surplus = []  # per element: its sugar less the degree of its leading monomial
     live = []  # the elements new ones pair with: no later leading monomial divides theirs
     # pending pairs (sugar, deg lcm, order key of lcm, i, j, packed lcm), a heap
@@ -490,10 +503,11 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget, e
         """Append the packed ``terms`` to the basis by the Gebauer-Moeller update."""
         h = len(leads)
         hm = terms[0][1]
-        hdeg = sum(unpack(hm))
+        hdeg = degree_key(hm)[0]
         leads.append(hm)
         tables.append(_table(terms))
         elements.append(terms)
+        degrees.append(hdeg)
         h_over = sugar - hdeg
         surplus.append(h_over)
         # a pending pair whose lcm hm divides, and differs from the lcms of
@@ -512,12 +526,15 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget, e
                     deleted.add(p)
         # the pairs (k, h), one per lcm: the least sugar, then the least k
         where = hm & positions  # 0 for an ideal
-        best, coprime = {}, set()
+        best, coprime, stay = {}, set(), []
         for k in live:
             km = leads[k]
             if where and km & positions != where:
+                stay.append(k)
                 continue
             at_least = ((km | guards) - hm) & guards
+            if at_least != guards:  # else hm divides km, and k retires
+                stay.append(k)
             at_least -= at_least >> width
             lcm = (km & at_least) | (hm & ~at_least)
             if lcm == km + hm:
@@ -527,18 +544,19 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget, e
                 best[lcm] = (over, k)
         # no pair whose lcm is that of a coprime pair, or a proper multiple of
         # another new pair's lcm
-        new = []
-        for lcm, (over, k) in best.items():
-            if lcm in coprime:
-                continue
+        new, minimal = [], []
+        for lcm in sorted(best):
             guarded = lcm | guards
-            for other in best:
-                if (guarded - other) & guards == guards and other != lcm:
+            for other in minimal:
+                if (guarded - other) & guards == guards:
                     break
             else:
-                exps = unpack(lcm)
-                deg = sum(exps)
-                new.append((deg + over, deg, key(exps), k, h, lcm))
+                minimal.append(lcm)
+                if lcm not in coprime:
+                    over, k = best[lcm]
+                    deg, key = degree_key(lcm - leads[k])
+                    deg += degrees[k]
+                    new.append((deg + over, deg, key - tables[k][0], k, h, lcm))
         # ranks are unique, so the heap's shape never changes the pop order
         if deleted:
             queue[:] = [p for p in queue if p not in deleted] + new
@@ -546,16 +564,20 @@ def _buchberger_at(gens, order: MonomialOrder, packing, budget: ComputeBudget, e
         else:
             for pair in new:
                 push(queue, pair)
-        live[:] = [k for k in live if ((leads[k] | guards) - hm) & guards != guards]
-        live.append(h)
+        stay.append(h)
+        live[:] = stay
         budget.note_basis(len(leads))
 
     for g in gens:
         insert(_packed(g, packing)[0], g.total_degree())
         budget.check_deadline()  # inputs of high rank take milliseconds each
+    timed = budget.deadline is not None  # charge_pair runs only where it can raise
     while queue:
         pair_sugar, _, lcm_key, i, j, lcm = heapq.heappop(queue)
-        budget.charge_pair()
+        if timed or budget.pairs >= budget.pair_limit:
+            budget.charge_pair()
+        else:
+            budget.pairs += 1
         pending, mono, _ = _spair(basis, i, j, lcm, -lcm_key)
         rem, _ = _reduce(pending, mono, basis, budget)
         if rem:

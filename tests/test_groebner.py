@@ -29,7 +29,8 @@ from fibrecheck import (
 from fibrecheck import groebner
 from fibrecheck.groebner import decode_vectors, encode_vectors, exact_divide
 from fibrecheck.poly import Packing, transport, unit
-from fibrecheck.verticality import dominant_part
+from fibrecheck.idealops import _with_inverse
+from fibrecheck.verticality import dominant_part, generic_denominator
 
 from oracles import macaulay_member
 from test_poly import poly_strategy
@@ -305,6 +306,46 @@ def test_interreduction_divides_each_kept_element_once(monkeypatch, gens):
     basis = buchberger(gens, default_order(gens[0].layout))
     assert len(basis) > 1
     assert calls[0] == len(basis)
+
+
+def _a3_chart_runs():
+    """(generators, eliminate) of the Buchberger runs on the A^3 chart's J_2
+    and on its dominant part's saturation, J_2 + (1 - t*h)."""
+    J2, order = fibred_power_ideal(A3_CHART, 2), default_order(A3_CHART.layout)
+    h = generic_denominator(A3_CHART.groebner_basis(order), A3_CHART.layout, QQ, order)
+    ext, gens = _with_inverse(J2, transport(h, J2.layout))
+    return {"J2": (J2.gens, None), "saturation": (tuple(gens), ext.tag_index)}
+
+
+@pytest.mark.parametrize("deadline", [None, float("inf")], ids=["untimed", "timed"])
+@pytest.mark.parametrize("run", ["J2", "saturation"])
+def test_limits_abort_at_the_pair_or_step_past_them(run, deadline):
+    # pairs and reduction steps are counted where they are taken, and the
+    # one past a limit raises, with or without a deadline to check
+    gens, eliminate = _a3_chart_runs()[run]
+    order = default_order(gens[0].layout)
+    aborts = set()
+    for limit in range(1, 41):
+        budget = ComputeBudget(pair_limit=limit, deadline=deadline)
+        try:
+            buchberger(gens, order, budget, eliminate)
+        except ResourceLimitError as exc:
+            if str(exc) == f"pair limit {limit} exceeded":
+                assert budget.pairs == limit + 1
+            else:
+                assert str(exc) == f"reduction-step limit {200 * limit} exceeded"
+                assert budget.work == 200 * limit + 1
+            aborts.add(limit)
+    assert 1 in aborts and 40 not in aborts
+
+
+@pytest.mark.parametrize("deadline", [None, float("inf")], ids=["untimed", "timed"])
+def test_step_limit_aborts_inside_normal_form_at_the_step_past_it(deadline):
+    # x^250 by x - y takes 251 reduction steps; a pair limit of 1 allows 200
+    budget = ComputeBudget(pair_limit=1, deadline=deadline)
+    with pytest.raises(ResourceLimitError, match="reduction-step limit 200 exceeded"):
+        normal_form(P(XY2, "x^250"), [P(XY2, "x - y")], default_order(XY2), budget=budget)
+    assert budget.work == 201
 
 
 def test_deadline_passing_mid_division_aborts_on_the_next_step(monkeypatch):

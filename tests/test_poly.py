@@ -268,6 +268,33 @@ def test_packing_weights_sum_only_nonzero_digits(within):
         assert Packing(order, width).weights == reference_packing_weights(order, width)
 
 
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("layout", [Y2X2.with_tag(), Y2X2.with_positions(4)], ids=["tagged", "positioned"])
+@settings(max_examples=40, derandomize=True)
+@given(data=st.data())
+def test_degree_key_sums_only_the_nonzero_fields(layout, within, data):
+    # the degree and key of a packed monomial from its nonzero fields equal
+    # those of its unpacked exponents, up to 2^width - 1 in every field
+    packing = default_order(layout, within).packing(data.draw(st.integers(1, 9), label="width"))
+    top = (1 << packing.width) - 1
+    exps = data.draw(
+        st.lists(st.one_of(st.integers(0, top), st.sampled_from([0, 0, top])), min_size=layout.nvars, max_size=layout.nvars)
+    )
+    m = packing.pack(tuple(exps))
+    assert packing.degree_key(m) == (sum(packing.unpack(m)), packing.key(packing.unpack(m)))
+
+
+def test_degree_key_on_the_power_3_layout_of_a_rank_12_module():
+    layout = RingLayout(("y1", "y2", "y3", "y4"), (), 3).with_positions(12**3)
+    assert layout.nvars == 1732
+    packing = default_order(layout).packing(17)
+    exps = [0] * layout.nvars
+    exps[1], exps[3], exps[1000], exps[-1] = 3, (1 << 17) - 1, 1, 2
+    m = packing.pack(tuple(exps))
+    assert packing.degree_key(m) == (sum(packing.unpack(m)), packing.key(packing.unpack(m)))
+    assert packing.degree_key(m)[0] == 3 + (1 << 17) - 1 + 1 + 2
+
+
 # ---------------------------------------------------------------------------
 # leading data
 
@@ -344,12 +371,36 @@ def test_mul_term_keeps_stored_order(field, data):
     order = default_order(layout)
     for got, want in (
         (f.mul_term(coeff, exps), expected),
-        (f.scale(coeff), f * Polynomial.constant(layout, field, coeff)),
+        (f.scale(coeff), _general_product(f, Polynomial.constant(layout, field, coeff))),
     ):
         assert got == want
         keys = [order.key(e) for _, e in got.terms]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
+
+
+def _general_product(f, g):
+    """f * g summed term by term in a dict and sorted by from_dict."""
+    a, b = ({e: c for c, e in p.terms} for p in (f, g))
+    return Polynomial.from_dict(f.layout, f.field, _reference_product(a, b))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@settings(max_examples=40, derandomize=True)
+@given(data=st.data())
+def test_product_with_a_one_term_factor_equals_the_general_product(field, data):
+    # a one-term factor, on either side, multiplies by mul_term; terms,
+    # their order and their coefficient types are those of the general product
+    layout = TAGGED
+    f = data.draw(poly_strategy(layout, field))
+    coeff = field.coerce(data.draw(st.integers(1, 4)))
+    exps = tuple(data.draw(st.integers(0, 2)) for _ in range(layout.nvars))
+    t = Polynomial(layout, field, ((coeff, exps),))
+    c = Polynomial.constant(layout, field, data.draw(st.integers(1, 4)))
+    zero = Polynomial.zero(layout, field)
+    for a, b in [(f, t), (t, f), (f, c), (c, f), (t, t), (t, zero), (zero, t), (c, zero), (f, zero)]:
+        got, want = a * b, _general_product(a, b)
+        assert [(type(x), x, e) for x, e in got.terms] == [(type(x), x, e) for x, e in want.terms]
 
 
 F32003 = PrimeField(32003)
