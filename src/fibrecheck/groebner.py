@@ -18,10 +18,13 @@ leading monomial divides only monomials in its own position, and every
 quotient is free of positions.  The Gebauer-Moeller rules stay valid: two
 leads in one position share e_i, so they are never coprime, and a leading
 monomial that divides an lcm lies in the lcm's position.
-:func:`module_buchberger` and :func:`module_normal_form` encode, run the ideal
-path and decode.  A :class:`ModulePresentation` encodes its relations once
-and keeps each basis it computes encoded only, so a membership test encodes
-only the vector it tests.
+A :class:`ModulePresentation` encodes its relations once and keeps, per
+order, its submodule as an :class:`Ideal` of the encoded reduced basis, so the
+module path runs on encoded vectors end to end: :func:`module_buchberger`
+takes and returns encoded polynomials, and a membership test encodes only the
+vector it tests.  A vector is decoded only where it leaves that path: the
+certificate a torsion search prints, :meth:`ModulePresentation.groebner_basis`
+and :func:`module_normal_form`.
 
 Every element joins the basis through the Gebauer-Moeller update (Gebauer &
 Moeller 1988, *On an installation of Buchberger's algorithm*), the input
@@ -94,9 +97,10 @@ depend on this.
 
 Each computation packs its inputs and unpacks what it returns; ``Exponents``
 tuples and field values stay the representation everywhere else.  The one
-exception is a basis that an :class:`Ideal` or a :class:`ModulePresentation`
-divides by in membership tests: its :class:`Divisors` keep it packed, so each
-test packs and width-scans only the element it tests.  Fields
+exception is a basis that an :class:`Ideal` divides by in membership tests (a
+:class:`ModulePresentation`'s submodule is such an Ideal): its
+:class:`Divisors` keep it packed, so each test packs and width-scans only the
+element it tests.  Fields
 start HEADROOM_BITS wider than the inputs' largest exponent.  A product that
 outgrows them sets a guard bit, never wrapping into the next field, and the
 :func:`buchberger` or :func:`normal_form` call runs again at double width with
@@ -183,8 +187,7 @@ class ComputeBudget:
     def check_deadline(self):
         """ResourceLimitError once the deadline has passed.  Besides every
         charge, it is called after a packed computation's width scan, as each
-        input joins a basis, after a module basis is encoded and after a
-        tensor power's relations are built."""
+        input joins a basis and after a tensor power's relations are built."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitError("timeout exceeded")
 
@@ -718,14 +721,11 @@ def module_normal_form(v, basis, order: MonomialOrder, budget=None):
     return decode_vectors([r])[0]
 
 
-def module_buchberger(vectors, order: MonomialOrder, budget: ComputeBudget | None = None):
-    """Reduced Groebner basis of the submodule generated by ``vectors``, under
-    ``order`` on the encoded layout."""
-    if not vectors:
-        return []
-    layout, rank = vectors[0][0].layout, len(vectors[0])
-    encoded = encode_vectors(vectors, layout, rank)
-    return decode_vectors(buchberger(encoded, order, budget))
+def module_buchberger(encoded, order: MonomialOrder, budget: ComputeBudget | None = None) -> list:
+    """Reduced Groebner basis, encoded, of the submodule generated by the
+    encoded vectors ``encoded``, under ``order`` on their positioned layout:
+    :func:`buchberger`, under the module path's own name."""
+    return buchberger(encoded, order, budget)
 
 
 @dataclass
@@ -736,10 +736,11 @@ class ModulePresentation:
     order of the encoded layout.
 
     The presentation encodes its relations once (``encoded``, made on first
-    use) and keeps, per order, the :class:`Divisors` of its basis encoded, as
-    an :class:`Ideal` does, so that a membership test encodes, packs and
-    width-scans only the vector it tests; :meth:`groebner_basis` decodes that
-    basis."""
+    use) and keeps, per order, the submodule they generate as an
+    :class:`Ideal` on the positioned layout whose generators are the encoded
+    reduced basis (:meth:`submodule`), so that a membership test encodes,
+    packs and width-scans only the vector it tests; :meth:`groebner_basis`
+    decodes that basis."""
 
     layout: RingLayout
     field: object
@@ -752,28 +753,25 @@ class ModulePresentation:
                 raise ValueError("relation vector length differs from rank")
         self.relations = tuple(v for v in self.relations if not _is_zero_vector(v))
         self.morder = default_order(self.layout.with_positions(self.rank))
-        self._gb_cache = {}  # order -> Divisors of the encoded basis under order
+        self._gb_cache = {}  # order -> Ideal of the encoded basis, reduced under order
 
     @cached_property
     def encoded(self) -> tuple:
         """The relations encoded with position variables."""
         return tuple(encode_vectors(self.relations, self.layout, self.rank))
 
-    def groebner_basis(self, order: MonomialOrder | None = None, budget=None):
-        return tuple(decode_vectors(self.encoded_basis(order, budget)))
-
-    def encoded_basis(self, order: MonomialOrder | None = None, budget=None) -> tuple:
+    def submodule(self, order: MonomialOrder | None = None, budget=None) -> Ideal:
+        """The submodule the relations generate, as the Ideal of its encoded
+        reduced basis under ``order``, made once per order."""
         order = order or self.morder
         if order not in self._gb_cache:
-            gb = module_buchberger(self.relations, order, budget)
-            self._gb_cache[order] = Divisors(tuple(encode_vectors(gb, self.layout, self.rank)), order, self.field)
-            if budget is not None:
-                budget.check_deadline()
-        return self._gb_cache[order].basis
+            gb = module_buchberger(self.encoded, order, budget)
+            self._gb_cache[order] = Ideal(self.layout.with_positions(self.rank), self.field, tuple(gb), order)
+        return self._gb_cache[order]
+
+    def groebner_basis(self, order: MonomialOrder | None = None, budget=None):
+        return tuple(decode_vectors(self.submodule(order, budget).gens))
 
     def contains(self, v, order=None, budget=None) -> bool:
-        order = order or self.morder
-        if not self.encoded_basis(order, budget):
-            return _is_zero_vector(v)
         (f,) = encode_vectors([v], self.layout, self.rank)
-        return normal_form(f, self._gb_cache[order], order, budget=budget).is_zero
+        return self.submodule(order, budget).contains(f, order, budget)

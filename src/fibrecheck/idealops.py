@@ -16,7 +16,8 @@ which ranks the fibres above the base.  Krull dimension is computed
 combinatorially from independent sets of the leading-term ideal.  A submodule
 is saturated as the ideal of its vectors encoded with position variables (see
 :mod:`fibrecheck.groebner`): :func:`saturate` multiplies 1 - t*f by each
-position, and :func:`module_saturate` encodes, saturates and decodes.
+position, and :func:`module_saturate` saturates a presentation's encoded
+relations and returns the encoded saturation, an :class:`Ideal`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .groebner import (
     Ideal,
     ModulePresentation,
     buchberger,
-    decode_vectors,
     exact_divide,
 )
 from .poly import (
@@ -126,15 +126,10 @@ def _with_inverse(I: Ideal, f: Polynomial):
     return ext, gens
 
 
-def module_saturate(
-    pres: ModulePresentation, f: Polynomial, within: str = "grevlex", budget=None
-) -> ModulePresentation:
-    """N : f^infinity inside the ambient free module: :func:`saturate` on the
-    encoded relations."""
-    layout, fld, rank = pres.layout, pres.field, pres.rank
-    N = Ideal(layout.with_positions(rank), fld, pres.encoded)
-    S = saturate(N, f, within, budget)
-    return ModulePresentation(layout, fld, rank, tuple(decode_vectors(S.gens)))
+def module_saturate(pres: ModulePresentation, f: Polynomial, within: str = "grevlex", budget=None) -> Ideal:
+    """N : f^infinity inside the ambient free module, as the Ideal of its
+    encoded vectors: :func:`saturate` on the presentation's encoded relations."""
+    return saturate(Ideal(pres.layout.with_positions(pres.rank), pres.field, pres.encoded), f, within, budget)
 
 
 # ---------------------------------------------------------------------------

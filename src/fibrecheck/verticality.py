@@ -148,11 +148,11 @@ def dominant_part(J: Ideal, first: Ideal, within: str = "grevlex", budget=None) 
     return Ideal(J.layout, J.field, gens)
 
 
-def _outside(J: Ideal, first: Ideal, within, budget):
-    """The generators of dominant_part(J, first) that J does not contain,
-    each membership tested only when the scan reaches it."""
-    order = default_order(J.layout, within)
-    return (g for g in dominant_part(J, first, within, budget).gens if not J.contains(g, order, budget))
+def _outside(N: Ideal, S: Ideal, order, budget):
+    """The generators of S, a saturation of N, that N does not contain, each
+    membership tested under ``order`` only when the scan reaches it.  N is an
+    ideal, or a submodule as the ideal of its encoded vectors."""
+    return (g for g in S.gens if not N.contains(g, order, budget))
 
 
 def has_vertical_component(J: Ideal, first: Ideal, within: str = "grevlex", budget=None):
@@ -160,7 +160,7 @@ def has_vertical_component(J: Ideal, first: Ideal, within: str = "grevlex", budg
     generator of the dominant part escapes the radical of J.  J lies in its
     dominant part, so a generator is first reduced by the basis of J; only
     one outside J costs a Rabinowitsch basis."""
-    for g in _outside(J, first, within, budget):
+    for g in _outside(J, dominant_part(J, first, within, budget), default_order(J.layout, within), budget):
         if not radical_member(g, J, within, budget):
             return True, g
     return False, None
@@ -187,7 +187,7 @@ def _first_base_generator(I: Ideal, within, budget, what: str) -> Polynomial:
 
 def has_torsion_ideal(J: Ideal, first: Ideal, within: str = "grevlex", budget=None):
     """R-torsion in k[y, x]/J: its dominant part grows; v integer-normalized."""
-    for v in _outside(J, first, within, budget):
+    for v in _outside(J, dominant_part(J, first, within, budget), default_order(J.layout, within), budget):
         return True, (_annihilator_witness(J, v, within, budget), integer_normalized(v))
     return False, None
 
@@ -203,24 +203,21 @@ def _annihilator_witness(J: Ideal, v: Polynomial, within, budget) -> Polynomial:
 
 
 def has_torsion_module(pres: ModulePresentation, within: str = "grevlex", budget=None):
-    """R-torsion in the cokernel of the presentation: a saturation generator v
-    outside N, with r = h^k the smallest power pushing it back in (one does:
-    v lies in N : h^infinity; the budget meters each membership test); v is
-    integer-normalized as one encoded vector, so its components keep their
-    ratios."""
-    layout, fld = pres.layout, pres.field
-    positioned = layout.with_positions(pres.rank)
+    """R-torsion in the cokernel of the presentation: a generator v of the
+    saturation N : h^infinity outside N, with r = h^k the smallest power
+    pushing it back in (one does; the budget meters each membership test).
+    The search runs on encoded vectors, N the presentation's submodule, and
+    decodes only v, integer-normalized as one encoded vector, so its
+    components keep their ratios."""
+    positioned = pres.layout.with_positions(pres.rank)
     order = default_order(positioned, within)
-    h = transport(generic_denominator(pres.encoded_basis(order, budget), positioned, fld, order), layout)
-    S = module_saturate(pres, h, within, budget)
-    for v in S.relations:
-        if not pres.contains(v, order, budget):
-            power = h
-            while not pres.contains(tuple(power * c for c in v), order, budget):
-                power = power * h
-            (encoded,) = encode_vectors([v], layout, pres.rank)
-            (v,) = decode_vectors([integer_normalized(encoded)])
-            return True, (integer_normalized(power), v)
+    N = pres.submodule(order, budget)
+    h = generic_denominator(N.gens, positioned, pres.field, order)
+    for v in _outside(N, module_saturate(pres, h, within, budget), order, budget):
+        power = h
+        while not N.contains(power * v, order, budget):
+            power = power * h
+        return True, (transport(integer_normalized(power), pres.layout), decode_vectors([integer_normalized(v)])[0])
     return False, None
 
 

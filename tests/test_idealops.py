@@ -272,19 +272,18 @@ def test_position_monomials_are_unit_exponents():
 
 
 def test_module_saturate_torsion_example():
-    # presentation of R^2 / <(y; 0)>: saturating by y exposes (1; 0)
+    # presentation of R^2 / <(y; 0)>: saturating by y exposes (1; 0), and
+    # the saturation comes back encoded, as an Ideal on the positioned layout
     lay = RingLayout(("y",), ("x",))
     rel = (P(lay, "y"), Polynomial.zero(lay, QQ))
     pres = ModulePresentation(lay, QQ, 2, (rel,))
     out = module_saturate(pres, P(lay, "y"))
+    assert isinstance(out, Ideal) and out.layout == lay.with_positions(2)
     one = Polynomial.constant(lay, QQ, 1)
     zero = Polynomial.zero(lay, QQ)
-    assert pres_contains(out, (one, zero))
-    assert not pres_contains(pres, (one, zero))
-
-
-def pres_contains(pres, vec):
-    return pres.contains(vec)
+    (encoded,) = encode_vectors([(one, zero)], lay, 2)
+    assert out.contains(encoded)
+    assert not pres.contains((one, zero))
 
 
 # ---------------------------------------------------------------------------

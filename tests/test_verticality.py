@@ -1,7 +1,9 @@
 """Openness and flatness decisions: generic denominators, dominant parts,
 vertical components, torsion, and the full power-loop checks."""
 
+import json
 import pathlib
+import sys
 import time
 
 import pytest
@@ -37,8 +39,8 @@ from fibrecheck import (
     vertical_witness,
 )
 
-from fibrecheck import verticality
-from fibrecheck.cli import parse_problem
+from fibrecheck import groebner, verticality
+from fibrecheck.cli import parse_problem, run
 from fibrecheck.groebner import ComputeBudget, ResourceLimitError, encode_vectors, exact_divide
 from fibrecheck.poly import MonomialOrder
 from fibrecheck.verticality import (
@@ -577,6 +579,56 @@ def test_flat_module_certificate_recheck_ignores_the_search_basis(monkeypatch, w
     computed = count_computations(monkeypatch)
     _verify_flat_module_certificate(pres, r, v, within, budget)
     assert computed == [encoded]
+
+
+def test_deadline_passing_as_the_module_basis_returns_aborts_before_the_saturation(monkeypatch):
+    # the basis is computed in time and the deadline passes as it returns:
+    # the search aborts before the saturation by h = y charges a pair
+    lay = RingLayout(("y",), ("x",))
+    pres = ModulePresentation(lay, QQ, 2, ((P(lay, "y"), Polynomial.zero(lay, QQ)), (P(lay, "x"), P(lay, "x"))))
+    budget, real, charged = ComputeBudget(), groebner.module_buchberger, []
+
+    def in_time(encoded, order, budget):
+        basis = real(encoded, order, budget)
+        budget.deadline = 0.0
+        charged.append((budget.pairs, budget.work))
+        return basis
+
+    monkeypatch.setattr(groebner, "module_buchberger", in_time)
+    with pytest.raises(ResourceLimitError, match="timeout exceeded"):
+        has_torsion_module(pres, "grevlex", budget)
+    assert charged == [(budget.pairs, budget.work)]
+
+
+def _count_vector_codings(monkeypatch) -> dict:
+    """Calls of encode_vectors and decode_vectors through every binding of
+    them in the package, counted from now on."""
+    counts = dict.fromkeys(("encode_vectors", "decode_vectors"), 0)
+    modules = [m for name, m in sys.modules.items() if name == "fibrecheck" or name.startswith("fibrecheck.")]
+    for name in counts:
+        real = getattr(groebner, name)
+
+        def spy(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, spy)
+    return counts
+
+
+@pytest.mark.parametrize("within", ["grevlex", "lex"])
+@pytest.mark.parametrize("case, failing_power", [("rank2_module", 2), ("module_scaled", 1)])
+def test_flat_module_search_decodes_only_the_printed_certificate(monkeypatch, capsys, case, failing_power, within):
+    # the search runs on encoded vectors: one encode of the relations per
+    # power, one of the printed v in its re-check, and one decode, of v
+    counts = _count_vector_codings(monkeypatch)
+    assert run(["--input", str(GOLDEN / f"{case}.alg"), "--json", "--order", within]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert (check["kind"], check["outcome"], check["failing_power"]) == ("flat", "fail", failing_power)
+    assert counts == {"encode_vectors": failing_power + 1, "decode_vectors": 1}
 
 
 # ---------------------------------------------------------------------------
